@@ -246,12 +246,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     """
     import json as json_module
 
-    from .engine import executors
     from .engine.jobs import parse_jobs_text, run_jobs
     from .engine.session import Engine
 
     _validate_batch_knobs(args)
-    executors.set_wire_format(args.wire_format)
     jobs = parse_jobs_text(Path(args.jobs).read_text())
     store = _open_store(args)
     engine = (
@@ -281,13 +279,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """The long-running daemon: bind, announce, serve until shutdown."""
-    from .engine import executors
     from .server import ReproServer
 
     _validate_batch_knobs(args)
-    # the same knob governs both transports the daemon uses: frames on
-    # the socket, and shm spill under its process-backend batches
-    executors.set_wire_format(args.wire_format)
     if (args.socket is None) == (args.port is None):
         raise ReproError("serve needs exactly one of --socket or --port")
     if args.max_inflight is not None and args.max_inflight < 1:
@@ -572,6 +566,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_engine_knobs(p)
     p.add_argument(
+        "--wire-format",
+        choices=["json", "columnar"],
+        default="columnar",
+        dest="wire_format",
+        help="socket transport (default columnar): accept and advertise "
+        "v2 binary frames alongside newline JSON ('json' simulates a "
+        "v1-only daemon)",
+    )
+    p.add_argument(
         "--max-inflight",
         type=int,
         default=None,
@@ -687,16 +690,6 @@ def _add_engine_knobs(p: argparse.ArgumentParser) -> None:
         metavar="N",
         help="shard count when creating a new --store-dir (default 8; "
         "an existing store keeps its count)",
-    )
-    p.add_argument(
-        "--wire-format",
-        choices=["json", "columnar"],
-        default="columnar",
-        dest="wire_format",
-        help="payload transport (default columnar): for serve, accept "
-        "and advertise v2 binary frames alongside newline JSON; for "
-        "batch, let the process backend spill large encodings to "
-        "shared memory ('json' forces the v1 row path everywhere)",
     )
 
 

@@ -172,7 +172,7 @@ def kernel_stats() -> dict:
     """The process-wide columnar-vs-row dispatch counters plus whether
     the numpy backend is active — the one-line-JSON observability
     payload of ``Engine.kernel_stats()`` / ``repro serve stats``.
-    Includes the wire/shm transport counters (lazy import: ``wire``
+    Includes the wire transport counters (lazy import: ``wire``
     imports this module at load time)."""
     out: dict = {"numpy": AVAILABLE}
     for key in _STATS_KEYS:
@@ -265,6 +265,12 @@ def _interner(attr) -> _Interner:
         with _INTERN_LOCK:
             interner = _INTERNERS.setdefault(attr, _Interner())
     return interner
+
+
+def interned_values() -> int:
+    """How many distinct values this process's interners hold.  They
+    only grow, so the process backend retires a worker pool on it."""
+    return sum(len(interner.values) for interner in list(_INTERNERS.values()))
 
 
 # -- the columnar bag ---------------------------------------------------
@@ -474,12 +480,6 @@ class PortableEncoding:
         self.total = total      # multiplicity total (exact Python int)
         self.mults = mults      # bytes: n little-endian int64s
         self.columns = columns  # [(codes bytes, local values list), ...]
-
-    @property
-    def nbytes(self) -> int:
-        """The blob footprint (code + mult arrays; the executor's spill
-        floor compares this against the pickle path)."""
-        return len(self.mults) + sum(len(codes) for codes, _ in self.columns)
 
 
 def export_encoding(encoded: ColumnarBag) -> PortableEncoding:

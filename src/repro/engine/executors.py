@@ -10,19 +10,25 @@ methods, ``--backend`` on ``repro batch`` / ``repro serve``):
   backend shines on cache-heavy workloads (overlapping pairs, repeated
   suites) but cannot speed up CPU-bound misses: the interpreter lock
   serializes them.
-* ``process`` — a :class:`~concurrent.futures.ProcessPoolExecutor`.
-  The engine pre-filters the batch against its store, ships the
-  *misses* as fingerprint-ref jobs over a per-batch bag table — each
-  distinct bag travels once, as a shared-memory wire frame when its
-  encoding is large enough (see ``SHM_MIN_BYTES``) and as a pickle
-  otherwise; fingerprints are seeded on arrival so workers never
-  rescan — and each worker runs the batch through a private engine.
-  Workers return their store's **verdict deltas** — every
-  ``(key, value, participant_fps)`` they computed — which the parent
-  merges back into the shared store; fingerprint keys are
-  process-independent, so a final local replay of the whole batch is
-  pure hits.  This is the only backend that scales the CPU-bound
-  global checks (Theorem 4 search instances) across cores.
+* ``process`` — one long-lived
+  :class:`~concurrent.futures.ProcessPoolExecutor` per worker count,
+  created by the first process batch and kept until
+  :func:`shutdown_pools` (``ReproServer.shutdown()`` and interpreter
+  exit call it).  The engine pre-filters the batch against its store
+  and ships the *misses* as fingerprint-ref jobs; each chunk carries a
+  table of its distinct bags as plain pickles (fingerprints are seeded
+  on arrival, so workers never rescan), and each worker runs its chunk
+  through a private engine.  Workers return their store's **verdict
+  deltas** — every ``(key, value, participant_fps)`` they computed —
+  which the parent merges back into the shared store; fingerprint keys
+  are process-independent, so a final local replay of the whole batch
+  is pure hits.  A worker that dies breaks its pool: the pool is
+  dropped, the replay computes the lost chunks in-process, and the next
+  batch starts a fresh pool.  A pool is also replaced once a worker's
+  columnar interners outgrow ``MAX_INTERNED`` values, and its workers
+  exit when their parent dies.  This is the only
+  backend that scales the CPU-bound global checks (Theorem 4 search
+  instances) across cores.
 
 ``backend=None`` preserves the PR-2 contract: serial unless
 ``parallelism > 1``, which selects threads.
@@ -30,7 +36,8 @@ methods, ``--backend`` on ``repro batch`` / ``repro serve``):
 
 from __future__ import annotations
 
-import contextlib
+import atexit
+import gc
 import os
 import threading
 import time
@@ -53,58 +60,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "BACKENDS",
-    "SHM_MIN_BYTES",
     "SerialExecutor",
     "ThreadExecutor",
-    "active_shm_segments",
     "is_process_backend",
     "resolve_executor",
     "run_process_batch",
-    "set_wire_format",
+    "shutdown_pools",
 ]
 
 BACKENDS = ("serial", "thread", "process")
-
-# Payload transport for the process backend: "columnar" spills large
-# encodings to shared memory (below), "json" ships pickles only (the
-# --wire-format knob).  Plain module global: flipped by the CLI driver
-# before any pool spins up, never under concurrency.
-_WIRE_FORMAT = "columnar"
-
-# Encodings smaller than this ride the pickle path: mapping a segment
-# costs two syscalls per worker, which only amortizes on real arrays.
-# Module attribute (read at call time) so tests can force tiny spills.
-SHM_MIN_BYTES = 1 << 16
-
-
-def set_wire_format(wire_format: str) -> None:
-    """Select the process-backend payload transport (CLI knob)."""
-    if wire_format not in ("json", "columnar"):
-        raise ValueError(
-            f"unknown wire_format {wire_format!r}; "
-            "choose 'json' or 'columnar'"
-        )
-    global _WIRE_FORMAT
-    _WIRE_FORMAT = wire_format
-
-
-# Live spill segments, keyed by shm name.  The parent creates one per
-# process batch and unlinks it in the batch's ``finally``; the registry
-# exists so tests (and embedders) can assert nothing leaked.  Creation
-# also registers with multiprocessing's resource tracker, which unlinks
-# on hard parent death — the unlink-on-crash guarantee.
-_ACTIVE_SEGMENTS: dict = {}
-_SHM_LOCK = register_lock(
-    "_SHM_LOCK", threading.Lock(), tier="store",
-    containers=("_ACTIVE_SEGMENTS",),
-)
-
-
-def active_shm_segments() -> tuple[str, ...]:
-    """Names of spill segments this process currently owns (empty
-    outside a running process batch — the leak-check hook)."""
-    with _SHM_LOCK:
-        return tuple(_ACTIVE_SEGMENTS)
 
 
 def _default_workers(parallelism: int | None) -> int:
@@ -192,15 +156,122 @@ def resolve_executor(
     )
 
 
+# -- the process pool ---------------------------------------------------
+#
+# One pool per worker count, shared by every engine and thread of the
+# process, so concurrent batches queue on the same ``workers`` children
+# instead of each forking its own.  A pool is replaced only when broken
+# or worn: the batch that finds it so drops it, and the next batch forks
+# a fresh one.  Dropping lets submitted work finish; a concurrent batch
+# still submitting to the dropped pool loses those chunks to its local
+# replay.  Wear bounds worker memory: a worker's columnar interners keep
+# every distinct value it has encoded, so a pool is worn once a worker
+# has interned more than ``MAX_INTERNED`` values since its fork.  Only a
+# stream of ever-new values gets there.  Retiring pools sooner costs
+# memory instead: a pool forked from a grown daemon shares more pages,
+# and the daemon's later writes copy them.
+
+MAX_INTERNED = 1 << 18
+
+_POOLS: dict = {}
+_POOL_LOCK = register_lock(
+    "_POOL_LOCK", threading.Lock(), tier="store", containers=("_POOLS",),
+)
+
+# In a worker: the interned values it inherited at fork.
+_FORK_INTERNED = 0
+
+
+def _init_worker(parent_pid: int) -> None:
+    """Pool initializer: note the inherited interner size, and end this
+    worker as soon as its parent dies.  An idle worker blocks on the
+    call queue and would never notice, so a killed daemon would leave
+    its pool behind holding memory and inherited sockets.  The parent
+    sentinel reaches EOF when the parent exits; the ``getppid`` poll
+    covers a pipe end that another forked process keeps open."""
+    from multiprocessing import parent_process
+    from multiprocessing.connection import wait
+
+    from . import columnar
+
+    global _FORK_INTERNED
+    _FORK_INTERNED = columnar.interned_values()
+    sentinel = parent_process().sentinel
+
+    def watch() -> None:
+        while not wait([sentinel], timeout=1.0):
+            if os.getppid() != parent_pid:
+                break
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _pool(workers: int):
+    """The live pool for ``workers``, created on first use."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    with _POOL_LOCK:
+        pool = _POOLS.get(workers)
+        if pool is None:
+            # CPython's pre-fork recipe: the pool forks on its first
+            # submit, right after this.  Frozen objects sit in the
+            # permanent generation, so the long-lived children's
+            # collections never write to (and so copy) the pages they
+            # inherit.  The cost, paid again by every pool created
+            # (worker deaths included): what is alive now is never
+            # traversed by the cyclic collector while a pool lives.
+            gc.freeze()
+            pool = _POOLS[workers] = ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_init_worker,
+                initargs=(os.getpid(),),
+            )
+        return pool
+
+
+def _thaw_if_idle() -> None:
+    """Once no pool is left, hand the objects frozen for the reaped
+    ones back to the cyclic collector (this also thaws anything the
+    embedding program froze itself)."""
+    with _POOL_LOCK:
+        if not _POOLS:
+            gc.unfreeze()
+
+
+def _drop_pool(workers: int, pool) -> None:
+    """Forget a broken or worn pool (unless a fresh one already
+    replaced it) and reap its children once their queued work is
+    done."""
+    with _POOL_LOCK:
+        if _POOLS.get(workers) is pool:
+            del _POOLS[workers]
+    pool.shutdown(wait=True)
+    _thaw_if_idle()
+
+
+def shutdown_pools() -> None:
+    """Stop every worker pool and reap its children; the next process
+    batch starts a fresh pool.  Batches already submitted finish
+    first."""
+    with _POOL_LOCK:
+        pools = list(_POOLS.values())
+        _POOLS.clear()
+    for pool in pools:
+        pool.shutdown(wait=True)
+    _thaw_if_idle()
+
+
+# Shut down while the interpreter is intact: a pool left for module
+# teardown to collect prints an "Exception ignored" traceback.
+atexit.register(shutdown_pools)
+
+
 # -- the process backend ------------------------------------------------
 #
-# Jobs travel as fingerprint references; the bags themselves ship once
-# per distinct fingerprint per batch, in a side table split two ways:
-#   * large columnar-eligible bags: one shared-memory segment holding a
-#     wire-format spill frame (workers map it read-only and decode only
-#     the fingerprints their chunk references);
-#   * everything else: plain pickles.
-# Workers seed every fingerprint on arrival, so they never rescan.
+# Jobs travel as fingerprint references next to a pickled table of the
+# distinct bags their chunk references.  Workers seed every fingerprint
+# on arrival, so they never rescan.
 # Job shapes: "consistent"/"witness" -> (left_fp, right_fp);
 #             "global"               -> (fps...).
 
@@ -223,124 +294,26 @@ def _job_keys(kind: str, frozen, minimal: bool, method: str) -> list[tuple]:
     return [("global", frozen, method)]
 
 
-def _shm_module():
-    try:
-        from multiprocessing import shared_memory
-    except ImportError:  # pragma: no cover - platform without shm
-        return None
-    return shared_memory
-
-
-def _attach_segment(name: str):
-    shared_memory = _shm_module()
-    try:
-        # track=False (3.13+): an attach must not register with the
-        # worker's resource tracker — the parent owns the lifetime.
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        return shared_memory.SharedMemory(name=name)
-
-
-def _adopt_spill(shm_ref: tuple, needed: set) -> dict:
-    """Worker side: map the parent's spill segment read-only, decode
-    the needed fingerprints (owned copies), detach."""
-    from . import wire
-
-    if not needed:
-        return {}
-    name, nbytes = shm_ref
-    segment = _attach_segment(name)
-    try:
-        table = wire.decode_bag_table(segment.buf[:nbytes], only=needed)
-        wire.count_shm("segments_adopted")
-        return table
-    finally:
-        # decode returns owned arrays/rows and its transient views die
-        # with its frame; if it *raised*, the in-flight traceback can
-        # still pin a view — suppress the BufferError rather than mask
-        # the real error (the mapping dies with the worker anyway).
-        with contextlib.suppress(BufferError):
-            segment.close()
-
-
-def _build_spill(bags_by_fp: dict):
-    """Parent side: partition a batch's distinct bags into one spill
-    frame (encodings at least ``SHM_MIN_BYTES``) and a pickle
-    remainder.  Returns ``(segment, (name, nbytes) or None, pickled)``;
-    any shm failure falls back to pickling everything."""
-    pickled = dict(bags_by_fp)
-    if _WIRE_FORMAT != "columnar" or _shm_module() is None:
-        return None, None, pickled
-    from . import wire
-
-    entries = []
-    for fp, bag in bags_by_fp.items():
-        # cheap size floor before touching the encoder: the code matrix
-        # alone is n x attrs x 8 bytes, so a bag that cannot clear the
-        # floor is pickled without ever paying for an export
-        estimate = len(bag) * len(bag.schema.attrs) * 8
-        if estimate < SHM_MIN_BYTES:
-            continue
-        port = wire.portable_bag(bag)
-        if port is not None and port.nbytes >= SHM_MIN_BYTES:
-            entries.append((fp, port))
-    if not entries:
-        return None, None, pickled
-    frame = wire.encode_bag_table(entries)
-    shared_memory = _shm_module()
-    try:
-        segment = shared_memory.SharedMemory(create=True, size=len(frame))
-    except OSError:  # /dev/shm unavailable or full: pickle everything
-        return None, None, pickled
-    segment.buf[:len(frame)] = frame
-    with _SHM_LOCK:
-        _ACTIVE_SEGMENTS[segment.name] = segment
-    wire.count_shm("segments_created")
-    wire.count_shm("bytes_spilled", len(frame))
-    for fp, _ in entries:
-        del pickled[fp]
-    return segment, (segment.name, len(frame)), pickled
-
-
-def _release_segment(segment) -> None:
-    """Parent side: drop the registry entry, close, unlink.  Runs in
-    the batch's ``finally`` — no worker reads past this point (the pool
-    has been joined)."""
-    with _SHM_LOCK:
-        _ACTIVE_SEGMENTS.pop(segment.name, None)
-    with contextlib.suppress(BufferError):
-        segment.close()
-    with contextlib.suppress(FileNotFoundError):
-        segment.unlink()
-
-
 def _worker_run(
     kind: str,
     jobs: list,
-    pickled: dict,
-    shm_ref: tuple | None,
+    table: dict,
     node_budget: int | None,
     minimal: bool,
     method: str,
     trace_id: str | None = None,
 ):
-    """Top-level (picklable) worker body: thaw the bag table (pickles +
-    spill segment), run the fingerprint-ref jobs through a private
-    engine, and return the engine's verdict deltas plus the worker's
-    span deltas (``trace_id`` rides in with the payload; spans ride
-    back and merge like verdicts)."""
-    from . import fingerprint
+    """Top-level (picklable) worker body: seed the bag table, run the
+    fingerprint-ref jobs through a private engine, and return the
+    engine's verdict deltas, the worker's span deltas (``trace_id``
+    rides in with the payload; spans ride back and merge like
+    verdicts) and how many values the worker has interned since its
+    fork."""
+    from . import columnar, fingerprint
     from .session import Engine
 
     with obs_trace.worker_trace(trace_id) as worker_span_sink:
-        table = {
-            fp: fingerprint.seed(bag, fp) for fp, bag in pickled.items()
-        }
-        if shm_ref is not None:
-            needed = set()
-            for job in jobs:
-                needed.update(job)
-            table.update(_adopt_spill(shm_ref, needed - set(table)))
+        table = {fp: fingerprint.seed(bag, fp) for fp, bag in table.items()}
         engine = Engine(node_budget=node_budget)
         start = time.perf_counter()
         if kind == "global":
@@ -362,7 +335,8 @@ def _worker_run(
         worker_span_sink.export_spans()
         if worker_span_sink is not None else []
     )
-    return engine.store.export(), spans
+    interned = columnar.interned_values() - _FORK_INTERNED
+    return engine.store.export(), spans, interned
 
 
 def run_process_batch(
@@ -373,10 +347,13 @@ def run_process_batch(
     minimal: bool = False,
     method: str = "auto",
 ) -> list:
-    """Fan a batch's cache misses over worker processes, merge their
+    """Fan a batch's cache misses over the worker pool, merge their
     verdict deltas into ``engine``'s store, then replay the whole batch
     locally (hits all the way down, preserving order, ``None``
-    refusals, and exception behaviour)."""
+    refusals, and exception behaviour; chunks lost to a dead worker are
+    computed here)."""
+    from concurrent.futures.process import BrokenProcessPool
+
     from . import fingerprint
 
     workers = _default_workers(parallelism)
@@ -403,48 +380,42 @@ def run_process_batch(
         seen_keys.add(key)
         missing.append(entry)
     if missing and workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
         trace = obs_trace.current()
         trace_id = trace.trace_id if trace is not None else None
         batch_start = time.perf_counter()
-        needed: set[int] = set()
-        for entry in missing:
-            needed.update(entry)
-        segment, shm_ref, pickled = _build_spill(
-            {fp: bags_by_fp[fp] for fp in needed}
-        )
         n_chunks = min(workers, len(missing))
-        chunks = [missing[i::n_chunks] for i in range(n_chunks)]
+        payloads = []
+        for chunk in (missing[i::n_chunks] for i in range(n_chunks)):
+            table = {}
+            for entry in chunk:
+                for fp in entry:
+                    table[fp] = bags_by_fp[fp]
+            payloads.append((chunk, table))
+        pool = _pool(workers)
+        futures = []
         try:
-            with ProcessPoolExecutor(max_workers=n_chunks) as pool:
-                futures = []
-                for chunk in chunks:
-                    chunk_fps: set[int] = set()
-                    for entry in chunk:
-                        chunk_fps.update(entry)
-                    futures.append(pool.submit(
-                        _worker_run,
-                        kind,
-                        chunk,
-                        {
-                            fp: pickled[fp]
-                            for fp in chunk_fps if fp in pickled
-                        },
-                        shm_ref,
-                        engine.node_budget,
-                        minimal,
-                        method,
-                        trace_id,
-                    ))
-                for index, future in enumerate(futures):
-                    deltas, worker_spans = future.result()
-                    engine.store.merge(deltas)
-                    if trace is not None and worker_spans:
-                        trace.merge_remote(worker_spans, worker=index)
-        finally:
-            if segment is not None:
-                _release_segment(segment)
+            for chunk, table in payloads:
+                futures.append(pool.submit(
+                    _worker_run, kind, chunk, table, engine.node_budget,
+                    minimal, method, trace_id,
+                ))
+        except RuntimeError:
+            # broken (a worker died since the last batch) or shut down
+            # under us: the unsubmitted chunks are lost, not failed
+            _drop_pool(workers, pool)
+        worn = False
+        for index, future in enumerate(futures):
+            try:
+                deltas, worker_spans, interned = future.result()
+            except BrokenProcessPool:
+                _drop_pool(workers, pool)
+                continue
+            engine.store.merge(deltas)
+            if trace is not None and worker_spans:
+                trace.merge_remote(worker_spans, worker=index)
+            worn = worn or interned > MAX_INTERNED
+        if worn:
+            _drop_pool(workers, pool)
         elapsed = time.perf_counter() - batch_start
         _PROCESS_HISTOGRAM.record(elapsed)
         if trace is not None:
@@ -457,7 +428,8 @@ def run_process_batch(
         # killed right after a process batch keeps those verdicts.
         engine.flush()
     # Replay locally: merged misses are hits; anything left (workers
-    # disabled, or a racing invalidation) is computed here.
+    # disabled, a dead worker's chunk, or a racing invalidation) is
+    # computed here.
     if kind == "consistent":
         return [engine.are_consistent(left, right) for left, right in items]
     if kind == "witness":

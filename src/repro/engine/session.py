@@ -169,7 +169,10 @@ class VerdictStore:
         self._lock = threading.RLock()
         self._cache: OrderedDict[tuple, object] = OrderedDict()
         self._participants: dict[tuple, tuple[int, ...]] = {}
-        self._fp_keys: dict[int, set[tuple]] = {}
+        # fp -> its one key, bare, or a set once it has a second: most
+        # fingerprints touch a single key, and a one-element set costs
+        # ~200 bytes per entry
+        self._fp_keys: dict[int, tuple | set[tuple]] = {}
         self._pinned_fps: set[int] = set()
         self.hits = 0
         self.misses = 0
@@ -211,7 +214,13 @@ class VerdictStore:
                 self._cache.move_to_end(key)
                 return 0
             for fp in fps:
-                self._fp_keys.setdefault(fp, set()).add(key)
+                held = self._fp_keys.get(fp)
+                if held is None:
+                    self._fp_keys[fp] = key
+                elif isinstance(held, set):
+                    held.add(key)
+                elif held != key:
+                    self._fp_keys[fp] = {held, key}
             self._cache[key] = value
             self._participants[key] = tuple(fps)
             return self._evict(protect=key)
@@ -220,11 +229,13 @@ class VerdictStore:
     def _remove_key(self, key: tuple) -> None:
         self._cache.pop(key, None)
         for fp in self._participants.pop(key, ()):
-            keys = self._fp_keys.get(fp)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
+            held = self._fp_keys.get(fp)
+            if isinstance(held, set):
+                held.discard(key)
+                if not held:
                     del self._fp_keys[fp]
+            elif held == key:
+                del self._fp_keys[fp]
 
     @requires_lock("_lock")
     def _evict(self, protect: tuple | None = None) -> int:
@@ -259,7 +270,11 @@ class VerdictStore:
         """Drop every entry whose participants include ``fp``; returns
         the number dropped."""
         with self._lock:
-            keys = list(self._fp_keys.get(fp, ()))
+            held = self._fp_keys.get(fp)
+            if held is None:
+                keys = []
+            else:
+                keys = list(held) if isinstance(held, set) else [held]
             for key in keys:
                 self._remove_key(key)
             self._pinned_fps.discard(fp)

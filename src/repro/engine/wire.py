@@ -39,22 +39,16 @@ the code column through the resulting table with one fancy-indexed
 gather.  Response frames carry ``{"v": 2, "response": {...}}`` and no
 blob.
 
-The same frame bytes double as the **shared-memory spill** payload of
-the process executor (:func:`encode_bag_table` /
-:func:`decode_bag_table`): the parent writes one frame into a
-``multiprocessing.shared_memory`` segment and workers map it read-only,
-decoding only the fingerprints their chunk needs.
-
 Fallback contract: when numpy is absent (``REPRO_NO_NUMPY=1``) the
 decoder walks the same blobs with :mod:`array` — results are
 bit-identical to the JSON row path, just not adopted as an encoding —
 and a peer that never negotiates v2 simply keeps speaking newline JSON.
 
 Counters here (frames and bytes per direction, JSON-line traffic for
-comparison, shm segments) are locked :mod:`repro.obs` registry
-counters — exact under free threading — surfaced in the historical
-flat-dict shape through :func:`repro.engine.columnar.kernel_stats` and
-in Prometheus/JSON form through the ``metrics`` serve op.
+comparison) are locked :mod:`repro.obs` registry counters — exact
+under free threading — surfaced in the historical flat-dict shape
+through :func:`repro.engine.columnar.kernel_stats` and in
+Prometheus/JSON form through the ``metrics`` serve op.
 """
 
 from __future__ import annotations
@@ -63,7 +57,7 @@ import json
 import struct
 import sys
 from array import array
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 from .. import io as repro_io
 from ..core.bags import Bag
@@ -83,9 +77,7 @@ __all__ = [
     "MAX_LINE",
     "VERSION",
     "WireError",
-    "decode_bag_table",
     "decode_jobs_frame",
-    "encode_bag_table",
     "encode_jobs_frame",
     "encode_response_frame",
     "jsonify_payload",
@@ -126,7 +118,6 @@ _STATS_KEYS = (
     "wire_frames_encoded", "wire_frames_decoded",
     "wire_frame_bytes_encoded", "wire_frame_bytes_decoded",
     "wire_json_requests", "wire_json_bytes",
-    "shm_segments_created", "shm_segments_adopted", "shm_bytes_spilled",
 )
 _COUNTERS = {
     key: obs_metrics.REGISTRY.counter("repro_" + key)
@@ -135,7 +126,7 @@ _COUNTERS = {
 
 
 def wire_stats() -> dict:
-    """The process-wide wire/shm counters (merged into
+    """The process-wide wire counters (merged into
     :func:`repro.engine.columnar.kernel_stats`)."""
     return {key: _COUNTERS[key].value for key in _STATS_KEYS}
 
@@ -145,10 +136,6 @@ def count_json_request(n_bytes: int) -> None:
     traffic the frame counters are compared against."""
     _COUNTERS["wire_json_requests"].inc()
     _COUNTERS["wire_json_bytes"].inc(n_bytes)
-
-
-def count_shm(key: str, amount: int = 1) -> None:
-    _COUNTERS["shm_" + key].inc(amount)
 
 
 # -- framing ------------------------------------------------------------
@@ -244,8 +231,8 @@ def read_frame(stream, first: bytes = b"") -> tuple[dict, bytes]:
 
 
 def split_frame(buf) -> tuple[dict, "memoryview"]:
-    """Split an in-memory frame (a shared-memory segment's mapped
-    bytes) into its header and a zero-copy blob view."""
+    """Split an in-memory frame into its header and a zero-copy blob
+    view."""
     view = memoryview(buf)
     if len(view) < _PREFIX_LEN:
         raise WireError("truncated frame buffer")
@@ -559,35 +546,3 @@ def decode_jobs_frame(header: dict, blob) -> dict:
         return obj
 
     return _walk_payload(payload, convert)
-
-
-# -- the shared-memory spill payload ------------------------------------
-
-
-def encode_bag_table(entries: Iterable[tuple[int, "PortableEncoding"]]) -> bytes:
-    """``(fingerprint, portable encoding)`` pairs as one frame — the
-    process executor's shared-memory spill body (no jobs ride along)."""
-    writer = _BlobWriter()
-    descriptors = [
-        _columnar_descriptor(fp, port, writer) for fp, port in entries
-    ]
-    return pack_frame({"v": VERSION, "bags": descriptors}, writer)
-
-
-def decode_bag_table(buf, only: "set[int] | None" = None) -> dict[int, Bag]:
-    """Rebuild the bags of a spill frame, keyed by fingerprint.
-    ``only`` restricts decoding to the fingerprints a worker's chunk
-    actually references (the rest are skipped unread)."""
-    header, blob = split_frame(buf)
-    descriptors = header.get("bags") or []
-    if not isinstance(descriptors, list):
-        raise WireError("spill frame bags must be a list")
-    table: dict[int, Bag] = {}
-    for desc in descriptors:
-        if not isinstance(desc, dict):
-            raise WireError(f"bad bag descriptor in frame: {desc!r}")
-        fp = _check_fp(desc.get("fp"))
-        if only is not None and fp not in only:
-            continue
-        table[fp] = _bag_from_descriptor(desc, blob)
-    return table

@@ -67,10 +67,11 @@ import socket
 import socketserver
 import threading
 import time
+import weakref
 from typing import Iterable
 
 from .analysis.registry import shared_state
-from .engine import wire
+from .engine import executors, wire
 from .engine.jobs import JobError, parse_jobs, run_jobs
 from .engine.session import Engine, EngineStats
 from .errors import ReproError
@@ -91,6 +92,21 @@ def _default_inflight() -> int:
 def _merge_stats(target: EngineStats, source: dict) -> None:
     for field, value in source.items():
         setattr(target, field, getattr(target, field) + value)
+
+
+# Every bound daemon's listening socket.  A forked child (a process-
+# backend worker) closes its copies at once: a worker that outlived a
+# killed daemon would otherwise keep the address in LISTEN and block
+# the restart.
+_LISTENERS: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
+
+
+def _close_listeners() -> None:
+    for listener in list(_LISTENERS):
+        listener.close()
+
+
+os.register_at_fork(after_in_child=_close_listeners)
 
 
 # `_thread`/`_server`/`address`/`started` are setup-phase plumbing
@@ -196,11 +212,6 @@ class ReproServer:
         # counters are locked internally, so lock these too or the
         # stats endpoint undercounts under concurrent connections
         self._stats_lock = threading.Lock()
-        # process-backend batches each spawn a full worker pool; admit
-        # them one at a time or N overlapping batches oversubscribe the
-        # machine with N x cpu_count workers (thread/serial batches
-        # share this process and are gated by max_inflight alone)
-        self._process_lock = threading.Lock()
         # shutdown may be reached twice (wire op's helper thread + the
         # CLI's serve_forever exit); the lock makes the second caller
         # wait for the first one's store flush instead of racing it
@@ -233,6 +244,7 @@ class ReproServer:
                 raise
             os.unlink(path)
             self._server = _ThreadingUnixServer(path, _Handler)
+        _LISTENERS.add(self._server.socket)
         self._server.owner = self  # type: ignore[attr-defined]
         self.address = path
         return path
@@ -241,6 +253,7 @@ class ReproServer:
         """Listen on TCP ``host:port`` (port 0 picks a free one);
         returns the bound address."""
         self._server = _ThreadingTCPServer((host, port), _Handler)
+        _LISTENERS.add(self._server.socket)
         self._server.owner = self  # type: ignore[attr-defined]
         self.address = self._server.server_address[:2]
         return self.address
@@ -255,12 +268,13 @@ class ReproServer:
         self._thread.start()
 
     def shutdown(self) -> None:
-        """Stop accepting, then make buffered verdicts durable.  Safe
-        to call from several threads (the wire ``shutdown`` op's helper
-        and the CLI's post-``serve_forever`` cleanup both land here):
-        the first caller does the work, later callers block until it is
-        done — so by the time *any* ``shutdown()`` returns, the store
-        flush has happened."""
+        """Stop accepting, reap the process-backend worker pools, then
+        make buffered verdicts durable.  Safe to call from several
+        threads (the wire ``shutdown`` op's helper and the CLI's
+        post-``serve_forever`` cleanup both land here): the first caller
+        does the work, later callers block until it is done — so by the
+        time *any* ``shutdown()`` returns, the store flush has
+        happened."""
         with self._shutdown_lock:
             if self._shutdown_done:
                 return
@@ -271,6 +285,7 @@ class ReproServer:
             if self._thread is not None:
                 self._thread.join(timeout=5)
                 self._thread = None
+            executors.shutdown_pools()
             # Durable on every clean stop; fully close the store only
             # if this daemon created it.
             flush = getattr(self.store, "flush", None)
@@ -376,12 +391,14 @@ class ReproServer:
                     self.peak_inflight = max(
                         self.peak_inflight, self._inflight
                     )
-                if self.backend == "process":
-                    # one worker pool at a time (see _process_lock)
-                    with self._process_lock:
-                        report = self._run_jobs(jobs, engine)
-                else:
-                    report = self._run_jobs(jobs, engine)
+                report = run_jobs(
+                    jobs,
+                    engine,
+                    method=self.method,
+                    witnesses=self.witnesses,
+                    parallelism=self.parallelism,
+                    backend=self.backend,
+                )
             finally:
                 with self._stats_lock:
                     self._inflight -= 1
@@ -391,16 +408,6 @@ class ReproServer:
             with self._stats_lock:
                 self.errors += 1
             return {"ok": False, "error": str(exc)}
-
-    def _run_jobs(self, jobs, engine: Engine) -> dict:
-        return run_jobs(
-            jobs,
-            engine,
-            method=self.method,
-            witnesses=self.witnesses,
-            parallelism=self.parallelism,
-            backend=self.backend,
-        )
 
     def stats(self) -> dict:
         """The ``stats`` endpoint body: aggregated engine counters

@@ -24,13 +24,16 @@ def rng() -> random.Random:
 
 
 @pytest.fixture(autouse=True, scope="session")
-def no_shm_segments_leaked():
-    """Every shared-memory spill segment must be unlinked by the batch
-    that created it — a leak here means /dev/shm fills up across runs."""
+def no_workers_left_behind():
+    """Shutting the process-backend pools down must reap every worker
+    the session started."""
     yield
+    import multiprocessing
+
     from repro.engine import executors
 
-    assert executors.active_shm_segments() == ()
+    executors.shutdown_pools()
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

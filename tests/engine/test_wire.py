@@ -1,4 +1,4 @@
-"""The v2 wire format: frame codec, serve negotiation, shm spill."""
+"""The v2 wire format: frame codec and serve negotiation."""
 
 import io
 import json
@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.bags import Bag
 from repro.core.schema import Schema
-from repro.engine import columnar, executors, fingerprint, wire
+from repro.engine import columnar, fingerprint, wire
 from repro.engine.index import BagIndex
 from repro.engine.jobs import parse_jobs, run_jobs
 from repro.engine.session import Engine
@@ -45,12 +45,6 @@ def round_trip(payload):
     frame = wire.encode_jobs_frame(payload)
     header, blob = wire.read_frame(io.BytesIO(frame))
     return wire.decode_jobs_frame(header, blob)
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_segments():
-    yield
-    assert executors.active_shm_segments() == ()
 
 
 @pytest.fixture
@@ -409,75 +403,12 @@ class TestServeFailurePaths:
             listener.server_close()
 
 
-@pytest.mark.skipif(not columnar.AVAILABLE, reason="numpy required")
-class TestExecutorSpill:
-    def test_spill_round_trip_matches_serial(self, monkeypatch):
-        monkeypatch.setattr(executors, "SHM_MIN_BYTES", 1)
-        pairs = [wide_pair() for _ in range(3)]
-        pairs.append((pairs[0][0], pairs[1][1]))  # cross pair: False
-        before = wire.wire_stats()["shm_segments_created"]
-        engine = Engine()
-        verdicts = engine.are_consistent_many(
-            pairs, parallelism=2, backend="process"
-        )
-        assert wire.wire_stats()["shm_segments_created"] == before + 1
-        assert executors.active_shm_segments() == ()
-        serial = Engine().are_consistent_many(pairs)
-        assert verdicts == serial == [True, True, True, False]
-
-    def test_shared_bag_ships_once_per_batch(self, monkeypatch):
-        monkeypatch.setattr(executors, "SHM_MIN_BYTES", 1)
-        shared, _ = wide_pair()
-        partners = [wide_pair()[0] for _ in range(4)]
-        pairs = [(shared, partner) for partner in partners]
-        shipped = []
-        real = wire.encode_bag_table
-
-        def spy(entries):
-            entries = list(entries)
-            shipped.append(len(entries))
-            return real(entries)
-
-        monkeypatch.setattr(wire, "encode_bag_table", spy)
-        Engine().are_consistent_many(pairs, parallelism=2, backend="process")
-        # 4 pairs x 2 bags, but only 5 distinct fingerprints travel
-        assert shipped == [5]
-
-    def test_wire_format_json_disables_spill(self, monkeypatch):
-        monkeypatch.setattr(executors, "SHM_MIN_BYTES", 1)
-        executors.set_wire_format("json")
-        try:
-            before = wire.wire_stats()["shm_segments_created"]
-            pairs = [wide_pair() for _ in range(2)]
-            verdicts = Engine().are_consistent_many(
-                pairs, parallelism=2, backend="process"
-            )
-            assert verdicts == [True, True]
-            assert wire.wire_stats()["shm_segments_created"] == before
-        finally:
-            executors.set_wire_format("columnar")
-
-    def test_small_payloads_stay_on_pickle(self):
-        before = wire.wire_stats()["shm_segments_created"]
-        pairs = [small_pair(mult=m) for m in (2, 3)]
-        verdicts = Engine().are_consistent_many(
-            pairs, parallelism=2, backend="process"
-        )
-        assert verdicts == [True, True]
-        assert wire.wire_stats()["shm_segments_created"] == before
-
-    def test_set_wire_format_validates(self):
-        with pytest.raises(ValueError, match="wire_format"):
-            executors.set_wire_format("msgpack")
-
-
 class TestObservability:
     def test_kernel_stats_carries_wire_counters(self):
         stats = columnar.kernel_stats()
         for key in (
             "wire_frames_encoded", "wire_frames_decoded",
-            "wire_json_requests", "shm_segments_created",
-            "shm_segments_adopted", "shm_bytes_spilled",
+            "wire_json_requests", "wire_json_bytes",
         ):
             assert key in stats
 
