@@ -1,13 +1,10 @@
 """Ablations — design choices DESIGN.md calls out, measured.
 
-Three knobs in the solvers:
+Two knobs in the solvers:
 
 * **LP presolve** on the cyclic search path: the rational relaxation is
   an exact necessary condition; on infeasible-but-pairwise-consistent
   instances it can refute without entering the exponential search.
-* **Minimal vs plain folding** in Theorem 6: Corollary 4 minimality at
-  every fold buys the support bound at the cost of |J| extra max-flows
-  per step (see also bench_acyclic_witness.py).
 * **Forced-value propagation** in the integer search: measured here via
   instances whose constraints chain (each marginal pins the next), where
   propagation collapses the search tree.

@@ -28,13 +28,3 @@ def test_edge_width_sweep(benchmark, width, rng):
     bags = random_collection_over(h, rng, n_tuples=4)
     witness = benchmark(acyclic_global_witness, bags)
     assert is_witness(bags, witness)
-
-
-@pytest.mark.parametrize("m", [3, 6, 12])
-def test_non_minimal_variant(benchmark, m, rng):
-    """Ablation: skip the Corollary 4 minimality loop at each fold.
-    Faster per step, but the support bound of Theorem 6 is no longer
-    guaranteed (only the weaker Theorem 3 bounds are)."""
-    bags = random_collection_over(path_hypergraph(m + 1), rng, n_tuples=5)
-    witness = benchmark(acyclic_global_witness, bags, False)
-    assert is_witness(bags, witness)

@@ -41,8 +41,9 @@ def test_minimal_witness(benchmark, n):
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_plain_witness_baseline(benchmark, n):
-    """Corollary 1's single-flow witness: the baseline the minimality
-    loop pays |J| extra max-flows over."""
+    """Corollary 1's witness as the engine builds it (the
+    northwest-corner rule: no flow network, inclusion-minimal by
+    construction), timed beside Corollary 4's max-flow loop above."""
     r, s = pair(n)
     witness = benchmark(consistency_witness, r, s)
     assert is_witness([r, s], witness)

@@ -8,7 +8,10 @@ Two claims:
    ships fingerprinted payloads to worker processes and merges their
    verdict deltas back — is measurably faster than
    ``backend="thread"``, whose workers serialize on the interpreter
-   lock.  Gated only on multi-core machines (on one core there is
+   lock.  One untimed process batch starts the pool first, then thread
+   and process batches alternate ``CPU_ROUNDS`` times and the gate reads
+   the median per-round ratio, so neither the fork nor one noisy batch
+   decides it.  Gated only on multi-core machines (on one core there is
    nothing to win; the bench then still asserts verdict parity and
    skips the timing gate).
 
@@ -29,6 +32,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import statistics
 import time
 
 import pytest
@@ -45,6 +49,7 @@ SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 # even at smoke sizes, so smoke shrinks the batch, not the instances.
 TRIANGLE_SIZE = 5
 N_COLLECTIONS = 4 if SMOKE else 6
+CPU_ROUNDS = 3
 MIN_PROCESS_SPEEDUP = 1.1 if SMOKE else 1.25
 
 # -- claim 2: warm serve vs cold batch ----------------------------------
@@ -91,23 +96,31 @@ def test_process_backend_beats_threads_on_cpu_bound_checks():
     serial_elapsed, serial_verdicts = run_backend(
         "serial", collections, workers=1
     )
-    thread_elapsed, thread_verdicts = run_backend(
-        "thread", collections, workers
-    )
-    process_elapsed, process_verdicts = run_backend(
-        "process", collections, workers
-    )
-    assert thread_verdicts == serial_verdicts == process_verdicts
+    # Untimed: the first process batch also pays the pool's fork.
+    _, process_verdicts = run_backend("process", collections, workers)
+    assert process_verdicts == serial_verdicts
     assert all(serial_verdicts)  # planted instances are consistent
-
-    speedup = thread_elapsed / process_elapsed
+    thread_times, process_times = [], []
+    for _ in range(CPU_ROUNDS):
+        for backend, times in (
+            ("thread", thread_times), ("process", process_times)
+        ):
+            elapsed, verdicts = run_backend(backend, collections, workers)
+            assert verdicts == serial_verdicts, backend
+            times.append(elapsed)
+    ratios = [t / p for t, p in zip(thread_times, process_times)]
+    speedup = statistics.median(ratios)
+    thread_elapsed = statistics.median(thread_times)
+    process_elapsed = statistics.median(process_times)
     print(
         f"\ncpu-bound global checks ({N_COLLECTIONS} x triangle "
-        f"size {TRIANGLE_SIZE}, {workers} workers): "
+        f"size {TRIANGLE_SIZE}, {workers} workers, median of "
+        f"{CPU_ROUNDS} alternated rounds): "
         f"serial {serial_elapsed * 1000:.0f} ms, "
         f"thread {thread_elapsed * 1000:.0f} ms, "
         f"process {process_elapsed * 1000:.0f} ms, "
-        f"process/thread speedup {speedup:.2f}x"
+        f"process/thread speedup {speedup:.2f}x "
+        f"(rounds {', '.join(f'{r:.2f}' for r in ratios)})"
     )
     skip_reason = (
         None
@@ -120,9 +133,13 @@ def test_process_backend_beats_threads_on_cpu_bound_checks():
         "workers": workers,
         "n_collections": N_COLLECTIONS,
         "triangle_size": TRIANGLE_SIZE,
+        "rounds": CPU_ROUNDS,
         "serial_seconds": serial_elapsed,
         "thread_seconds": thread_elapsed,
         "process_seconds": process_elapsed,
+        "thread_round_seconds": thread_times,
+        "process_round_seconds": process_times,
+        "round_ratios": ratios,
         "process_over_thread": speedup,
         "min_speedup": MIN_PROCESS_SPEEDUP,
         "gated": cores >= 2,

@@ -1,7 +1,8 @@
 """E1 — Lemma 2 + Corollary 1: two-bag consistency, five deciders.
 
-Claim: the marginal test (Lemma 2(2)) and the max-flow witness
-(Corollary 1) are polynomial; all deciders agree.  The series below
+Claim: the marginal test (Lemma 2(2)), the max-flow decider
+(Lemma 2(5)) and the witness (Corollary 1, built by the northwest-corner
+rule) are polynomial; all deciders agree.  The series below
 sweeps the number of support tuples; expect the marginal test to be the
 fastest by a wide margin and the LP (exact simplex) the slowest.
 """
@@ -61,7 +62,8 @@ def test_witness_construction(benchmark, n):
 @pytest.mark.parametrize("bits", [8, 64, 512])
 def test_binary_multiplicities_cost_nothing(benchmark, bits):
     """Corollary 1 is strongly polynomial: scaling multiplicities to
-    2^512 must not change the flow-decider's complexity class."""
+    2^512 must not change the witness construction's complexity class
+    (the northwest-corner rule only compares and subtracts them)."""
     r, s = make_pair(8)
     r = r.scale(2**bits)
     s = s.scale(2**bits)

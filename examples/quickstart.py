@@ -4,8 +4,8 @@
 Reproduces the running example of Section 3 of the paper: the bags
 R1(A, B) and S1(B, C) are consistent, their bag join does NOT witness
 their consistency (unlike the set-semantics world), and there are
-exactly two witnesses, found here by the max-flow construction of
-Corollary 1 and the enumeration of the program P(R, S).
+exactly two witnesses, found here by the northwest-corner construction
+of Corollary 1 and the enumeration of the program P(R, S).
 
 Run:  python examples/quickstart.py
 """
@@ -37,9 +37,9 @@ def main() -> None:
     # Lemma 2(2): the polynomial consistency test.
     print("\nConsistent (equal marginals on B)?", are_consistent(r, s))
 
-    # Corollary 1: a witness via one max-flow.
+    # Corollary 1: a witness by the northwest-corner rule.
     witness = consistency_witness(r, s)
-    print("\nA witness found by max-flow:")
+    print("\nA witness found by the northwest-corner rule:")
     print(bag_table(witness))
     assert is_witness([r, s], witness)
 

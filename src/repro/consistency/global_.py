@@ -5,8 +5,9 @@ Implements the decision and construction layer of Section 5:
 * :func:`pairwise_consistent` / :func:`k_wise_consistent` — local
   consistency notions (Section 4).
 * :func:`acyclic_global_witness` — Theorem 6: over an acyclic schema,
-  fold minimal two-bag witnesses along a running-intersection ordering;
-  polynomial time, support bounded by the sum of input support sizes.
+  fold minimal (northwest-corner) two-bag witnesses along a
+  running-intersection ordering; polynomial time, support bounded by the
+  sum of input support sizes.
 * :func:`decide_global_consistency` / :func:`global_witness` — the
   dispatching solvers: pairwise check first (necessary), then the
   polynomial acyclic route when the schema is acyclic (Theorem 2 makes
@@ -30,7 +31,7 @@ from ..lp.integer_feasibility import DEFAULT_NODE_BUDGET, find_solution
 from ..lp.simplex import solve_lp
 from .pairwise import are_consistent, consistency_witness
 from .program import ConsistencyProgram
-from .witness import is_witness, minimal_pairwise_witness
+from .witness import is_witness
 
 Method = Literal["auto", "acyclic", "search"]
 PairChecker = Callable[[Bag, Bag], bool]
@@ -106,20 +107,18 @@ def fold_order(bags: Sequence[Bag]) -> list[Bag]:
     return [by_schema[edge] for edge in rip.order]
 
 
-def fold_step(acc: Bag, bag: Bag, minimal: bool = True) -> Bag:
+def fold_step(acc: Bag, bag: Bag) -> Bag:
     """One step of the Theorem 6 fold: absorb ``bag`` into the running
-    witness ``acc`` through a two-bag witness (Corollary 4's minimal one
-    by default, so the per-step support bound ``||W||supp <= ||acc||supp
-    + ||bag||supp`` holds).  Raises :class:`InconsistentError` when the
-    two sides are inconsistent."""
-    if minimal:
-        return minimal_pairwise_witness(acc, bag)
+    witness ``acc`` through the northwest-corner two-bag witness, which
+    is minimal by construction, so the per-step support bound
+    ``||W||supp <= ||acc||supp + ||bag||supp`` holds.  Raises
+    :class:`InconsistentError` when the two sides are inconsistent."""
     return consistency_witness(acc, bag)
 
 
 def check_fold_bound(witness: Bag, bags: Sequence[Bag]) -> None:
     """Assert the Theorem 6 support bound ``||T||supp <= sum_i
-    ||Ri||supp`` for a minimal fold over ``bags``."""
+    ||Ri||supp`` for a fold over ``bags``."""
     bound = sum(bag.support_size for bag in bags)
     if witness.support_size > bound:
         raise AssertionError(
@@ -130,7 +129,6 @@ def check_fold_bound(witness: Bag, bags: Sequence[Bag]) -> None:
 
 def acyclic_global_witness(
     bags: Sequence[Bag],
-    minimal: bool = True,
     pair_checker: PairChecker | None = None,
 ) -> Bag:
     """Theorem 6: a witness to global consistency over an acyclic schema.
@@ -141,9 +139,9 @@ def acyclic_global_witness(
     schema hypergraph to be acyclic (raises
     :class:`CyclicSchemaError` otherwise).  Folds two-bag witnesses
     along a running-intersection ordering (:func:`fold_order` /
-    :func:`fold_step`); with ``minimal=True`` each step uses the
-    Corollary 4 minimal witness, giving ``||T||supp <= sum_i
-    ||Ri||supp`` as Theorem 6 promises (asserted before returning).
+    :func:`fold_step`); every step's witness is minimal, giving
+    ``||T||supp <= sum_i ||Ri||supp`` as Theorem 6 promises (asserted
+    before returning).
     """
     if not bags:
         raise InconsistentError("empty collection has no witness schema")
@@ -152,9 +150,8 @@ def acyclic_global_witness(
     ordered = fold_order(bags)
     witness = ordered[0]
     for bag in ordered[1:]:
-        witness = fold_step(witness, bag, minimal=minimal)
-    if minimal:
-        check_fold_bound(witness, ordered)
+        witness = fold_step(witness, bag)
+    check_fold_bound(witness, ordered)
     if not is_witness(ordered, witness):
         raise AssertionError(
             "Theorem 6 construction failed to produce a witness; "

@@ -13,8 +13,9 @@ Each statement is implemented as an independently runnable decider
 :func:`consistent_via_integer_search`, :func:`consistent_via_flow`,
 :func:`consistent_via_witness_search`), and the test suite checks they
 agree.  The practical API is :func:`are_consistent` (the O(n) marginal
-test) and :func:`consistency_witness` (Corollary 1: a witness in
-strongly polynomial time via max-flow).
+test) and :func:`consistency_witness` (Corollary 1: a minimal witness
+in linear time by the northwest-corner rule).  Max-flow over N(R, S)
+stays for Lemma 2(5) and Corollary 4's minimal witness.
 
 :func:`rational_witness` exposes the explicit closed-form solution
 ``x_t = R(t[X]) * S(t[Y]) / R(t[Z])`` used in the (2) => (3) step.
@@ -113,25 +114,23 @@ def consistency_witness(r: Bag, s: Bag) -> Bag:
     """Corollary 1: a witness to the consistency of two bags; raises
     :class:`InconsistentError` when the bags are inconsistent.
 
-    With columnar encodings on both sides the witness comes from the
-    closed-form northwest-corner construction (every join pair inside a
-    common-key group is admissible, so the per-group transportation
-    problem needs no flow search; the result respects the Theorem 5
-    support bound by construction).  Otherwise — and that includes the
-    arbitrary-precision multiplicity regime — one integral max-flow
-    over N(R, S) extracts the witness exactly as before.
+    The northwest-corner rule over both bags' cached common-key buckets
+    (:func:`repro.engine.kernels.northwest_corner`): no flow network,
+    the same rows on every backend, and an inclusion-minimal witness
+    (Corollary 4's notion) within Theorem 5's support bound.
     """
-    plan = kernels.join_plan(r.schema.attrs, s.schema.attrs)
-    table = columnar.try_witness(r, s, plan)  # raises when inconsistent
-    if table is not None:
-        return Bag._from_clean(plan.union, table)
     columnar.count_row("witnesses")
-    flow = saturated_flow(build_network(r, s))
-    if flow is None:
+    plan = kernels.join_plan(r.schema.attrs, s.schema.attrs)
+    table = kernels.northwest_corner(
+        BagIndex.of(r).buckets(plan.common),
+        BagIndex.of(s).buckets(plan.common),
+        plan.emit,
+    )
+    if table is None:
         raise InconsistentError(
             "bags are not consistent (no saturated flow in N(R, S))"
         )
-    return witness_from_flow(r, s, flow)
+    return Bag._from_clean(plan.union, table)
 
 
 def rational_witness(r: Bag, s: Bag) -> dict[tuple, Fraction]:

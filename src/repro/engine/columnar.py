@@ -1,5 +1,5 @@
 """Vectorized columnar kernels: dictionary-encoded arrays under the
-marginal, consistency, witness, join, semijoin, and fingerprint paths.
+marginal, consistency, join, semijoin, and fingerprint paths.
 
 The row kernels in :mod:`repro.engine.kernels` walk Python tuples one
 ``itemgetter`` call at a time.  This module gives every eligible bag a
@@ -16,12 +16,6 @@ programs:
 * **consistency** (Lemma 2(2)) compares the two sides' cached
   common-attribute groupings directly — two array equalities, no
   marginal dicts;
-* **witnesses** (Corollary 1) drop the max-flow entirely: with all join
-  pairs admissible inside each common-key group, the transportation
-  problem has a closed-form northwest-corner solution — merge the two
-  sides' multiplicity cumsums and read each cell off the breakpoint
-  segments.  The result has at most ``|Supp R| + |Supp S|`` cells, so
-  the Theorem 5 support bound holds by construction;
 * **bag joins** are group joins: intersect the two sides' sorted group
   keys and expand the matched blocks' cartesian products with
   arange/repeat arithmetic (the emitted union row determines its pair,
@@ -94,7 +88,6 @@ __all__ = [
     "try_join",
     "try_marginal",
     "try_semijoin",
-    "try_witness",
     "ColumnarDelta",
 ]
 
@@ -105,8 +98,8 @@ AVAILABLE = np is not None
 # so tests can force the columnar path onto tiny edge-case bags.
 MIN_ROWS = 32
 
-# Total-multiplicity ceiling for int64 arithmetic: cumsums stay under
-# 2**62, and the witness/consistency sums can add two totals without
+# Total-multiplicity ceiling for int64 arithmetic: group sums stay
+# under 2**62, and the consistency sums can add two totals without
 # overflow.  Bags past it (Section 5's multiplicities-in-binary regime)
 # fall back to the row kernels' arbitrary-precision Python ints.
 MAX_TOTAL = 1 << 62
@@ -138,7 +131,9 @@ def enabled() -> bool:
 
 # Per-operation counters: which path (columnar vs row) served each
 # dispatch.  Locked ``repro.obs`` registry counters (exact under free
-# threading), read back in the historical flat-dict shape.
+# threading), read back in the historical flat-dict shape.  Witnesses
+# always run the row kernel, so ``columnar_witnesses`` stays 0; the key
+# is kept so report shapes do not change.
 _STATS_KEYS = (
     "columnar_marginals", "row_marginals",
     "columnar_consistency", "row_consistency",
@@ -308,9 +303,9 @@ class ColumnarBag:
 
     ``cols[i]`` holds attribute ``attrs[i]``'s int64 codes; ``mults``
     the (positive) multiplicities; ``rows`` the original value tuples in
-    the same row order, so join/witness emission reuses validated
-    tuples instead of decoding.  Groupings are cached per target — the
-    Lemma 2 test, the witness, and the join all reuse one sort.
+    the same row order, so join emission reuses validated tuples
+    instead of decoding.  Groupings are cached per target — the Lemma 2
+    test and the join reuse one sort.
     """
 
     __slots__ = ("attrs", "cols", "mults", "rows", "total", "_groupings")
@@ -601,58 +596,6 @@ def try_consistent(left: "Bag", right: "Bag") -> bool | None:
         and bool(np.array_equal(gl.keys, gr.keys))
         and bool(np.array_equal(gl.sums, gr.sums))
     )
-
-
-def try_witness(left: "Bag", right: "Bag", plan: "JoinPlan"):
-    """The closed-form Corollary 1 witness table, or ``None`` to fall
-    back to the flow pipeline; raises :class:`InconsistentError` (the
-    flow path's exact message) on inconsistent inputs.
-
-    Inside one common-key group every (left row, right row) pair is an
-    admissible join tuple, so the per-group transportation problem is
-    unconstrained and the northwest-corner solution applies: order both
-    sides by group, take the two multiplicity cumsums, and merge their
-    breakpoints — each merged segment is one witness cell whose left
-    (right) row is the one whose cumsum interval covers the segment.
-    Group totals agree (that *is* consistency), so group boundaries
-    appear in both cumsums and no segment ever crosses a group.  Cells
-    are distinct pairs, distinct pairs emit distinct union rows, and
-    the cell count is at most the two support sizes combined — the
-    Theorem 5 bound, by construction.
-    """
-    consistent = try_consistent(left, right)
-    if consistent is None:
-        return None
-    if not consistent:
-        from ..errors import InconsistentError
-
-        raise InconsistentError(
-            "bags are not consistent (no saturated flow in N(R, S))"
-        )
-    _count("columnar_witnesses")
-    from .index import BagIndex
-
-    el = of_index(BagIndex.of(left))
-    er = of_index(BagIndex.of(right))
-    common = plan.common.attrs
-    gl = el.grouping(common)
-    gr = er.grouping(common)
-    if not len(el.rows) and not len(er.rows):
-        return {}
-    left_cum = np.cumsum(el.mults[gl.order])
-    right_cum = np.cumsum(er.mults[gr.order])
-    breaks = np.union1d(left_cum, right_cum)
-    cells = np.diff(breaks, prepend=0)
-    lrows = gl.order[np.searchsorted(left_cum, breaks, side="left")]
-    rrows = gr.order[np.searchsorted(right_cum, breaks, side="left")]
-    emit = plan.emit
-    left_rows, right_rows = el.rows, er.rows
-    return {
-        emit(left_rows[i] + right_rows[j]): mult
-        for i, j, mult in zip(
-            lrows.tolist(), rrows.tolist(), cells.tolist()
-        )
-    }
 
 
 def try_join(left: "Bag", right: "Bag", plan: "JoinPlan"):

@@ -282,7 +282,7 @@ def _consistent_key(lfp: int, rfp: int) -> tuple:
     )
 
 
-def _job_keys(kind: str, frozen, minimal: bool, method: str) -> list[tuple]:
+def _job_keys(kind: str, frozen, method: str) -> list[tuple]:
     """The store keys a local replay of this job will probe — the
     pre-filter that keeps already-answered jobs off the wire."""
     if kind == "consistent":
@@ -290,7 +290,7 @@ def _job_keys(kind: str, frozen, minimal: bool, method: str) -> list[tuple]:
         return [_consistent_key(lfp, rfp)]
     if kind == "witness":
         lfp, rfp = frozen
-        return [("witness", lfp, rfp, minimal)]
+        return [("witness", lfp, rfp, True)]  # Engine.witness's key
     return [("global", frozen, method)]
 
 
@@ -371,7 +371,7 @@ def run_process_batch(
     missing: list = []
     seen_keys: set[tuple] = set()
     for entry in frozen:
-        keys = _job_keys(kind, entry, minimal, method)
+        keys = _job_keys(kind, entry, method)
         if any(engine.store.contains(key) for key in keys):
             continue
         key = keys[0]

@@ -1,11 +1,14 @@
-"""Columnar execution kernels: projection, marginal, hash join, semi-join.
+"""Columnar execution kernels: projection, marginal, hash join,
+semi-join, and the northwest-corner witness.
 
 Every headline algorithm of the paper — Lemma 2's marginal test,
-Corollary 1's flow witness, Theorem 6's acyclic folding, the Yannakakis
+Corollary 1's witness, Theorem 6's acyclic folding, the Yannakakis
 passes — is built from two primitives: *marginals* (project + aggregate)
 and *joins* (bucket + probe + emit).  The seed implemented each call
 site as its own per-row ``project_values`` loop; this module is the one
-shared kernel they all route through.
+shared kernel they all route through.  Witnesses walk the same
+common-key buckets a join probes (:func:`northwest_corner`), so the
+engine's one witness construction needs no flow network.
 
 The design is plan-based: for every ``(source schema, target schema)``
 pair a projector is compiled once (an :func:`operator.itemgetter`, via
@@ -41,9 +44,12 @@ __all__ = [
     "hash_join_annotations",
     "hash_join_rows",
     "iter_join_pairs",
+    "northwest_corner",
     "semi_join_rows",
     "project_key_set",
 ]
+
+_EXHAUSTED = (None, 0)
 
 
 class JoinPlan(NamedTuple):
@@ -232,6 +238,46 @@ def iter_join_pairs(
             continue
         for entry in bucket:
             yield lrow, entry
+
+
+def northwest_corner(
+    left_buckets: Mapping[tuple, list[tuple[tuple, int]]],
+    right_buckets: Mapping[tuple, list[tuple[tuple, int]]],
+    emit: Callable[[tuple], tuple],
+) -> dict[tuple, int] | None:
+    """Corollary 1's two-bag witness table by the northwest-corner rule,
+    or ``None`` when the bags are inconsistent (Lemma 2(2) fails).
+
+    Every row pair inside a common-key group is a join tuple, so walk
+    both buckets in order and give each cell the smaller remaining
+    multiplicity.  Each cell retires a row, so a group's cells form a
+    forest: the witness is the only one on its support, hence
+    inclusion-minimal, with at most ``|Supp R| + |Supp S| - #groups``
+    cells (Theorem 5).  Distinct cells emit distinct union rows.
+    """
+    if len(left_buckets) != len(right_buckets):
+        return None
+    out: dict[tuple, int] = {}
+    get_bucket = right_buckets.get
+    for key, left in left_buckets.items():
+        right = get_bucket(key)
+        if right is None:
+            return None
+        rights = iter(right)
+        rrow, rrem = _EXHAUSTED
+        for lrow, lrem in left:
+            while lrem:
+                if not rrem:
+                    rrow, rrem = next(rights, _EXHAUSTED)
+                    if not rrem:
+                        return None  # the left group outweighs the right
+                cell = lrem if lrem < rrem else rrem
+                out[emit(lrow + rrow)] = cell
+                lrem -= cell
+                rrem -= cell
+        if rrem or next(rights, None) is not None:
+            return None  # the right group outweighs the left
+    return out
 
 
 def semi_join_rows(

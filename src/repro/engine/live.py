@@ -21,12 +21,12 @@ is acyclic.  A :class:`LiveEngine` wires both into the engine cache:
   between updates — and because each handle maintains its fingerprint
   incrementally, snapshots are born pre-fingerprinted and invalidation
   never rescans a bag;
-* over an acyclic schema, :meth:`LiveEngine.global_check` defaults to
-  ``mode="live"``: the Theorem 6 *witness* is maintained incrementally
-  by a persistent fold tree (:mod:`repro.engine.live_global`) instead
-  of being re-folded from scratch after every update, and each
-  maintained result is pushed into the engine's verdict store so
-  serve/batch clients sharing the store get it for free.
+* over an acyclic schema of :data:`FOLD_TREE_MIN_ROWS` rows or more,
+  :meth:`LiveEngine.global_check` maintains the Theorem 6 *witness* in
+  a persistent fold tree (:mod:`repro.engine.live_global`) instead of
+  re-folding it after every update, and pushes each maintained result
+  into the engine's verdict store so serve/batch clients sharing the
+  store get it for free.
 
 The consistency-checking-as-serving loop this enables —
 ``update(...); globally_consistent()`` — is the streaming workload of
@@ -51,7 +51,13 @@ from .index import BagIndex
 from .live_global import LiveGlobalWitness
 from .session import Engine, EngineStats, VerdictStore
 
-__all__ = ["LiveBag", "LiveEngine"]
+__all__ = ["FOLD_TREE_MIN_ROWS", "LiveBag", "LiveEngine"]
+
+# Support rows in a handle set from which global_check keeps a fold
+# tree by default: below it the tree's repair bookkeeping costs more
+# than the linear re-fold it saves (measured crossover and the bench
+# streams on each side: docs/ARCHITECTURE.md, "Live global witnesses").
+FOLD_TREE_MIN_ROWS = 48
 
 
 class LiveBag:
@@ -188,7 +194,7 @@ class LiveEngine:
         # for global_check re-running GYO on every post-update call.
         self._acyclic_sets: dict[frozenset[int], bool] = {}
         # slot set -> the maintained Theorem 6 fold tree for those
-        # handles (created on the first mode="live" global check).
+        # handles (created on the first global check served live).
         # LRU-bounded at max_fold_trees: trees pin bag snapshots and
         # per-node witness histories, and every update notifies every
         # retained tree, so a session sweeping many distinct subsets
@@ -403,30 +409,33 @@ class LiveEngine:
         )
 
     def global_check(self, handles=None, method: str = "auto",
-                     mode: str = "live"):
+                     mode: str | None = None):
         """The GCPB decision + witness over the current snapshots.
 
-        ``mode="live"`` (the default) maintains the Theorem 6 witness
-        incrementally whenever the handles' schema hypergraph is
-        acyclic: a persistent fold tree
+        ``mode="live"`` maintains the Theorem 6 witness incrementally
+        whenever the handles' schema hypergraph is acyclic: a fold tree
         (:class:`~repro.engine.live_global.LiveGlobalWitness`) repairs
         only the nodes on the updated bags' leaf-to-root paths, and the
         maintained result is pushed into the engine's verdict store so
-        other engines sharing it (serve connections, batch clients) hit
-        without folding.  Cyclic schemas, ``method="search"``, and
-        ``mode="cold"`` take the memoized cold path; there the pairwise
-        phase is still served from the maintained O(1) checkers, and
-        the cached per-handle-set acyclicity is forwarded so a
-        post-update miss re-pays only witness construction — neither
-        the pairwise scan nor the GYO reduction.
+        engines sharing it hit without folding.  The default picks it
+        from :data:`FOLD_TREE_MIN_ROWS` rows on.  Cyclic schemas,
+        ``method="search"``, and ``mode="cold"`` take the memoized cold
+        path; there the pairwise phase is still served from the
+        maintained O(1) checkers, and the cached per-handle-set
+        acyclicity is forwarded so a post-update miss re-pays only
+        witness construction — neither the pairwise scan nor the GYO
+        reduction.
         """
-        if mode not in ("live", "cold"):
+        if mode not in (None, "live", "cold"):
             raise ValueError(f"unknown mode {mode!r}; use 'live' or 'cold'")
         resolved = (
             self._handles
             if handles is None
             else [self._resolve(handle) for handle in handles]
         )
+        if mode is None:
+            rows = sum(handle.support_size for handle in resolved)
+            mode = "live" if rows >= FOLD_TREE_MIN_ROWS else "cold"
         acyclic = self.schema_acyclic(resolved) if resolved else False
         if (
             mode == "live"

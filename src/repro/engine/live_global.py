@@ -43,8 +43,8 @@ minimality), the node falls back to recomputing **its own fold only**
 hard update stays one node, not the tree.
 
 Cost per refresh: O(path length x witness support) against the cold
-fold's O(m x witness support x max-flow) — ``benchmarks/
-bench_live_global.py`` gates the streaming speedup at >= 10x.
+fold's linear northwest-corner steps over every input —
+``benchmarks/bench_live_global.py`` measures the streaming speedup.
 
 Concurrency contract: a :class:`LiveGlobalWitness` (like the
 :class:`~repro.engine.live.LiveEngine` that owns it) is
@@ -548,7 +548,7 @@ class LiveGlobalWitness:
         (the children themselves are NOT recomputed)."""
         acc = inputs[0]
         for child_witness in inputs[1:]:
-            acc = fold_step(acc, child_witness, minimal=True)
+            acc = fold_step(acc, child_witness)
         node.witness = acc
         node.content = fingerprint.content_sum(acc._mults.items())
         node.delta = None

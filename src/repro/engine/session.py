@@ -241,10 +241,11 @@ class VerdictStore:
     def _evict(self, protect: tuple | None = None) -> int:
         if self.capacity is None or len(self._cache) <= self.capacity:
             return 0
-        evicted = 0
-        for key in list(self._cache):
-            if len(self._cache) <= self.capacity:
-                break
+        # Collect just the excess from the LRU head: an insert costs
+        # O(excess + exempt entries skipped), not O(capacity).
+        excess = len(self._cache) - self.capacity
+        victims = []
+        for key in self._cache:
             if key == protect:
                 # Never evict the entry being inserted: when pinned
                 # entries fill the capacity, the store overflows rather
@@ -252,10 +253,13 @@ class VerdictStore:
                 continue
             if any(fp in self._pinned_fps for fp in self._participants[key]):
                 continue  # entries touching pinned content are exempt
+            victims.append(key)
+            if len(victims) == excess:
+                break
+        for key in victims:
             self._remove_key(key)
-            evicted += 1
-        self.evictions += evicted
-        return evicted
+        self.evictions += len(victims)
+        return len(victims)
 
     def pin_fp(self, fp: int) -> None:
         with self._lock:
@@ -509,26 +513,26 @@ class Engine:
         return self._consistent(left, right, internal=True)
 
     def witness(self, left: Bag, right: Bag, minimal: bool = False) -> Bag:
-        """A Corollary 1 (or Corollary 4 minimal) witness, memoized per
-        ordered content pair; raises :class:`InconsistentError` exactly
-        when the uncached pipeline would (the refusal is cached too)."""
+        """A Corollary 1 witness (minimal by construction, so both
+        ``minimal`` values share one key), memoized per ordered content
+        pair; raises :class:`InconsistentError` exactly when the
+        uncached pipeline would (the refusal is cached too)."""
         with self._lock:
             self.stats.witness_queries += 1
         lfp, rfp = fingerprint.of_bag(left), fingerprint.of_bag(right)
-        key = ("witness", lfp, rfp, minimal)
+        # True for both: older versions stored non-minimal max-flow
+        # witnesses under False, and those are never read back.
+        key = ("witness", lfp, rfp, True)
         cached = self._get(key)
         if cached is not _MISS:
             with self._lock:
                 self.stats.witness_hits += 1
         else:
             from ..consistency.pairwise import consistency_witness
-            from ..consistency.witness import minimal_pairwise_witness
 
             start = time.perf_counter()
             if not self._consistent(left, right, internal=True):
                 cached = None
-            elif minimal:
-                cached = minimal_pairwise_witness(left, right)
             else:
                 cached = consistency_witness(left, right)
             _observe_compute("witness", start)

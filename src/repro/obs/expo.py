@@ -101,24 +101,34 @@ def render_json(snapshot: dict, traces: list | None = None) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _family(flat: str) -> str:
+    """The Prometheus family (metric) name of a flat series key."""
+    return _prom_name(_KEY_SPLIT.match(flat).group(1))
+
+
 def render_prometheus(snapshot: dict) -> str:
-    """Prometheus text format: counters as ``_total``-suffixed
-    counters, gauges as gauges, histograms as cumulative
-    ``_bucket{le=...}`` series with ``_sum``/``_count``."""
+    """Prometheus text format: counters as counters, gauges as gauges,
+    histograms as cumulative ``_bucket{le=...}`` series with
+    ``_sum``/``_count``.  Series are grouped by family, and each family
+    gets exactly one ``# TYPE`` line ahead of its series, as the text
+    format requires."""
     lines: list = []
-    for flat, value in sorted(snapshot.get("counters", {}).items()):
-        key = _prom_key(flat)
-        base = _prom_name(_KEY_SPLIT.match(flat).group(1))
-        lines.append(f"# TYPE {base} counter")
-        lines.append(f"{key} {value}")
-    for flat, value in sorted(snapshot.get("gauges", {}).items()):
-        key = _prom_key(flat)
-        base = _prom_name(_KEY_SPLIT.match(flat).group(1))
-        lines.append(f"# TYPE {base} gauge")
-        lines.append(f"{key} {value}")
-    for flat, entry in sorted(snapshot.get("histograms", {}).items()):
-        base = _prom_name(_KEY_SPLIT.match(flat).group(1))
-        lines.append(f"# TYPE {base} histogram")
+    typed: set = set()
+
+    def series(section: str, kind: str):
+        items = snapshot.get(section, {}).items()
+        for flat, value in sorted(items, key=lambda i: (_family(i[0]), i[0])):
+            base = _family(flat)
+            if base not in typed:
+                typed.add(base)
+                lines.append(f"# TYPE {base} {kind}")
+            yield flat, value
+
+    for flat, value in series("counters", "counter"):
+        lines.append(f"{_prom_key(flat)} {value}")
+    for flat, value in series("gauges", "gauge"):
+        lines.append(f"{_prom_key(flat)} {value}")
+    for flat, entry in series("histograms", "histogram"):
         for upper, cumulative in entry.get("buckets", []):
             le = 'le="%g"' % upper
             lines.append(f"{_labelled(flat, le, '_bucket')} {cumulative}")

@@ -203,7 +203,7 @@ def wide_planted_pair(
     max_multiplicity: int = 6,
 ) -> tuple[Bag, Bag, Bag]:
     """(plant, R, S) over two overlapping wide windows — the two-bag
-    unit of the wide workload (``benchmarks/bench_columnar.py``)."""
+    unit of the wide workloads (``benchmarks/bench_wire.py``)."""
     plant, (r, s) = wide_planted_collection(
         rng,
         n_bags=2,

@@ -19,6 +19,7 @@ from repro.consistency.witness import is_witness, witness_marginal_residuals
 from repro.core.bags import Bag
 from repro.core.schema import Schema
 from repro.engine import fingerprint
+from repro.engine import live as live_module
 from repro.engine.live import LiveEngine
 from repro.engine.live_global import (
     LiveGlobalWitness,
@@ -26,6 +27,13 @@ from repro.engine.live_global import (
 )
 from repro.engine.session import Engine, VerdictStore
 from repro.workloads.generators import planted_collection, planted_stream
+
+
+@pytest.fixture(autouse=True)
+def fold_tree_at_any_size(monkeypatch):
+    """These tests drive the fold tree on collections smaller than the
+    size from which ``global_check`` picks it by default."""
+    monkeypatch.setattr(live_module, "FOLD_TREE_MIN_ROWS", 0)
 
 
 def path_schemas(m):

@@ -8,7 +8,8 @@ from repro.consistency.global_ import global_witness
 from repro.consistency.pairwise import are_consistent, consistency_witness
 from repro.consistency.witness import is_witness
 from repro.core.schema import Schema
-from repro.engine.session import Engine
+from repro.engine import fingerprint
+from repro.engine.session import Engine, VerdictStore
 from repro.errors import InconsistentError
 from repro.workloads.generators import inconsistent_pair, planted_pair
 from repro.workloads.suites import run_suites
@@ -76,6 +77,19 @@ class TestWitness:
         witness = engine.witness(r, s, minimal=True)
         assert is_witness([r, s], witness)
         assert witness.support_size <= r.support_size + s.support_size
+
+    def test_both_minimal_values_share_the_minimal_key(self):
+        """Witnesses are minimal by construction, so both flag values
+        hit one entry; an entry an older version stored under False (a
+        non-minimal max-flow witness) is never served."""
+        engine = Engine()
+        r, s = consistent_pair()
+        lfp, rfp = fingerprint.of_bag(r), fingerprint.of_bag(s)
+        engine.store.put(("witness", lfp, rfp, False), "stale", (lfp, rfp))
+        witness = engine.witness(r, s)
+        assert is_witness([r, s], witness)
+        assert engine.witness(r, s, minimal=True) is witness
+        assert engine.stats.witness_hits == 1
 
     def test_inconsistent_pair_raises_and_caches_the_refusal(self):
         engine = Engine()
@@ -283,6 +297,103 @@ class TestBoundedCache:
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             Engine(capacity=0)
+
+
+class LRUModel:
+    """The store's eviction contract, spelled out over a plain list:
+    entries oldest first, and an over-capacity store drops the oldest
+    entries that are neither the one being inserted nor touching a
+    pinned fingerprint."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = []  # [key, value, fps], least recent first
+        self.pinned = set()
+        self.evictions = 0
+
+    def find(self, key):
+        for i, entry in enumerate(self.entries):
+            if entry[0] == key:
+                return i
+        return None
+
+    def evict(self, protect=None):
+        evicted = i = 0
+        while len(self.entries) > self.capacity and i < len(self.entries):
+            key, _, fps = self.entries[i]
+            if key == protect or any(fp in self.pinned for fp in fps):
+                i += 1
+                continue
+            del self.entries[i]
+            evicted += 1
+        self.evictions += evicted
+        return evicted
+
+    def put(self, key, value, fps):
+        i = self.find(key)
+        if i is not None:
+            entry = self.entries.pop(i)
+            entry[1] = value
+            self.entries.append(entry)
+            return 0
+        self.entries.append([key, value, tuple(fps)])
+        return self.evict(protect=key)
+
+    def get(self, key):
+        i = self.find(key)
+        if i is None:
+            return VerdictStore.MISS
+        entry = self.entries.pop(i)
+        self.entries.append(entry)
+        return entry[1]
+
+    def unpin(self, fp):
+        self.pinned.discard(fp)
+        return self.evict()
+
+    def invalidate(self, fp):
+        before = len(self.entries)
+        self.entries = [e for e in self.entries if fp not in e[2]]
+        self.pinned.discard(fp)
+        return before - len(self.entries)
+
+
+class TestEvictionAgainstModel:
+    """A randomized stream of put/get/pin/unpin/invalidate ops keeps the
+    store equal to :class:`LRUModel` after every op: same entries in the
+    same recency order, same eviction count, same return values, and no
+    reverse-index bookkeeping for dead entries."""
+
+    @pytest.mark.parametrize("capacity", [1, 3, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_op_stream_matches_the_model(self, capacity, seed):
+        rng = random.Random(7000 + 97 * capacity + seed)
+        store = VerdictStore(capacity)
+        model = LRUModel(capacity)
+        for step in range(600):
+            op = rng.random()
+            a, b = rng.randrange(12), rng.randrange(12)
+            key = ("k", min(a, b), max(a, b))
+            fps = (key[1], key[2])
+            if op < 0.45:
+                assert store.put(key, step, fps) == model.put(key, step, fps)
+            elif op < 0.75:
+                assert store.get(key) == model.get(key)
+            elif op < 0.83:
+                store.pin_fp(a)
+                model.pinned.add(a)
+            elif op < 0.93:
+                assert store.unpin_fp(a) == model.unpin(a)
+            else:
+                assert store.invalidate_fp(a) == model.invalidate(a)
+            assert list(store._cache.items()) == [
+                (k, v) for k, v, _ in model.entries
+            ]
+            assert store.evictions == model.evictions
+            assert store._pinned_fps == model.pinned
+            live_fps = {fp for _, _, fps in model.entries for fp in fps}
+            assert set(store._fp_keys) == live_fps
+            assert set(store._participants) == set(store._cache)
 
 
 class TestInvalidation:

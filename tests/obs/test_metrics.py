@@ -208,6 +208,46 @@ PROM_LINE = re.compile(
 )
 
 
+_SAMPLE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? (\S+)$")
+
+
+def assert_strict_exposition(text: str) -> None:
+    """The Prometheus text-format rules a scraper enforces: one ``# TYPE``
+    per family, the family's samples right after it (histograms through
+    their ``_bucket``/``_sum``/``_count`` series), no sample repeated,
+    and cumulative buckets that end at ``_count``."""
+    assert text.endswith("\n")
+    typed: set = set()
+    family = kind = None
+    seen: set = set()
+    buckets: dict = {}
+    counts: dict = {}
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            _, _, family, kind = line.split(" ")
+            assert family not in typed, f"second TYPE line for {family}"
+            typed.add(family)
+            continue
+        match = _SAMPLE.match(line)
+        assert match, line
+        name, labels, value = match.groups()
+        float(value)
+        names = {family}
+        if kind == "histogram":
+            names = {family + s for s in ("_bucket", "_sum", "_count")}
+        assert name in names, f"{name} outside its family block ({family})"
+        assert (name, labels) not in seen, f"repeated sample {line}"
+        seen.add((name, labels))
+        if name.endswith("_bucket") and kind == "histogram":
+            series = re.sub(r',?le="[^"]*"', "", labels)
+            buckets.setdefault((family, series), []).append(float(value))
+        elif name.endswith("_count") and kind == "histogram":
+            counts[(family, (labels or "{}"))] = float(value)
+    for (hist, series), cumulative in buckets.items():
+        assert cumulative == sorted(cumulative), (hist, series)
+        assert cumulative[-1] == counts[(hist, series)], (hist, series)
+
+
 class TestExposition:
     def build_snapshot(self):
         registry = MetricsRegistry()
@@ -233,6 +273,43 @@ class TestExposition:
         assert buckets[-1].startswith('repro_lat_bucket{op="batch",le="+Inf"}')
         assert counts[-1] == 4
         assert 'repro_lat_count{op="batch"} 4' in lines
+
+    def test_labelled_family_gets_one_type_line(self):
+        registry = MetricsRegistry()
+        for op in ("a", "b", "c"):
+            registry.counter("repro_y", {"op": op}).inc()
+        text = render_prometheus(registry.snapshot())
+        assert text.count("# TYPE repro_y counter") == 1
+        assert_strict_exposition(text)
+
+    def test_snapshot_exposition_is_strict(self):
+        registry = MetricsRegistry()
+        registry.counter("repro_c").inc()
+        registry.counter("repro_c", {"kind": "a"}).inc(2)
+        registry.counter("repro_c_total").inc()  # sorts inside repro_c's keys
+        registry.gauge("repro_g", {"shard": "1"}).set(3)
+        registry.gauge("repro_g", {"shard": "0"}).set(2)
+        for op in ("batch", "ping"):
+            registry.histogram("repro_lat", {"op": op}).record(0.004)
+        assert_strict_exposition(render_prometheus(registry.snapshot()))
+
+    def test_metrics_op_exposition_is_strict(self):
+        from repro.server import ReproServer
+
+        server = ReproServer()
+        payload = {
+            "op": "batch",
+            "pairs": [[
+                {"schema": ["A", "B"], "tuples": [[[1, 2], 3]]},
+                {"schema": ["B", "C"], "tuples": [[[2, 5], 3]]},
+            ]],
+            "suites": [["planted-path", 3, 0]],
+        }
+        assert server.handle_payload(payload)["ok"]
+        response = server.handle_payload({"op": "metrics"})
+        text = response["prometheus"]
+        assert text.count("# TYPE repro_engine_compute_seconds histogram") == 1
+        assert_strict_exposition(text)
 
     def test_json_is_one_line_and_round_trips(self):
         import json

@@ -106,7 +106,7 @@ class TestWitnessScale:
         from repro.workloads.generators import random_collection_over
 
         bags = random_collection_over(path_hypergraph(41), rng, n_tuples=4)
-        w = acyclic_global_witness(bags, minimal=False)
+        w = acyclic_global_witness(bags)
         assert is_witness(bags, w)
 
     def test_wide_multiplicity_chain(self):

@@ -78,7 +78,7 @@ class TestScale:
         from repro.workloads.generators import random_collection_over
 
         bags = random_collection_over(path_hypergraph(60), rng, n_tuples=3)
-        w = acyclic_global_witness(bags, minimal=False)
+        w = acyclic_global_witness(bags)
         assert is_witness(bags, w)
 
     def test_wide_schema(self):
