@@ -1,4 +1,4 @@
-"""E-ENG — the columnar engine vs the seed execution paths.
+"""E-ENG — the engine's kernels vs the seed execution paths.
 
 Claim: routing marginals, joins, and the Corollary 1 witness pipeline
 through the shared plan-compiled kernel plus the memoizing

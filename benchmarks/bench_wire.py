@@ -3,8 +3,8 @@
 The claim: **columnar frames beat JSON rows on the serve socket.**
 Replaying a stream of wide two-bag batches against one ``repro serve``
 daemon, a ``wire_format="columnar"`` client — which ships each bag once
-as dense int64 code arrays plus dictionary slices, and whose seeded
-fingerprints let the daemon adopt the encoding without re-interning —
+as int64 code arrays plus per-column local dictionaries, and whose
+seeded fingerprints spare the daemon validation and rehashing —
 completes the stream at least ``MIN_WIRE_SPEEDUP``x faster than a
 ``wire_format="json"`` client sending the same bags as sorted row
 lists.  Reports are asserted bit-identical between the two formats.
@@ -21,23 +21,16 @@ import os
 import random
 import time
 
-import pytest
-
-from repro.engine import columnar, wire
+from repro.engine import wire
 from repro.obs import percentiles
 from repro.server import ReproServer, ServeClient
 from repro.workloads.generators import wide_planted_pair
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
-pytestmark = pytest.mark.skipif(
-    not columnar.AVAILABLE,
-    reason="wire bench measures the columnar fast path; numpy required",
-)
-
 # Values repeat (domain << rows x width) so the dictionary pays for
-# itself: tiny value slices in the header, dense code gathers on both
-# ends, and seeded fingerprints instead of per-row rehashing.
+# itself: short value lists in the header, one code gather per column
+# on the daemon, and seeded fingerprints instead of per-row rehashing.
 WIRE_N_PAIRS = 2 if SMOKE else 4
 WIRE_N_ROWS = 512 if SMOKE else 8192
 WIRE_DOMAIN = 1 << 12

@@ -4,8 +4,8 @@
 The package implements, from scratch, the paper's full pipeline:
 
 * bags (multiset relations), marginals, bag joins (:mod:`repro.core`);
-* the columnar execution engine: shared projection/join kernels, cached
-  per-bag indexes, and the memoizing batched :class:`Engine` facade
+* the execution engine: shared projection/join kernels, cached per-bag
+  indexes, and the memoizing batched :class:`Engine` facade
   (:mod:`repro.engine`);
 * hypergraph acyclicity, join trees, chordality/conformality, and the
   Lemma 3 obstruction machinery (:mod:`repro.hypergraphs`);

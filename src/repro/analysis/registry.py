@@ -1,9 +1,9 @@
 """The shared-state registry: one source of truth for lint and runtime.
 
-The two silent wrong-verdict defects this repo has shipped (the
-``_Interner`` thread race and the ``ColumnarDelta`` snapshot-aliasing
-corruption) were both violations of invariants that existed only in
-reviewers' heads.  This module turns those invariants into
+The two silent wrong-verdict defects this repo has shipped (a value
+interner's thread race and a live snapshot-aliasing corruption, both in
+the since-deleted numpy backend) were violations of invariants that
+existed only in reviewers' heads.  This module turns those invariants into
 *declarations that live in the code being checked*:
 
 * ``@shared_state(lock_attr, *fields, tier=...)`` on a class declares
@@ -14,9 +14,9 @@ reviewers' heads.  This module turns those invariants into
   pattern);
 * ``register_lock(name, lock, tier=..., slots=..., containers=...)``
   declares a module-level lock, the tier it occupies in the global
-  acquisition order, and — for publication locks like the columnar
-  ``_ENCODE_LOCK`` — the slot/container names it guards anywhere in the
-  package;
+  acquisition order, and — for publication locks like the fingerprint
+  registry's ``_REGISTRY_LOCK`` — the slot/container names it guards
+  anywhere in the package;
 * ``FROZEN_FIELDS`` on a class (a plain tuple attribute, no decorator)
   declares fields that may be **rebound but never mutated in place**
   once an instance hands them to a snapshot — the PR 6 aliasing bug
@@ -33,12 +33,10 @@ The declarations are consumed twice, by design from one spot:
   when ``REPRO_SANITIZE=1`` (or :func:`repro.analysis.sanitizer.enable`)
   is active.
 
-The declared lock order is ``engine -> store -> columnar -> interner ->
-obs``: while holding a lock of one tier, only locks of *later* tiers may
-be acquired.  (The issue's ``engine -> store -> interner`` order, with
-the columnar encode-publication tier slotted before the interner tier it
-may acquire while encoding; the ``obs`` telemetry tier sits last so any
-layer may record a metric while holding its own lock.)
+The declared lock order is ``engine -> store -> obs``: while holding a
+lock of one tier, only locks of *later* tiers may be acquired.  The
+``obs`` telemetry tier sits last so any layer may record a metric while
+holding its own lock.
 
 This module imports nothing from the rest of the package, so the hot
 modules can import it at startup without cycles.
@@ -63,7 +61,7 @@ __all__ = [
 
 # The declared global lock-acquisition order (RL05): holding a lock of
 # tier i, code may only acquire locks of tiers > i.
-LOCK_ORDER = ("engine", "store", "columnar", "interner", "obs")
+LOCK_ORDER = ("engine", "store", "obs")
 
 
 class SharedSpec:
@@ -225,14 +223,14 @@ def register_lock(
 
     ``tier`` places it in :data:`LOCK_ORDER` (RL05).  ``slots`` are
     attribute names whose *assignment* anywhere in the package must
-    happen under this lock (publication slots like ``_columnar``,
+    happen under this lock (publication slots like ``_fingerprint``,
     exempting ``__init__``); ``containers`` are module-global mapping
-    names whose *mutation* must (``_INTERNERS``).  Returns the lock so
-    declarations can wrap construction::
+    names whose *mutation* must (``_BAG_INDEXES``).  Returns the lock
+    so declarations can wrap construction::
 
-        _ENCODE_LOCK = register_lock(
-            "_ENCODE_LOCK", threading.Lock(), tier="columnar",
-            slots=("_columnar",),
+        _REGISTRY_LOCK = register_lock(
+            "_REGISTRY_LOCK", threading.Lock(), tier="engine",
+            slots=("_fingerprint",), containers=("_BAG_INDEXES",),
         )
     """
     validate_tier(tier)

@@ -7,7 +7,7 @@ Rules (severity in parentheses):
   ``register_lock``) outside a ``with <lock>:`` block in the enclosing
   function.  ``__init__`` bodies and ``@requires_lock`` methods are
   exempt; the lock match is by terminal name (``self._lock``,
-  ``engine._lock`` and ``_INTERN_LOCK`` all match their declarations),
+  ``engine._lock`` and ``_POOL_LOCK`` all match their declarations),
   a deliberate static under-approximation whose gaps the runtime
   sanitizer covers.
 * **RL02** identity-cache-key (error) — keying a cache reachable from
@@ -29,10 +29,9 @@ Rules (severity in parentheses):
   shape of a cache left stale by a direct mutation.
 * **RL05** lock-order (error) — a ``with`` acquiring a lock of an
   *earlier* tier while one of a later tier is held, inverting the
-  declared ``engine -> store -> columnar -> interner -> obs`` order.
-  Only
-  statically-resolvable locks participate (named locks and
-  ``self.<lock>`` of a registered class).
+  declared ``engine -> store -> obs`` order.  Only statically-resolvable
+  locks participate (named locks and ``self.<lock>`` of a registered
+  class).
 
 Suppression: a ``# repro-lint: disable=RL01`` (or ``disable=all``)
 comment on the flagged line.

@@ -1,4 +1,4 @@
-"""The runtime sanitizer: lock and snapshot invariants enforced live.
+"""The runtime sanitizer: lock invariants enforced live.
 
 ``REPRO_SANITIZE=1`` (or :func:`enable` in tests) arms the runtime half
 of the invariant tooling declared in :mod:`repro.analysis.registry`:
@@ -9,13 +9,10 @@ of the invariant tooling declared in :mod:`repro.analysis.registry`:
   production fast paths they shadow;
 * rebinding a registered field goes through the same assertion (the
   ``__setattr__`` hook installed by the decorator);
-* ``@requires_lock`` methods assert the lock at entry;
-* snapshot-frozen state is made *physically* immutable at the freeze
-  boundary: numpy arrays have ``writeable`` cleared (an in-place write
-  raises ``ValueError`` from numpy itself) and shared row lists become
-  :class:`FrozenRows` (mutators raise :class:`SanitizerError`) — so the
-  PR 6 aliasing bug class cannot corrupt silently, it crashes at the
-  mutation site.
+* ``@requires_lock`` methods assert the lock at entry.
+
+Snapshot-frozen fields (``FROZEN_FIELDS``) are checked statically only,
+by ``repro lint``'s RL03.
 
 The guards are deliberately *per-instance at construction time*:
 instances built while the sanitizer is inactive are never slowed down,
@@ -33,13 +30,10 @@ from . import registry
 from .registry import lock_is_held, sanitizer_active
 
 __all__ = [
-    "FrozenRows",
     "SanitizerError",
     "disable",
     "enable",
     "enabled",
-    "freeze_array",
-    "freeze_rows",
 ]
 
 
@@ -182,45 +176,3 @@ def instrument(instance, spec) -> None:
         wrapped = _wrap(value, instance, spec, field)
         if wrapped is not value:
             object.__setattr__(instance, field, wrapped)
-
-
-# -- snapshot freezing --------------------------------------------------
-
-
-class FrozenRows(list):
-    """A row list handed to a snapshot: iteration/indexing unchanged,
-    in-place mutation raises.  Binary ``+`` still yields a plain
-    (mutable) list, so the rebind idiom ``self.rows = self.rows + new``
-    keeps working — that idiom is exactly what freezing enforces."""
-
-    __slots__ = ()
-
-    def _frozen(self, *args, **kwargs):
-        raise SanitizerError(
-            "snapshot-frozen rows mutated in place; rebind instead "
-            "(rows = rows + new)"
-        )
-
-    append = extend = insert = remove = pop = clear = _frozen
-    sort = reverse = __setitem__ = __delitem__ = _frozen
-    __iadd__ = __imul__ = _frozen
-
-
-def freeze_rows(rows: list) -> list:
-    """Freeze a row list at a snapshot boundary (no-op when the
-    sanitizer is inactive, identity for already-frozen lists)."""
-    if not sanitizer_active() or isinstance(rows, FrozenRows):
-        return rows
-    return FrozenRows(rows)
-
-
-def freeze_array(arr):
-    """Clear a numpy array's writeable flag at a snapshot boundary
-    (no-op when inactive; ``.copy()`` of a frozen array is writable, so
-    copy-on-write paths are untouched)."""
-    if arr is not None and sanitizer_active():
-        try:
-            arr.flags.writeable = False
-        except (AttributeError, ValueError):
-            pass  # not an ndarray, or a view that cannot be locked
-    return arr

@@ -27,7 +27,7 @@ from typing import Sequence
 from ..core.bags import Bag
 from ..core.relations import Relation, join_all
 from ..core.schema import Schema, projection_plan
-from ..engine import columnar, kernels
+from ..engine import kernels
 from ..engine.index import BagIndex, RelationIndex
 from ..hypergraphs.acyclicity import JoinTree, join_tree
 from ..hypergraphs.hypergraph import Hypergraph
@@ -37,20 +37,15 @@ def semijoin(r: Relation, s: Relation) -> Relation:
     """The semijoin r |>< s: tuples of r whose common-attribute
     projection appears in s.
 
-    With columnar encodings on both sides the filter is a vectorized
-    membership mask over encoded keys; otherwise the probe-side key set
-    is memoized on s (a full-reducer program semijoins against the same
-    relation once per tree neighbour) and the filter runs one
-    precompiled projection per row.
+    The probe-side key set is memoized on s (a full-reducer program
+    semijoins against the same relation once per tree neighbour) and
+    the filter runs one precompiled projection per row.
     """
-    kept = columnar.try_semijoin(r, s)
-    if kept is None:
-        columnar.count_row("semijoins")
-        common = r.schema & s.schema
-        allowed = RelationIndex.of(s).key_set(common)
-        kept = kernels.semi_join_rows(
-            r.rows, projection_plan(r.schema.attrs, common.attrs), allowed
-        )
+    common = r.schema & s.schema
+    allowed = RelationIndex.of(s).key_set(common)
+    kept = kernels.semi_join_rows(
+        r.rows, projection_plan(r.schema.attrs, common.attrs), allowed
+    )
     return Relation._from_clean(r.schema, frozenset(kept))
 
 

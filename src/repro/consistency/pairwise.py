@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..core.bags import Bag
-from ..engine import columnar, kernels
+from ..engine import kernels
 from ..engine.index import BagIndex
 from ..errors import InconsistentError
 from ..flows.maxflow import FlowResult, saturated_flow
@@ -41,16 +41,8 @@ SINK = ("sink", "*")
 
 def are_consistent(r: Bag, s: Bag) -> bool:
     """Lemma 2(2): the polynomial-time consistency test — equal marginals
-    on the common attributes.
-
-    When both bags carry a columnar encoding the comparison runs on
-    their cached common-attribute groupings (two array equalities);
-    otherwise the memoized marginal bags are compared directly.
-    """
-    verdict = columnar.try_consistent(r, s)
-    if verdict is not None:
-        return verdict
-    columnar.count_row("consistency")
+    on the common attributes, compared as the bags' memoized marginal
+    bags."""
     common = r.schema & s.schema
     return r.marginal(common) == s.marginal(common)
 
@@ -116,10 +108,9 @@ def consistency_witness(r: Bag, s: Bag) -> Bag:
 
     The northwest-corner rule over both bags' cached common-key buckets
     (:func:`repro.engine.kernels.northwest_corner`): no flow network,
-    the same rows on every backend, and an inclusion-minimal witness
-    (Corollary 4's notion) within Theorem 5's support bound.
+    and an inclusion-minimal witness (Corollary 4's notion) within
+    Theorem 5's support bound.
     """
-    columnar.count_row("witnesses")
     plan = kernels.join_plan(r.schema.attrs, s.schema.attrs)
     table = kernels.northwest_corner(
         BagIndex.of(r).buckets(plan.common),

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from ..engine import columnar, kernels
+from ..engine import kernels
 from ..engine.index import BagIndex
 from ..errors import MultiplicityError, SchemaError
 from .relations import Relation
@@ -250,19 +250,14 @@ class Bag:
         """The bag join R |><|b S: support is the join of supports, and
         multiplicities multiply (Section 2).
 
-        A columnar sort-merge group join when both sides carry an
-        encoding (:mod:`repro.engine.columnar`); otherwise a kernel
-        hash join probing the other side's cached buckets, so repeated
-        joins against an unchanged bag skip the build phase.
+        A kernel hash join probing the other side's cached buckets, so
+        repeated joins against an unchanged bag skip the build phase.
         """
         plan = kernels.join_plan(self._schema.attrs, other._schema.attrs)
-        out = columnar.try_join(self, other, plan)
-        if out is None:
-            columnar.count_row("joins")
-            out = kernels.hash_join_mults(
-                self._mults.items(), plan,
-                BagIndex.of(other).buckets(plan.common),
-            )
+        out = kernels.hash_join_mults(
+            self._mults.items(), plan,
+            BagIndex.of(other).buckets(plan.common),
+        )
         return Bag._from_clean(plan.union, out)
 
     # -- order and arithmetic ------------------------------------------------

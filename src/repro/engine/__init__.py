@@ -1,11 +1,14 @@
-"""The columnar bag-execution engine.
+"""The bag-execution engine.
 
 Layering (lowest first):
 
 * :mod:`repro.engine.kernels` — plan-compiled projection / marginal /
-  hash-join / semi-join primitives over raw value tuples;
+  hash-join / semi-join / northwest-corner primitives over raw value
+  tuples, the one kernel of each operation;
 * :mod:`repro.engine.index` — per-instance lazy bucket/marginal caches
   (:class:`BagIndex`, :class:`RelationIndex`);
+* :mod:`repro.engine.fingerprint` — content fingerprints and the
+  registry that lets value-equal bags share one index;
 * :mod:`repro.engine.session` — the :class:`Engine` facade: memoized
   marginal/join/consistency queries (bounded LRU cache, pinning,
   per-bag invalidation) plus the batched entry points
@@ -14,6 +17,9 @@ Layering (lowest first):
 * :mod:`repro.engine.live` — :class:`LiveEngine`: mutable
   :class:`LiveBag` handles whose updates bump O(1) incremental pair
   checkers and invalidate only the cache entries they touch;
+* :mod:`repro.engine.jobs`, :mod:`repro.engine.executors` and
+  :mod:`repro.engine.wire` — batch payloads, the serial/thread/process
+  backends, and the v2 frame codec of ``repro serve``;
 * :mod:`repro.engine.reference` — the seed's pre-engine loops, kept as
   the oracle for cross-check tests and speedup benchmarks.
 

@@ -24,11 +24,9 @@ methods, ``--backend`` on ``repro batch`` / ``repro serve``):
   are process-independent, so a final local replay of the whole batch
   is pure hits.  A worker that dies breaks its pool: the pool is
   dropped, the replay computes the lost chunks in-process, and the next
-  batch starts a fresh pool.  A pool is also replaced once a worker's
-  columnar interners outgrow ``MAX_INTERNED`` values, and its workers
-  exit when their parent dies.  This is the only
-  backend that scales the CPU-bound global checks (Theorem 4 search
-  instances) across cores.
+  batch starts a fresh pool.  Workers exit when their parent dies.
+  This is the only backend that scales the CPU-bound global checks
+  (Theorem 4 search instances) across cores.
 
 ``backend=None`` preserves the PR-2 contract: serial unless
 ``parallelism > 1``, which selects threads.
@@ -160,42 +158,27 @@ def resolve_executor(
 #
 # One pool per worker count, shared by every engine and thread of the
 # process, so concurrent batches queue on the same ``workers`` children
-# instead of each forking its own.  A pool is replaced only when broken
-# or worn: the batch that finds it so drops it, and the next batch forks
-# a fresh one.  Dropping lets submitted work finish; a concurrent batch
-# still submitting to the dropped pool loses those chunks to its local
-# replay.  Wear bounds worker memory: a worker's columnar interners keep
-# every distinct value it has encoded, so a pool is worn once a worker
-# has interned more than ``MAX_INTERNED`` values since its fork.  Only a
-# stream of ever-new values gets there.  Retiring pools sooner costs
-# memory instead: a pool forked from a grown daemon shares more pages,
-# and the daemon's later writes copy them.
-
-MAX_INTERNED = 1 << 18
+# instead of each forking its own.  A pool is replaced only when broken:
+# the batch that finds it so drops it, and the next batch forks a fresh
+# one.  Dropping lets submitted work finish; a concurrent batch still
+# submitting to the dropped pool loses those chunks to its local replay.
 
 _POOLS: dict = {}
 _POOL_LOCK = register_lock(
     "_POOL_LOCK", threading.Lock(), tier="store", containers=("_POOLS",),
 )
 
-# In a worker: the interned values it inherited at fork.
-_FORK_INTERNED = 0
-
 
 def _init_worker(parent_pid: int) -> None:
-    """Pool initializer: note the inherited interner size, and end this
-    worker as soon as its parent dies.  An idle worker blocks on the
-    call queue and would never notice, so a killed daemon would leave
-    its pool behind holding memory and inherited sockets.  The parent
-    sentinel reaches EOF when the parent exits; the ``getppid`` poll
-    covers a pipe end that another forked process keeps open."""
+    """Pool initializer: end this worker as soon as its parent dies.
+    An idle worker blocks on the call queue and would never notice, so
+    a killed daemon would leave its pool behind holding memory and
+    inherited sockets.  The parent sentinel reaches EOF when the parent
+    exits; the ``getppid`` poll covers a pipe end that another forked
+    process keeps open."""
     from multiprocessing import parent_process
     from multiprocessing.connection import wait
 
-    from . import columnar
-
-    global _FORK_INTERNED
-    _FORK_INTERNED = columnar.interned_values()
     sentinel = parent_process().sentinel
 
     def watch() -> None:
@@ -240,7 +223,7 @@ def _thaw_if_idle() -> None:
 
 
 def _drop_pool(workers: int, pool) -> None:
-    """Forget a broken or worn pool (unless a fresh one already
+    """Forget a broken pool (unless a fresh one already
     replaced it) and reap its children once their queued work is
     done."""
     with _POOL_LOCK:
@@ -305,11 +288,10 @@ def _worker_run(
 ):
     """Top-level (picklable) worker body: seed the bag table, run the
     fingerprint-ref jobs through a private engine, and return the
-    engine's verdict deltas, the worker's span deltas (``trace_id``
+    engine's verdict deltas and the worker's span deltas (``trace_id``
     rides in with the payload; spans ride back and merge like
-    verdicts) and how many values the worker has interned since its
-    fork."""
-    from . import columnar, fingerprint
+    verdicts)."""
+    from . import fingerprint
     from .session import Engine
 
     with obs_trace.worker_trace(trace_id) as worker_span_sink:
@@ -335,8 +317,7 @@ def _worker_run(
         worker_span_sink.export_spans()
         if worker_span_sink is not None else []
     )
-    interned = columnar.interned_values() - _FORK_INTERNED
-    return engine.store.export(), spans, interned
+    return engine.store.export(), spans
 
 
 def run_process_batch(
@@ -403,19 +384,15 @@ def run_process_batch(
             # broken (a worker died since the last batch) or shut down
             # under us: the unsubmitted chunks are lost, not failed
             _drop_pool(workers, pool)
-        worn = False
         for index, future in enumerate(futures):
             try:
-                deltas, worker_spans, interned = future.result()
+                deltas, worker_spans = future.result()
             except BrokenProcessPool:
                 _drop_pool(workers, pool)
                 continue
             engine.store.merge(deltas)
             if trace is not None and worker_spans:
                 trace.merge_remote(worker_spans, worker=index)
-            worn = worn or interned > MAX_INTERNED
-        if worn:
-            _drop_pool(workers, pool)
         elapsed = time.perf_counter() - batch_start
         _PROCESS_HISTOGRAM.record(elapsed)
         if trace is not None:

@@ -44,10 +44,10 @@ import threading
 import weakref
 from functools import lru_cache
 from hashlib import blake2b
+from itertools import starmap
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..analysis.registry import register_lock
-from . import columnar
 from .index import BagIndex, RelationIndex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -64,7 +64,6 @@ __all__ = [
     "of_schema",
     "row_term",
     "seed",
-    "seed_with_encoding",
     "shift_content",
 ]
 
@@ -117,47 +116,33 @@ def _row_term_cached(encoded: str) -> int:
     return _digest(encoded.encode("utf-8", "surrogatepass"))
 
 
+def _row_key(row: tuple) -> str:
+    return "row|" + "|".join([_encode_value(v) for v in row])
+
+
 def row_term(row: tuple, mult: int) -> int:
     """The commutative-sum term for one ``(row, multiplicity)`` entry.
 
     Only defined for positive multiplicities — a stored bag never holds
     a zero row, and the incremental shift skips the zero side.
     """
-    encoded = "row|" + "|".join(_encode_value(v) for v in row) + f"|#{mult}"
-    return _row_term_cached(encoded)
+    return _row_term_cached(f"{_row_key(row)}|#{mult}")
 
 
 def content_sum(items: Iterable[tuple[tuple, int]]) -> int:
-    """The order-insensitive combination of every row term (mod 2**128).
-
-    The per-row BLAKE2b terms are unchanged in every backend — only the
-    modular sum vectorizes (four 32-bit limb columns, one array
-    reduction), so fingerprints computed with and without numpy, in
-    workers and in daemons, are identical bit for bit.
-    """
-    size = len(items) if hasattr(items, "__len__") else None
-    if size is not None and _vector_eligible(size):
-        columnar.count_columnar("fingerprints")
-        return columnar.sum_u128([row_term(row, mult) for row, mult in items])
-    columnar.count_row("fingerprints")
-    total = 0
-    for row, mult in items:
-        total += row_term(row, mult)
-    return total & MASK
-
-
-def _vector_eligible(size: int) -> bool:
-    # sum_u128's uint64 limb sums are exact for fewer than 2**31 terms
-    return columnar.enabled() and columnar.MIN_ROWS <= size < (1 << 31)
+    """The order-insensitive combination of every row term (mod 2**128)."""
+    return sum(starmap(row_term, items)) & MASK
 
 
 def shift_content(content: int, row: tuple, old: int, new: int) -> int:
     """The O(1) incremental update: move ``row`` from multiplicity
-    ``old`` to ``new`` (either side may be zero = absent)."""
+    ``old`` to ``new`` (either side may be zero = absent); the row is
+    encoded once for both terms."""
+    key = _row_key(row)
     if old > 0:
-        content -= row_term(row, old)
+        content -= _row_term_cached(f"{key}|#{old}")
     if new > 0:
-        content += row_term(row, new)
+        content += _row_term_cached(f"{key}|#{new}")
     return content & MASK
 
 
@@ -168,12 +153,6 @@ def bag_fingerprint(schema_fp: int, content: int, support_size: int) -> int:
 
 def relation_fingerprint(schema_fp: int, content: int, size: int) -> int:
     return _digest(b"rel|%d|%d|%d" % (schema_fp, size, content))
-
-
-def _relation_content(rows: Iterable[tuple]) -> int:
-    if hasattr(rows, "__len__") and _vector_eligible(len(rows)):
-        return content_sum([(row, 1) for row in rows])
-    return content_sum((row, 1) for row in rows)
 
 
 def of_bag(bag: "Bag") -> int:
@@ -214,7 +193,7 @@ def of_relation(relation: "Relation") -> int:
         return fp
     fp = relation_fingerprint(
         of_schema(relation._schema),
-        _relation_content(relation._rows),
+        content_sum((row, 1) for row in relation._rows),
         len(relation._rows),
     )
     with _REGISTRY_LOCK:
@@ -250,16 +229,4 @@ def seed(bag: "Bag", fp: int) -> "Bag":
                     bag._index = shared
                 return bag
             _BAG_INDEXES[fp] = index
-    return bag
-
-
-def seed_with_encoding(bag: "Bag", fp: int, encoded) -> "Bag":
-    """:func:`seed`, then publish a ready-made columnar encoding — a
-    wire frame's remapped twin — onto the bag's index.  The order
-    matters: seeding may swap ``bag._index`` for a value-equal peer's
-    shared index, and the encoding must land on the index the engine
-    will actually consult."""
-    seed(bag, fp)
-    if encoded is not None:
-        columnar.adopt_encoding(BagIndex.of(bag), encoded)
     return bag

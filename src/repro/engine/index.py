@@ -14,7 +14,8 @@ Invariants:
 * an index never outlives its instance, and an instance has at most one
   index (:meth:`BagIndex.of` is the only constructor call site);
 * everything cached here is a pure function of the instance's rows —
-  marginals, buckets, key sets, the deterministic row order;
+  marginals, buckets, key sets, the deterministic row order, the wire
+  export;
 * cached marginal bags are themselves ordinary immutable bags, so index
   chains (marginal-of-marginal) memoize transparently.
 
@@ -29,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from ..analysis.registry import register_lock
 from ..core.schema import Schema, projection_plan
-from . import columnar, kernels
+from . import kernels
 
 # Guards first-use index creation: two engine worker threads touching
 # the same instance must end up sharing one index, not build two and
@@ -55,10 +56,9 @@ class BagIndex:
     every bag with the same content (hence the ``__weakref__`` slot:
     the registry holds indexes weakly).
 
-    The ``_columnar`` slot caches the bag's dictionary encoding
-    (:mod:`repro.engine.columnar`) under the same sharing regime, so
-    the encoding is effectively keyed by content fingerprint: two
-    value-equal bags encode once.
+    The ``_export`` slot caches the bag's v2 wire export
+    (:mod:`repro.engine.wire`) under the same sharing regime, so a bag
+    sent in many frames builds its per-column dictionaries once.
     """
 
     __slots__ = (
@@ -68,7 +68,7 @@ class BagIndex:
         "_key_sets",
         "_sorted",
         "_fingerprint",
-        "_columnar",
+        "_export",
         "__weakref__",
     )
 
@@ -79,7 +79,7 @@ class BagIndex:
         self._key_sets: dict[tuple, set] = {}
         self._sorted: list[tuple] | None = None
         self._fingerprint: int | None = None
-        self._columnar = None
+        self._export = None
 
     @staticmethod
     def of(bag: "Bag") -> "BagIndex":
@@ -104,12 +104,9 @@ class BagIndex:
         key = target.attrs
         cached = self._marginals.get(key)
         if cached is None:
-            table = columnar.try_marginal(self, key)
-            if table is None:
-                columnar.count_row("marginals")
-                table = kernels.marginal_table(
-                    bag._mults.items(), bag._schema.attrs, key
-                )
+            table = kernels.marginal_table(
+                bag._mults.items(), bag._schema.attrs, key
+            )
             cached = type(bag)._from_clean(target, table)
             self._marginals[key] = cached
         return cached
@@ -155,7 +152,6 @@ class RelationIndex:
         "_buckets",
         "_key_sets",
         "_fingerprint",
-        "_columnar",
         "__weakref__",
     )
 
@@ -165,7 +161,6 @@ class RelationIndex:
         self._buckets: dict[tuple, dict] = {}
         self._key_sets: dict[tuple, frozenset] = {}
         self._fingerprint: int | None = None
-        self._columnar = None
 
     @staticmethod
     def of(relation: "Relation") -> "RelationIndex":

@@ -21,7 +21,8 @@ store would collapse their entries anyway.
 
 :func:`run_jobs` executes a parsed payload against one engine and
 returns the report dict (per-job results + the engine's cache
-statistics + the store's hit-rate/size stats).
+statistics + the store's hit-rate/size stats + the wire counters under
+``kernels``).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from ..core.bags import Bag
 from ..errors import ReproError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
+from . import wire
 
 # Per-section latency (pairs / collections / suites): how a mixed batch
 # splits its time across job kinds.
@@ -209,7 +211,5 @@ def run_jobs(
             raise JobError(f"bad suite spec: {exc}") from exc
     report["stats"] = engine.stats.as_dict()
     report["store"] = engine.store.stats_dict()
-    from . import columnar
-
-    report["kernels"] = columnar.kernel_stats()
+    report["kernels"] = wire.wire_stats()
     return report

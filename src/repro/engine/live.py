@@ -45,9 +45,7 @@ from ..consistency.incremental import IncrementalPairChecker, validate_update
 from ..core.bags import Bag
 from ..core.schema import Schema
 from ..lp.integer_feasibility import DEFAULT_NODE_BUDGET
-from . import columnar, fingerprint
-from .columnar import ColumnarDelta
-from .index import BagIndex
+from . import fingerprint
 from .live_global import LiveGlobalWitness
 from .session import Engine, EngineStats, VerdictStore
 
@@ -74,18 +72,9 @@ class LiveBag:
     bag.  All mutation goes through :meth:`LiveEngine.update` (which
     also maintains the pair checkers and the store); the handle itself
     is read-only.
-
-    The handle also maintains a **columnar delta**
-    (:class:`~repro.engine.columnar.ColumnarDelta`): row updates adjust
-    the encoded mult vector in place (inserts stage and append in
-    batch, deletes-to-zero mask out with periodic compaction), so each
-    snapshot is born with a ready columnar encoding instead of paying a
-    fresh dictionary-encoding pass per update.
     """
 
-    __slots__ = (
-        "schema", "name", "_mults", "_snapshot", "_content", "_columnar"
-    )
+    __slots__ = ("schema", "name", "_mults", "_snapshot", "_content")
 
     def __init__(
         self, schema: Schema, mults: Mapping[tuple, int], name: str
@@ -95,7 +84,6 @@ class LiveBag:
         self._mults: dict[tuple, int] = dict(mults)
         self._snapshot: Bag | None = None
         self._content = fingerprint.content_sum(self._mults.items())
-        self._columnar = ColumnarDelta(schema.attrs, self._mults)
 
     def fingerprint(self) -> int:
         """The current content fingerprint, from the incrementally
@@ -115,11 +103,6 @@ class LiveBag:
             # the validation-free constructor applies.
             snapshot = Bag._from_clean(self.schema, dict(self._mults))
             self._snapshot = fingerprint.seed(snapshot, self.fingerprint())
-            encoded = self._columnar.snapshot()
-            # hand the maintained encoding to the snapshot's index
-            # (possibly adopted via the registry — then it either
-            # has one already or decides eligibility on its own)
-            columnar.adopt_encoding(BagIndex.of(self._snapshot), encoded)
         return self._snapshot
 
     def multiplicity(self, row) -> int:
@@ -193,6 +176,8 @@ class LiveEngine:
         # dropped when membership changes (add_bag) — the PR-5 bugfix
         # for global_check re-running GYO on every post-update call.
         self._acyclic_sets: dict[frozenset[int], bool] = {}
+        # the key of the whole handle set, kept current by add_bag
+        self._schema_key: frozenset[int] = frozenset()
         # slot set -> the maintained Theorem 6 fold tree for those
         # handles (created on the first global check served live).
         # LRU-bounded at max_fold_trees: trees pin bag snapshots and
@@ -237,6 +222,7 @@ class LiveEngine:
         self._slots[handle] = len(self._handles)
         self._handles.append(handle)
         self._acyclic_sets.clear()  # membership changed, row updates don't
+        self._schema_key |= {fingerprint.of_schema(bag.schema)}
         return handle
 
     def _resolve(self, handle) -> LiveBag:
@@ -269,7 +255,6 @@ class LiveEngine:
         handle._content = fingerprint.shift_content(
             handle._content, row, new - amount, new
         )
-        handle._columnar.update(row, new)
         if new == 0:
             handle._mults.pop(row, None)
         else:
@@ -338,7 +323,12 @@ class LiveEngine:
         """Every two tracked bags (or every two of ``handles``) are
         consistent (Section 4) — O(pairs) maintained flag reads."""
         if handles is None:
-            slots = range(len(self._handles))
+            m = len(self._handles)
+            if len(self._checkers) == m * (m - 1) // 2:  # all built
+                return all(
+                    checker.consistent for checker in self._checkers.values()
+                )
+            slots = range(m)
         else:
             slots = sorted(
                 {self._slots[self._resolve(handle)] for handle in handles}
@@ -357,14 +347,14 @@ class LiveEngine:
         :meth:`add_bag` changes membership — repeated post-update
         global checks stop re-running the GYO reduction.
         """
-        resolved = (
-            self._handles
-            if handles is None
-            else [self._resolve(handle) for handle in handles]
-        )
-        key = frozenset(
-            fingerprint.of_schema(handle.schema) for handle in resolved
-        )
+        if handles is None:
+            resolved = self._handles
+            key = self._schema_key
+        else:
+            resolved = [self._resolve(handle) for handle in handles]
+            key = frozenset(
+                fingerprint.of_schema(handle.schema) for handle in resolved
+            )
         acyclic = self._acyclic_sets.get(key)
         if acyclic is None:
             from ..hypergraphs.acyclicity import is_acyclic

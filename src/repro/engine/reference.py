@@ -1,6 +1,6 @@
 """The seed's pre-engine execution paths, preserved verbatim.
 
-Before the columnar engine landed, marginals, bag joins, and the
+Before the engine's kernels landed, marginals, bag joins, and the
 Corollary 1 witness pipeline ran as per-row ``project_values`` loops and
 materialized support-relation joins.  Those loops are kept here, word
 for word, for two jobs:

@@ -413,19 +413,6 @@ class Engine:
         """Number of stored results (shared-store entries included)."""
         return len(self.store)
 
-    def kernel_stats(self) -> dict:
-        """Columnar-vs-row kernel dispatch counters plus whether the
-        numpy backend is active (:func:`repro.engine.columnar.kernel_stats`).
-
-        Process-wide, not per-engine: the counters live at the kernel
-        layer beneath every engine, so a regression to the slow path
-        shows up here no matter which engine drove the work.  Reported
-        as the ``kernels`` section of ``repro batch`` reports and
-        ``repro serve`` stats."""
-        from . import columnar
-
-        return columnar.kernel_stats()
-
     # -- cache plumbing --------------------------------------------------
 
     def _get(self, key: tuple):

@@ -2,15 +2,13 @@
 
 The serve protocol's v1 encoding moves *rows*: a batch payload is one
 newline-JSON object whose bags are ``{"schema": ..., "tuples": ...}``
-row lists, and the receiving daemon re-validates, re-interns, and
-re-fingerprints every bag from scratch.  This module adds the **v2
-frame**: a length-prefixed binary message that ships each bag as dense
-int64 *code* arrays plus the per-attribute dictionary slices those
-codes reference, so the receiver rebuilds the columnar encoding with a
-vectorized remap instead of re-encoding rows — and adopts it straight
-onto the fingerprint-shared :class:`~repro.engine.index.BagIndex`
-``_columnar`` slot, fingerprint riding along, so the first engine query
-is a pure :class:`VerdictStore` probe.
+row lists, and the receiving daemon re-validates and re-fingerprints
+every bag from scratch.  This module adds the **v2 frame**: a
+length-prefixed binary message that ships each bag once, as int64
+*code* arrays plus the per-column dictionaries those codes index, with
+the sender's content fingerprint riding along — so the receiver skips
+validation and the content scan, and the first engine query is a pure
+:class:`VerdictStore` probe.
 
 Frame layout (all integers little-endian)::
 
@@ -23,58 +21,64 @@ The header of a **jobs frame** is ``{"v": 2, "payload": ..., "bags":
 replaced by a ``{"$bag": i}`` reference into ``bags`` (``"$bag"`` is
 reserved in v2 payloads), and each bag descriptor is either
 
-* inline JSON — ``{"json": <bag dict>, "fp": <fingerprint>}`` — for
-  bags below the columnar floor or without an encoding, or
+* inline JSON — ``{"json": <bag dict>, "fp": <fingerprint>}`` — or
 * columnar — ``{"schema": [...], "n": rows, "total": mult_total,
   "fp": <fingerprint>, "mults": [off, len], "cols": [{"codes":
   [off, len], "values": [...]}, ...]}`` — where ``codes`` index the
   column's **local dictionary** ``values``.
 
-Interner remap rule: sender and receiver interners never agree (they
-are process-local and append-only), so frames never carry raw interner
-codes.  The sender re-bases each column onto a local dictionary
-(``np.unique`` — the distinct values actually used, in code order); the
-receiver interns that small value list into *its* dictionaries and maps
-the code column through the resulting table with one fancy-indexed
-gather.  Response frames carry ``{"v": 2, "response": {...}}`` and no
-blob.
+Local dictionaries: a column's ``values`` are the distinct values the
+bag uses, in first-occurrence order, and its codes are positions in
+that list.  Nothing is shared between bags, peers or processes, so the
+receiver decodes with one gather per column (``values[code]``) and no
+remap; codes are read unsigned, so a negative code indexes past the end
+and the gather bounds-checks itself.  Rows travel in ``repr`` order,
+the order :func:`repro.io.bag_to_dict` writes, so a bag decodes with
+the same row order from a frame as from a JSON line.
 
-Fallback contract: when numpy is absent (``REPRO_NO_NUMPY=1``) the
-decoder walks the same blobs with :mod:`array` — results are
-bit-identical to the JSON row path, just not adopted as an encoding —
-and a peer that never negotiates v2 simply keeps speaking newline JSON.
+Inline rule: a dictionary keeps one entry per Python-equal value, so a
+bag rides inline whenever that would change a value :mod:`repro.io`
+keeps apart — a column holding a non-JSON scalar, mixing ``bool``,
+``int`` and ``float`` (``True == 1 == 1.0``), or holding both ``0.0``
+and ``-0.0`` — and so does a bag under :data:`MIN_ROWS` rows or with a
+multiplicity past int64.  Either way the receiver rebuilds exactly the
+sender's values, so reports are byte-equal over both formats.  The
+sender caches each bag's export on its
+:class:`~repro.engine.index.BagIndex`, so a bag sent in many frames is
+encoded once.  Response frames carry ``{"v": 2, "response": {...}}``
+and no blob; a peer that never negotiates v2 keeps speaking newline
+JSON.
 
 Counters here (frames and bytes per direction, JSON-line traffic for
 comparison) are locked :mod:`repro.obs` registry counters — exact
-under free threading — surfaced in the historical flat-dict shape
-through :func:`repro.engine.columnar.kernel_stats` and in
+under free threading — surfaced in the historical flat-dict shape as
+the ``kernels`` section of batch reports and the ``stats`` op, and in
 Prometheus/JSON form through the ``metrics`` serve op.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 import sys
 from array import array
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .. import io as repro_io
 from ..core.bags import Bag
 from ..obs import metrics as obs_metrics
 from ..core.schema import Schema
 from ..errors import ReproError, SchemaError
-from . import columnar, fingerprint
+from . import fingerprint
 from .index import BagIndex
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .columnar import PortableEncoding
 
 __all__ = [
     "MAGIC",
     "MAX_FRAME_BYTES",
     "MAX_HEADER_BYTES",
     "MAX_LINE",
+    "MIN_ROWS",
     "VERSION",
     "WireError",
     "decode_jobs_frame",
@@ -82,7 +86,6 @@ __all__ = [
     "encode_response_frame",
     "jsonify_payload",
     "payload_has_bags",
-    "portable_bag",
     "read_frame",
     "response_from_frame",
     "split_frame",
@@ -102,7 +105,11 @@ MAX_HEADER_BYTES = 1 << 26
 MAX_FRAME_BYTES = 1 << 31
 MAX_LINE = 32 * 1024 * 1024
 
-_JSON_SCALARS = (str, int, float, bool, type(None))
+# Bags with fewer support rows ride inline as JSON rows.
+MIN_ROWS = 32
+
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+_NUMBERS = frozenset((bool, int, float))
 
 
 class WireError(ReproError):
@@ -126,8 +133,8 @@ _COUNTERS = {
 
 
 def wire_stats() -> dict:
-    """The process-wide wire counters (merged into
-    :func:`repro.engine.columnar.kernel_stats`)."""
+    """The process-wide wire counters (the ``kernels`` section of batch
+    reports and of the ``stats`` op)."""
     return {key: _COUNTERS[key].value for key in _STATS_KEYS}
 
 
@@ -324,48 +331,79 @@ def jsonify_payload(payload: object) -> object:
 # -- bag export ---------------------------------------------------------
 
 
-def _json_safe(port: "PortableEncoding") -> bool:
-    return all(
-        isinstance(value, _JSON_SCALARS)
-        for _, values in port.columns
-        for value in values
-    )
+def _le_bytes(arr: array) -> bytes:
+    if sys.byteorder != "little":  # pragma: no cover - big-endian hosts
+        arr.byteswap()
+    return arr.tobytes()
 
 
-def portable_bag(bag: Bag) -> "PortableEncoding | None":
-    """The bag's re-based columnar export when it has (or earns) an
-    encoding and every value is a JSON scalar, else ``None`` — the
-    caller falls back to inline JSON (socket) or pickle (executor)."""
-    if not columnar.enabled():
+def _signed_zeros(col: tuple) -> bool:
+    """True when ``col`` holds both ``0.0`` and ``-0.0``: equal, so one
+    dictionary entry, yet apart in JSON and in fingerprints."""
+    signs = {math.copysign(1.0, value) for value in col if value == 0.0}
+    return len(signs) > 1
+
+
+def _encode_column(col: tuple) -> tuple[bytes, list] | None:
+    """One column as its codes blob and local dictionary, or ``None``
+    when a dictionary would merge values :mod:`repro.io` keeps apart."""
+    types = set(map(type, col))
+    if not types <= _JSON_SCALARS or len(types & _NUMBERS) > 1:
         return None
-    encoded = columnar.of_index(BagIndex.of(bag))
-    if encoded is None:
+    values = dict.fromkeys(col)
+    if float in types and 0.0 in values and _signed_zeros(col):
         return None
-    port = columnar.export_encoding(encoded)
-    return port if _json_safe(port) else None
+    index = dict(zip(values, range(len(values))))
+    return _le_bytes(array("q", map(index.__getitem__, col))), list(values)
 
 
-def _columnar_descriptor(
-    fp: int, port: "PortableEncoding", writer: _BlobWriter
-) -> dict:
-    return {
-        "schema": list(port.attrs),
-        "n": port.n,
-        "total": port.total,
-        "fp": fp,
-        "mults": writer.add(port.mults),
-        "cols": [
-            {"codes": writer.add(codes), "values": values}
-            for codes, values in port.columns
-        ],
-    }
+def _encode_bag(index: BagIndex) -> tuple | None:
+    # Rows go in ``repr`` order, the order repro.io writes, so a bag
+    # decodes in the same row order from a frame as from a JSON line,
+    # and so do the witnesses built from its buckets.
+    rows = index.sorted_rows()
+    try:
+        mults = array("q", map(index.bag._mults.__getitem__, rows))
+    except OverflowError:
+        return None  # a multiplicity past int64
+    columns = []
+    for col in zip(*rows):
+        column = _encode_column(col)
+        if column is None:
+            return None
+        columns.append(column)
+    return len(rows), sum(mults), _le_bytes(mults), columns
+
+
+def _export(bag: Bag) -> tuple | None:
+    """The bag's columnar export — ``(n, total, mults blob, [(codes
+    blob, values), ...])`` — or ``None`` when it rides inline.  Cached
+    on the bag's :class:`BagIndex` (``()`` marks an inline bag); a
+    racing fill computes an equal value, like every other index memo."""
+    if len(bag._mults) < MIN_ROWS:
+        return None
+    index = BagIndex.of(bag)
+    if index._export is None:
+        index._export = _encode_bag(index) or ()
+    return index._export or None
 
 
 def _export_bag(bag: Bag, fp: int, writer: _BlobWriter) -> dict:
-    port = portable_bag(bag)
-    if port is None:
+    export = _export(bag)
+    if export is None:
         return {"json": repro_io.bag_to_dict(bag), "fp": fp}
-    return _columnar_descriptor(fp, port, writer)
+    n, total, mults, columns = export
+    return {
+        "schema": list(bag._schema.attrs),
+        "n": n,
+        "total": total,
+        "fp": fp,
+        "mults": writer.add(mults),
+        "cols": [
+            {"codes": writer.add(codes), "values": values}
+            for codes, values in columns
+        ],
+    }
 
 
 def encode_jobs_frame(payload: dict) -> bytes:
@@ -427,32 +465,30 @@ def _blob_slice(blob, ref: object, expected: int) -> "memoryview":
     return view[off:off + length]
 
 
-def _int64_list(buf, n: int) -> array:
-    arr = array("q")
-    arr.frombytes(bytes(buf))
+def _int64s(buf, typecode: str) -> array:
+    """A blob section as signed (``"q"``) or unsigned (``"Q"``)
+    int64s; :func:`_blob_slice` has checked its length."""
+    arr = array(typecode)
+    arr.frombytes(buf)
     if sys.byteorder != "little":  # pragma: no cover - big-endian hosts
         arr.byteswap()
-    if len(arr) != n:
-        raise WireError("int64 column length mismatch")
     return arr
 
 
 def _decode_rows_python(attrs, n, mults_buf, columns):
-    """The numpy-less decode: same blobs, plain :mod:`array` walk —
-    bit-identical rows, no encoding to adopt."""
-    mults = _int64_list(mults_buf, n)
-    if any(mult <= 0 for mult in mults):
+    """A columnar descriptor's rows and multiplicities: one gather per
+    column through unsigned codes, so an out-of-range code — negative
+    ones included — raises instead of wrapping around."""
+    mults = _int64s(mults_buf, "q")
+    if n and min(mults) <= 0:
         raise WireError("non-positive multiplicity in frame")
-    decoded_cols = []
-    for codes_buf, values in columns:
-        codes = _int64_list(codes_buf, n)
-        bound = len(values)
-        col = []
-        for code in codes:
-            if not 0 <= code < bound:
-                raise WireError("dictionary code out of range in frame")
-            col.append(values[code])
-        decoded_cols.append(col)
+    try:
+        decoded_cols = [
+            list(map(values.__getitem__, _int64s(codes_buf, "Q")))
+            for codes_buf, values in columns
+        ]
+    except IndexError:
+        raise WireError("dictionary code out of range in frame") from None
     rows = list(zip(*decoded_cols)) if attrs else [()] * n
     return rows, mults.tolist()
 
@@ -494,18 +530,7 @@ def _bag_from_descriptor(desc: object, blob) -> Bag:
         columns.append(
             (_blob_slice(blob, col.get("codes"), 8 * n), col["values"])
         )
-    try:
-        if columnar.enabled():
-            rows, mults, encoded = columnar.import_encoding(
-                schema.attrs, n, mults_buf, columns
-            )
-        else:
-            rows, mults = _decode_rows_python(
-                schema.attrs, n, mults_buf, columns
-            )
-            encoded = None
-    except ValueError as exc:
-        raise WireError(f"bad columnar bag in frame: {exc}") from exc
+    rows, mults = _decode_rows_python(schema.attrs, n, mults_buf, columns)
     try:
         table = dict(zip(rows, mults))
     except TypeError as exc:
@@ -514,17 +539,13 @@ def _bag_from_descriptor(desc: object, blob) -> Bag:
         raise WireError("duplicate rows in columnar bag frame")
     if sum(mults) != total:
         raise WireError("multiplicity total mismatch in frame")
-    bag = Bag._from_clean(schema, table)
-    # Seed first, adopt second: seeding may swap the bag onto a shared
-    # value-equal index, and the encoding must land on *that* index.
-    fingerprint.seed_with_encoding(bag, fp, encoded)
-    return bag
+    return fingerprint.seed(Bag._from_clean(schema, table), fp)
 
 
 def decode_jobs_frame(header: dict, blob) -> dict:
     """A jobs frame back into the plain batch payload shape, every
-    ``{"$bag": i}`` reference replaced by a rebuilt (seeded, possibly
-    encoding-adopting) :class:`Bag` — ready for ``parse_jobs``."""
+    ``{"$bag": i}`` reference replaced by a rebuilt, fingerprint-seeded
+    :class:`Bag` — ready for ``parse_jobs``."""
     version = header.get("v")
     if version != VERSION:
         raise WireError(f"unsupported frame header version {version!r}")

@@ -5,8 +5,8 @@ Three small modules, one contract:
 
 * :mod:`repro.obs.metrics` — thread-safe counters/gauges/log-bucket
   histograms in a :class:`MetricsRegistry`; the process-global
-  :data:`REGISTRY` carries process-wide totals (kernel dispatch, wire
-  traffic, store I/O latency) while each ``ReproServer`` owns a private
+  :data:`REGISTRY` carries process-wide totals (wire traffic, store
+  I/O latency) while each ``ReproServer`` owns a private
   registry for exact per-daemon counts.
 * :mod:`repro.obs.trace` — per-request spans behind a contextvar,
   propagated through the thread pool by re-setting the var per worker
@@ -26,8 +26,8 @@ end-to-end overhead and gates it (≤ 3% target, reported in
 
 All locks and shared containers here are declared in the
 :mod:`repro.analysis` registry under the terminal ``obs`` tier, so
-recording a metric while holding any engine/store/columnar/interner
-lock is legal under RL05 and the ``REPRO_SANITIZE=1`` proxies.
+recording a metric while holding any engine or store lock is legal
+under RL05 and the ``REPRO_SANITIZE=1`` proxies.
 """
 
 from __future__ import annotations

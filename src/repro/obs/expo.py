@@ -6,7 +6,7 @@ dict (optionally several, merged with :func:`merge_snapshots` — the
 ``metrics`` serve op merges the per-server registry with the
 process-global one).  :func:`gauge_family` bridges the legacy
 dict-shaped stats surfaces (``EngineStats.as_dict``, store
-``stats_dict``, kernel counters) into gauge entries at exposition time,
+``stats_dict``, server counters) into gauge entries at exposition time,
 so those dataclasses stay byte-compatible and collision-free — they
 are *views*, not registered metrics.
 """

@@ -4,9 +4,9 @@ latency histograms.
 Every layer of the stack (serve socket, jobs driver, Engine, executors,
 wire codec, persistent store) records into one of two registries:
 
-* the process-global :data:`REGISTRY` for process-wide totals — kernel
-  dispatch counters, wire/shm traffic, store I/O latency — exactly the
-  counters the pre-telemetry code kept as racy module-level dicts, and
+* the process-global :data:`REGISTRY` for process-wide totals — wire
+  traffic, store I/O latency — exactly the counters the pre-telemetry
+  code kept as racy module-level dicts, and
 * a per-:class:`~repro.server.ReproServer` registry for daemon totals
   and per-op request latency, so tests (and a multi-daemon host) see
   exact per-server counts.
@@ -316,7 +316,7 @@ def flat_name(name: str, labels: dict | None) -> str:
     return f"{name}{{{inner}}}"
 
 
-# The process-global registry: process-wide totals (kernel dispatch,
-# wire/shm traffic, store I/O).  Per-server counters live on each
+# The process-global registry: process-wide totals (wire traffic,
+# store I/O).  Per-server counters live on each
 # ReproServer's own registry instead.
 REGISTRY = MetricsRegistry()

@@ -160,9 +160,7 @@ class ReproServer:
                 "choose 'json' or 'columnar'"
             )
         # "columnar" advertises v2 frames in the ping handshake (and
-        # accepts them); "json" simulates a v1-only daemon.  Frames
-        # decode fine without numpy (the pure-Python blob walk), so the
-        # advertisement does not depend on it.
+        # accepts them); "json" simulates a v1-only daemon.
         self.wire_format = wire_format
         self._owns_store = False
         if engine is not None:
@@ -426,12 +424,10 @@ class ReproServer:
             inflight = self._inflight
             refusals = self.admission_refusals
             peak = self.peak_inflight
-        from .engine import columnar
-
         return {
             "stats": aggregated.as_dict(),
             "store": self.store.stats_dict(),
-            "kernels": columnar.kernel_stats(),
+            "kernels": wire.wire_stats(),
             "wire_format": self.wire_format,
             "requests": requests,
             "batches": batches,

@@ -181,10 +181,10 @@ def wide_planted_collection(
     max_multiplicity: int = 3,
 ) -> tuple[Bag, list[Bag]]:
     """A planted collection over wide sliding-window schemas with a
-    high-cardinality domain — the workload shape that stresses
-    dictionary encoding (many attributes, many distinct values, few
-    repeated keys) and exposes the row-kernel gap the columnar bench
-    gate measures.  Globally consistent by construction."""
+    high-cardinality domain — the workload shape that stresses the
+    wire format's per-column dictionaries (many attributes, many
+    distinct values, few repeated keys).  Globally consistent by
+    construction."""
     return planted_collection(
         wide_window_schemas(n_bags, width, overlap),
         rng,

@@ -201,9 +201,9 @@ _register(InstanceSuite(
 _register(InstanceSuite(
     name="planted-wide",
     description="Marginals of a hidden witness over wide sliding-window "
-                "schemas with a high-cardinality domain — the "
-                "dictionary-encoding stress shape of the columnar "
-                "kernels; consistent, acyclic.",
+                "schemas with a high-cardinality domain — many "
+                "attributes, many distinct values, few repeated "
+                "keys; consistent, acyclic.",
     expected="consistent",
     schema_kind="acyclic",
     min_size=1,

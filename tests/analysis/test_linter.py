@@ -13,10 +13,11 @@ from repro.analysis.baseline import apply_baseline, load_baseline, \
     write_baseline
 from repro.analysis.linter import collect_registry, iter_python_files, \
     lint_paths
+from repro.analysis.registry import LOCK_ORDER
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 ENGINE_DIR = REPO_ROOT / "src" / "repro" / "engine"
-COLUMNAR = ENGINE_DIR / "columnar.py"
+SESSION = ENGINE_DIR / "session.py"
 
 PREAMBLE = """\
 import threading
@@ -202,16 +203,16 @@ def maintained(handle, row):
 def test_rl05_inversion(tmp_path):
     findings = lint_snippet(tmp_path, """
 _ENG = register_lock("_ENG", threading.Lock(), tier="engine")
-_INT = register_lock("_INT", threading.Lock(), tier="interner")
+_STO = register_lock("_STO", threading.Lock(), tier="store")
 
 def inverted():
-    with _INT:
+    with _STO:
         with _ENG:
             pass
 
 def declared_order():
     with _ENG:
-        with _INT:
+        with _STO:
             pass
 """)
     assert rules_of(findings) == ["RL05"]
@@ -225,15 +226,18 @@ def test_registry_collected_from_real_tree():
     registry = collect_registry(
         iter_python_files([REPO_ROOT / "src" / "repro"])
     )
-    assert "_Interner" in registry.classes
     assert "VerdictStore" in registry.classes
     assert "Shard" in registry.classes
     assert registry.classes["Shard"].tier == "store"
-    assert "_ENCODE_LOCK" in registry.named_locks
-    assert registry.slot_guards["_columnar"] == "_ENCODE_LOCK"
-    assert registry.container_guards["_INTERNERS"] == "_INTERN_LOCK"
-    assert "rows" in registry.all_frozen
-    assert registry.frozen_by_class["ColumnarDelta"] == frozenset({"rows"})
+    assert "_REGISTRY_LOCK" in registry.named_locks
+    assert registry.slot_guards["_fingerprint"] == "_REGISTRY_LOCK"
+    assert registry.container_guards["_BAG_INDEXES"] == "_REGISTRY_LOCK"
+    assert registry.container_guards["_POOLS"] == "_POOL_LOCK"
+    # the wire export cache is a plain index memo, not a guarded slot
+    assert "_export" not in registry.slot_guards
+    tiers = {spec.tier for spec in registry.classes.values()}
+    tiers |= {spec.tier for spec in registry.named_locks.values()}
+    assert tiers <= set(LOCK_ORDER) | {None}
 
 
 # -- the real tree is finding-free ---------------------------------------
@@ -258,29 +262,17 @@ def test_committed_baseline_is_empty():
 # -- seeded regressions (the acceptance criteria) ------------------------
 
 
-def test_seeded_interner_lock_removal_is_rl01(tmp_path):
-    source = COLUMNAR.read_text(encoding="utf-8")
-    assert "with self.lock:" in source
-    seeded = tmp_path / "columnar_nolock.py"
+def test_seeded_store_lock_removal_is_rl01(tmp_path):
+    source = SESSION.read_text(encoding="utf-8")
+    # the first guarded block is VerdictStore.get's hit/miss accounting
+    assert "with self._lock:" in source
+    seeded = tmp_path / "session_nolock.py"
     seeded.write_text(
-        source.replace("with self.lock:", "if True:"), encoding="utf-8"
+        source.replace("with self._lock:", "if True:", 1), encoding="utf-8"
     )
     findings = lint_paths([seeded])
-    assert any(f.rule == "RL01" and "_Interner" in f.detail
+    assert any(f.rule == "RL01" and "VerdictStore" in f.detail
                for f in findings)
-
-
-def test_seeded_materialize_extend_is_rl03(tmp_path):
-    source = COLUMNAR.read_text(encoding="utf-8")
-    rebind = "self.rows = self.rows + encoded.rows"
-    assert rebind in source
-    seeded = tmp_path / "columnar_extend.py"
-    seeded.write_text(
-        source.replace(rebind, "self.rows.extend(encoded.rows)"),
-        encoding="utf-8",
-    )
-    findings = lint_paths([seeded])
-    assert any(f.rule == "RL03" and "rows" in f.detail for f in findings)
 
 
 # -- baseline mechanics --------------------------------------------------

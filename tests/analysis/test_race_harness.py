@@ -12,8 +12,8 @@ Ownership contracts are respected by construction: ``VerdictStore`` /
 ``PersistentVerdictStore`` are shared across threads (that is their
 documented job), while each thread owns its ``Engine`` facade and
 ``LiveEngine`` privately (single-owner by contract) — the shared
-surfaces under those are the interners, the fingerprint registry, and
-the columnar encodings.
+surfaces under those are the fingerprint registry and the bag indexes
+it lets value-equal bags share.
 """
 
 import random
@@ -68,8 +68,7 @@ def run_threads(worker, n=N_THREADS):
 
 
 def make_pairs():
-    """Deterministic (r, s, consistent?) pool; sizes past MIN_ROWS so
-    the columnar encode/publish paths are exercised."""
+    """Deterministic (r, s, consistent?) pool of 40-60-row bags."""
     ab, bc = Schema(("A", "B")), Schema(("B", "C"))
     pairs = []
     rng = random.Random(SEED)
@@ -128,8 +127,8 @@ def test_engines_share_store_verdicts_match_oracle(sanitize):
 
 
 def test_live_engines_under_shared_registries(sanitize):
-    """Private live engines, shared interner/fingerprint/columnar
-    machinery: every thread's stream must match its own serial replay."""
+    """Private live engines, shared fingerprint registry and bag
+    indexes: every thread's stream must match its own serial replay."""
     ab, bc = Schema(("A", "B")), Schema(("B", "C"))
 
     def script(tid):

@@ -1,5 +1,5 @@
 """The REPRO_SANITIZE runtime half: guarded containers, lock
-assertions, snapshot freezing, and the activation contract."""
+assertions, and the activation contract."""
 
 import threading
 from collections import OrderedDict
@@ -14,12 +14,7 @@ from repro.analysis.registry import (
     requires_lock,
     shared_state,
 )
-from repro.analysis.sanitizer import FrozenRows, SanitizerError
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy-less CI job
-    np = None
+from repro.analysis.sanitizer import SanitizerError
 
 
 @pytest.fixture
@@ -132,44 +127,6 @@ def test_sanitizer_error_is_assertion_error():
     assert issubclass(SanitizerError, AssertionError)
 
 
-def test_frozen_rows(sanitize):
-    rows = sanitizer.freeze_rows([(1,), (2,)])
-    assert isinstance(rows, FrozenRows)
-    assert list(rows) == [(1,), (2,)]
-    assert rows[0] == (1,)
-    for mutate in (
-        lambda: rows.append((3,)),
-        lambda: rows.extend([(3,)]),
-        lambda: rows.__setitem__(0, (9,)),
-        lambda: rows.pop(),
-        lambda: rows.sort(),
-    ):
-        with pytest.raises(SanitizerError):
-            mutate()
-    # the sanctioned rebind idiom still works: + yields a plain list
-    widened = rows + [(3,)]
-    assert type(widened) is list and len(widened) == 3
-    # idempotent
-    assert sanitizer.freeze_rows(rows) is rows
-
-
-def test_freeze_rows_noop_when_inactive(desanitize):
-    rows = [1, 2]
-    assert sanitizer.freeze_rows(rows) is rows
-
-
-@pytest.mark.skipif(np is None, reason="numpy unavailable")
-def test_freeze_array(sanitize):
-    arr = np.arange(4)
-    sanitizer.freeze_array(arr)
-    with pytest.raises(ValueError):
-        arr[0] = 9
-    # copy-on-write survives: a copy of a frozen array is writable
-    clone = arr.copy()
-    clone[0] = 9
-    assert clone[0] == 9 and arr[0] == 0
-
-
 def test_named_lock_registration():
     lock = register_lock("_SAN_TEST_LOCK", threading.Lock(),
                          tier="store")
@@ -188,28 +145,3 @@ def test_register_lock_rejects_unknown_tier():
 def test_shared_state_rejects_unknown_tier():
     with pytest.raises(ValueError):
         shared_state("_lock", "x", tier="not-a-tier")
-
-
-def test_columnar_snapshot_is_frozen(sanitize):
-    """The PR 6 aliasing bug class, live: a snapshot's rows physically
-    refuse in-place mutation while the delta keeps working through
-    rebinds."""
-    pytest.importorskip("numpy")
-    from repro.engine import columnar
-    from repro.engine.columnar import ColumnarDelta
-
-    if not columnar.enabled():
-        pytest.skip("columnar path disabled")
-    delta = ColumnarDelta(("A",), {(i,): 1 for i in range(64)})
-    snap = delta.snapshot()
-    assert snap is not None
-    with pytest.raises(SanitizerError):
-        snap.rows.append(("x",))
-    with pytest.raises(ValueError):
-        snap.mults[0] = 99
-    # the delta still takes updates (copy-on-write path) and rebinds
-    delta.update((999,), 1)
-    delta.update((0,), 0)
-    snap2 = delta.snapshot()
-    assert snap2 is not None
-    assert int(snap2.mults.sum()) == delta.total

@@ -10,17 +10,13 @@ schemas, and multiplicities past 2^62:
 * no support cell can be dropped: N(R, S) restricted to the remaining
   cells has no saturated flow (Corollary 4's minimality test);
 * inconsistent pairs raise :class:`InconsistentError` with the
-  historical message;
-* the witness is the same with the columnar kernels enabled, disabled,
-  and forced onto every bag (``MIN_ROWS = 1``).
+  historical message.
 
 Attribute names are module-unique (``WA``, ``WB``, ...) so no index
 cached by another test module is value-equal to the bags here.
 """
 
 from __future__ import annotations
-
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +27,6 @@ from repro.consistency.pairwise import are_consistent, consistency_witness
 from repro.consistency.witness import check_theorem5_bound, is_witness
 from repro.core.bags import Bag
 from repro.core.schema import Schema
-from repro.engine import columnar
 from repro.engine.session import Engine
 from repro.errors import InconsistentError
 from repro.flows.maxflow import saturated_flow
@@ -77,11 +72,6 @@ EMPTY_PAIR = planted(*SHAPES[2], [])
 HUGE_DISJOINT = planted(
     *SHAPES[2], [((0, 1, 2, 0), HUGE + 3), ((1, 1, 0, 2), HUGE)]
 )
-
-
-def copy(bag: Bag) -> Bag:
-    """A value-equal bag with a fresh (empty) index."""
-    return Bag(bag.schema, dict(bag.items()))
 
 
 def n_groups(r: Bag, s: Bag) -> int:
@@ -155,27 +145,6 @@ def test_inconsistent_pairs_raise_the_historical_message(pair, data):
     with pytest.raises(InconsistentError) as info:
         Engine().witness(r, s, minimal=True)
     assert str(info.value) == MESSAGE
-
-
-@settings(deadline=None, max_examples=80, derandomize=True)
-@given(planted_pairs())
-def test_witness_is_backend_independent(pair):
-    r, s = pair
-    columnar.reset_kernel_stats()
-    with mock.patch.object(columnar, "MIN_ROWS", 1):
-        r_forced, s_forced = copy(r), copy(s)
-        assert are_consistent(r_forced, s_forced)
-        forced = consistency_witness(r_forced, s_forced)
-    r_default, s_default = copy(r), copy(s)
-    assert are_consistent(r_default, s_default)
-    default = consistency_witness(r_default, s_default)
-    with columnar.disabled():
-        r_row, s_row = copy(r), copy(s)
-        assert are_consistent(r_row, s_row)
-        row = consistency_witness(r_row, s_row)
-    assert forced == default == row
-    assert list(forced.items()) == list(row.items())
-    assert columnar.kernel_stats()["columnar_witnesses"] == 0
 
 
 @settings(deadline=None, max_examples=80, derandomize=True)

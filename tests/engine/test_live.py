@@ -187,6 +187,18 @@ class TestGlobal:
         assert live.pairwise_consistent()  # Tseitin: pairwise ok...
         assert not live.globally_consistent()  # ...globally broken
 
+    def test_whole_set_answers_follow_added_bags(self):
+        """The whole-set acyclicity key and the all-pairs verdict must
+        both see a bag added after they were first answered."""
+        live, handles = planted_live([AB, BC], seed=3)
+        assert live.schema_acyclic() and live.globally_consistent()
+        live.add_bag(Bag.from_pairs(Schema(["A", "C"]), [((9, 9), 1)]))
+        assert not live.schema_acyclic()  # A-B, B-C, A-C: a triangle
+        assert live.schema_acyclic(handles)  # the first two still a path
+        assert not live.pairwise_consistent()
+        assert live.pairwise_consistent(handles)
+        assert not live.globally_consistent()
+
     def test_capacity_forwarded_to_inner_engine(self):
         live = LiveEngine(capacity=2)
         assert live.engine.capacity == 2

@@ -2,26 +2,31 @@
 
 import io
 import json
+import os
 import random
 import socket
 import socketserver
+import subprocess
+import sys
 import threading
+from array import array
+from pathlib import Path
 
 import pytest
 
 from repro.core.bags import Bag
 from repro.core.schema import Schema
-from repro.engine import columnar, fingerprint, wire
-from repro.engine.index import BagIndex
+from repro.engine import fingerprint, wire
 from repro.engine.jobs import parse_jobs, run_jobs
 from repro.engine.session import Engine
 from repro.errors import ReproError
-from repro.io import bag_to_dict
+from repro.io import bag_from_dict, bag_to_dict
 from repro.server import ReproServer, ServeClient
 from repro.workloads.generators import wide_planted_pair
 
 AB = Schema(["A", "B"])
 BC = Schema(["B", "C"])
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 _UNIQ = [0]
 
@@ -47,6 +52,55 @@ def round_trip(payload):
     return wire.decode_jobs_frame(header, blob)
 
 
+def as_json(bag: Bag) -> str:
+    """The bag as ``repro.io`` writes it: ``True``, ``1`` and ``1.0``,
+    and ``0.0`` and ``-0.0``, compare equal in Python but not here."""
+    return json.dumps(bag_to_dict(bag))
+
+
+def filled(schema, rows):
+    """A bag holding ``rows`` plus string-valued filler rows, enough
+    to clear ``wire.MIN_ROWS``."""
+    width = len(schema.attrs)
+    filler = [
+        tuple(f"v{i}" for _ in range(width))
+        for i in range(wire.MIN_ROWS + 8 - len(rows))
+    ]
+    return Bag.from_pairs(schema, [(row, 1) for row in rows + filler])
+
+
+def mixed_numbers():
+    """One column mixing ``1``, ``True`` and ``1.0`` in distinct rows."""
+    return filled(AB, [(1, 0), (True, 1), (1.0, 2)])
+
+
+def signed_zeros():
+    return filled(AB, [(0.0, 0), (-0.0, 1), (2.5, 2)])
+
+
+def one_and_true():
+    """Two bags of attribute A, one holding ``1`` and one ``True``:
+    each column is type-pure, so both ship as dictionaries."""
+    return (
+        filled(AB, [(1, "x")]),
+        filled(Schema(["A", "C"]), [(True, "y")]),
+    )
+
+
+def descriptor_kinds(payload):
+    frame = wire.encode_jobs_frame(payload)
+    header, _ = wire.read_frame(io.BytesIO(frame))
+    return ["json" if "json" in desc else "cols" for desc in header["bags"]]
+
+
+def patched(blob, ref, ints):
+    """``blob`` with the int64 section at ``ref`` overwritten."""
+    off, length = ref
+    out = bytearray(blob)
+    out[off:off + length] = array("q", ints).tobytes()
+    return bytes(out)
+
+
 @pytest.fixture
 def tcp_server():
     server = ReproServer()
@@ -59,28 +113,39 @@ def tcp_server():
 class TestFrameCodec:
     def test_round_trip_preserves_bags_and_seeds_fingerprints(self):
         r, s = wide_pair()
+        assert descriptor_kinds({"pairs": [[r, s]]}) == ["cols", "cols"]
         decoded = round_trip({"pairs": [[r, s]]})
         l2, r2 = decoded["pairs"][0]
         assert l2 == r and r2 == s
         assert fingerprint.of_bag(l2) == fingerprint.of_bag(r)
         assert fingerprint.of_bag(r2) == fingerprint.of_bag(s)
 
-    @pytest.mark.skipif(not columnar.AVAILABLE, reason="numpy required")
-    def test_decode_adopts_encoding_without_reencoding(self):
+    def test_pure_python_decode_is_bit_identical(self):
         r, s = wide_pair()
-        # prime the sender-side encodings before measuring
         frame = wire.encode_jobs_frame({"pairs": [[r, s]]})
         header, blob = wire.read_frame(io.BytesIO(frame))
-        before = columnar.kernel_stats()["encodings"]
         decoded = wire.decode_jobs_frame(header, blob)
-        assert columnar.kernel_stats()["encodings"] == before
-        l2 = decoded["pairs"][0][0]
-        encoded = BagIndex.of(l2)._columnar
-        assert isinstance(encoded, columnar.ColumnarBag)
-        # the adopted encoding answers marginals directly
-        assert l2.marginal(Schema([l2.schema.attrs[0]])) == r.marginal(
-            Schema([r.schema.attrs[0]])
-        )
+        l2, r2 = decoded["pairs"][0]
+        assert l2 == r and r2 == s
+        # bit-identical to a JSON-lines decode: the same values, types
+        # and row order (witnesses follow row order)
+        for sent, got in ((r, l2), (s, r2)):
+            rowed = bag_from_dict(bag_to_dict(sent))
+            assert list(got.items()) == list(rowed.items())
+            assert as_json(got) == as_json(sent)
+
+    def test_export_is_cached_on_the_index(self, monkeypatch):
+        r, s = wide_pair()
+        first = wire.encode_jobs_frame({"pairs": [[r, s]]})
+
+        def refuse(index):
+            raise AssertionError("bag encoded twice")
+
+        monkeypatch.setattr(wire, "_encode_bag", refuse)
+        assert wire.encode_jobs_frame({"pairs": [[r, s]]}) == first
+        # a value-equal copy shares the index through its fingerprint
+        copy = Bag(r.schema, dict(r.items()))
+        assert wire.encode_jobs_frame({"pairs": [[copy, s]]}) == first
 
     def test_shared_bags_ship_once(self):
         r, s = wide_pair()
@@ -126,51 +191,29 @@ class TestFrameCodec:
         rowed = run_jobs(parse_jobs(json_payload), Engine())
         assert framed["pairs"] == rowed["pairs"]
 
-    @pytest.mark.skipif(not columnar.AVAILABLE, reason="numpy required")
-    def test_pure_python_decode_is_bit_identical(self):
-        r, s = wide_pair()
-        frame = wire.encode_jobs_frame({"pairs": [[r, s]]})
-        header, blob = wire.read_frame(io.BytesIO(frame))
-        with columnar.disabled():
-            decoded = wire.decode_jobs_frame(header, blob)
-        l2, r2 = decoded["pairs"][0]
-        assert l2 == r and r2 == s
-
-    @pytest.mark.skipif(not columnar.AVAILABLE, reason="numpy required")
     def test_remap_is_independent_of_sender_dictionary_order(self):
-        # simulate a foreign client whose interner disagrees with ours:
-        # permute every column's local dictionary and rewrite the codes
+        # a foreign sender may order its dictionaries any way it likes:
+        # reverse every column's local dictionary and rewrite its codes
         r, _ = wide_pair()
-        port = columnar.export_encoding(
-            columnar.of_index(BagIndex.of(r))
-        )
-        np = pytest.importorskip("numpy")
+        frame = wire.encode_jobs_frame({"pairs": [[r, r]]})
+        header, blob = wire.read_frame(io.BytesIO(frame))
+        (desc,) = header["bags"]
         writer = wire._BlobWriter()
-        cols = []
-        for codes_bytes, values in port.columns:
-            codes = np.frombuffer(codes_bytes, dtype="<i8")
-            k = len(values)
-            cols.append({
-                "codes": writer.add(
-                    (k - 1 - codes).astype("<i8").tobytes()
-                ),
-                "values": list(reversed(values)),
-            })
-        desc = {
-            "schema": list(port.attrs),
-            "n": port.n,
-            "total": port.total,
-            "fp": fingerprint.of_bag(r),
-            "mults": writer.add(port.mults),
-            "cols": cols,
-        }
-        frame = wire.pack_frame(
-            {"v": wire.VERSION, "payload": {"pairs": [[{"$bag": 0},
-             {"$bag": 0}]]}, "bags": [desc]},
-            writer,
+        off, length = desc["mults"]
+        desc["mults"] = writer.add(blob[off:off + length])
+        for col in desc["cols"]:
+            off, length = col["codes"]
+            codes = array("q")
+            codes.frombytes(blob[off:off + length])
+            top = len(col["values"]) - 1
+            col["codes"] = writer.add(
+                array("q", (top - code for code in codes)).tobytes()
+            )
+            col["values"].reverse()
+        decoded = wire.decode_jobs_frame(
+            *wire.read_frame(io.BytesIO(wire.pack_frame(header, writer)))
         )
-        decoded = wire.decode_jobs_frame(*wire.read_frame(io.BytesIO(frame)))
-        assert decoded["pairs"][0][0] == r
+        assert as_json(decoded["pairs"][0][0]) == as_json(r)
 
     def test_truncated_frame_raises(self):
         r, s = small_pair()
@@ -190,10 +233,6 @@ class TestFrameCodec:
         with pytest.raises(wire.WireError, match="magic"):
             wire.read_frame(io.BytesIO(b"NOPE" + b"\x00" * 64))
 
-    @pytest.mark.skipif(
-        not columnar.AVAILABLE,
-        reason="columnar descriptors require numpy (inline JSON otherwise)",
-    )
     def test_malformed_descriptors_rejected(self):
         def tampered(mutate):
             r, _ = wide_pair()
@@ -201,6 +240,22 @@ class TestFrameCodec:
             header, blob = wire.read_frame(io.BytesIO(frame))
             mutate(header["bags"][0])
             return header, blob
+
+        def rewritten(refs, value):
+            header, blob = tampered(lambda d: None)
+            desc = header["bags"][0]
+            for ref in refs(desc):
+                blob = patched(blob, ref, [value] * desc["n"])
+            return header, blob
+
+        def first_codes(desc):
+            return [desc["cols"][0]["codes"]]
+
+        def all_codes(desc):
+            return [col["codes"] for col in desc["cols"]]
+
+        def mults(desc):
+            return [desc["mults"]]
 
         header, blob = tampered(lambda d: d.update(total=d["total"] + 1))
         with pytest.raises(wire.WireError, match="total mismatch"):
@@ -214,6 +269,18 @@ class TestFrameCodec:
         header, blob = tampered(lambda d: d.update(mults=[1 << 40, 8]))
         with pytest.raises(wire.WireError, match="blob reference"):
             wire.decode_jobs_frame(header, blob)
+        # codes are read unsigned: a negative one is out of range too
+        for code in (-1, 1 << 40):
+            header, blob = rewritten(first_codes, code)
+            with pytest.raises(wire.WireError, match="out of range"):
+                wire.decode_jobs_frame(header, blob)
+        header, blob = rewritten(all_codes, 0)
+        with pytest.raises(wire.WireError, match="duplicate rows"):
+            wire.decode_jobs_frame(header, blob)
+        for mult in (0, -3):
+            header, blob = rewritten(mults, mult)
+            with pytest.raises(wire.WireError, match="non-positive"):
+                wire.decode_jobs_frame(header, blob)
 
     def test_bad_bag_reference_rejected(self):
         frame = wire.pack_frame({
@@ -224,6 +291,91 @@ class TestFrameCodec:
         header, blob = wire.read_frame(io.BytesIO(frame))
         with pytest.raises(wire.WireError, match="bag reference"):
             wire.decode_jobs_frame(header, blob)
+
+
+class TestExactValues:
+    """Frames carry exactly the values ``repro.io`` keeps apart."""
+
+    def round_trips(self, *bags):
+        decoded = round_trip({"pairs": [list(bags)]})["pairs"][0]
+        for bag, got in zip(bags, decoded):
+            assert as_json(got) == as_json(bag)
+            # the seeded fingerprint is the one its content hashes to
+            fresh = Bag(got.schema, dict(got.items()))
+            assert fingerprint.of_bag(fresh) == fingerprint.of_bag(bag)
+
+    def test_mixed_numbers_in_one_column(self):
+        bag = mixed_numbers()
+        assert descriptor_kinds({"pairs": [[bag, bag]]}) == ["json"]
+        self.round_trips(bag, bag)
+
+    def test_signed_zeros_in_one_column(self):
+        bag = signed_zeros()
+        assert descriptor_kinds({"pairs": [[bag, bag]]}) == ["json"]
+        self.round_trips(bag, bag)
+        # one sign of zero is a plain float column
+        positive = filled(AB, [(0.0, 0), (2.5, 1)])
+        assert descriptor_kinds({"pairs": [[positive, positive]]}) == ["cols"]
+        self.round_trips(positive, positive)
+
+    def test_one_and_true_in_two_bags_of_one_attribute(self):
+        ones, trues = one_and_true()
+        payload = {"pairs": [[ones, trues]]}
+        assert descriptor_kinds(payload) == ["cols", "cols"]
+        self.round_trips(ones, trues)
+        self.round_trips(trues, ones)
+
+    def test_multiplicities_past_int64_ride_inline(self):
+        for top, kind in (((1 << 63) - 1, "cols"), (1 << 63, "json")):
+            bag = Bag.from_pairs(AB, [
+                ((i, i), top if i == 0 else 1) for i in range(wire.MIN_ROWS)
+            ])
+            assert descriptor_kinds({"pairs": [[bag, bag]]}) == [kind]
+            self.round_trips(bag, bag)
+
+    def test_daemon_reports_match_over_both_formats(self, tmp_path):
+        ones, trues = one_and_true()
+        mixed, zeros = mixed_numbers(), signed_zeros()
+        payload = {"pairs": [
+            [mixed, mixed], [zeros, zeros], [ones, trues], [trues, ones],
+        ]}
+        expected = run_jobs(
+            parse_jobs(json.loads(json.dumps(wire.jsonify_payload(payload)))),
+            Engine(),
+            witnesses=True,
+        )["pairs"]
+        path = str(tmp_path / "repro.sock")
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--witnesses",
+             "--socket", path],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        try:
+            assert daemon.stdout.readline().startswith("serving on")
+            # frames first, so the JSON-lines request meets the verdicts
+            # and witnesses the decoded bags left in the daemon's store
+            with ServeClient(path, wire_format="columnar") as client:
+                framed = client.request(payload)
+                assert client.wire_version == wire.VERSION
+            with ServeClient(path, wire_format="json") as client:
+                rowed = client.request(payload)
+                assert client.request({"op": "shutdown"})["ok"]
+            daemon.communicate(timeout=30)
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.communicate()
+        assert framed["ok"] and rowed["ok"]
+        reports = [
+            json.dumps(report, sort_keys=True)
+            for report in (framed["report"]["pairs"],
+                           rowed["report"]["pairs"], expected)
+        ]
+        assert reports[0] == reports[1] == reports[2]
+        assert all(entry["consistent"] for entry in expected)
 
 
 class TestServeNegotiation:
@@ -403,14 +555,16 @@ class TestServeFailurePaths:
             listener.server_close()
 
 
+WIRE_KEYS = {
+    "wire_frames_encoded", "wire_frames_decoded",
+    "wire_frame_bytes_encoded", "wire_frame_bytes_decoded",
+    "wire_json_requests", "wire_json_bytes",
+}
+
+
 class TestObservability:
     def test_kernel_stats_carries_wire_counters(self):
-        stats = columnar.kernel_stats()
-        for key in (
-            "wire_frames_encoded", "wire_frames_decoded",
-            "wire_json_requests", "wire_json_bytes",
-        ):
-            assert key in stats
+        assert set(wire.wire_stats()) == WIRE_KEYS
 
     def test_batch_report_surfaces_wire_counters(self):
         r, s = small_pair()
@@ -418,4 +572,4 @@ class TestObservability:
             parse_jobs({"pairs": [[bag_to_dict(r), bag_to_dict(s)]]}),
             Engine(),
         )
-        assert "wire_frames_encoded" in report["kernels"]
+        assert set(report["kernels"]) == WIRE_KEYS
