@@ -23,9 +23,10 @@ Usage (all inputs are the JSON encodings of :mod:`repro.io`):
   [--parallelism N] [--backend B] [--capacity N]`` — run many pair
   checks, global checks, and named workload suites through one
   memoizing :class:`repro.engine.Engine` (with a bounded LRU result
-  store and a selectable execution backend — ``serial``, ``thread``,
-  or ``process`` for CPU-bound batches); emits a JSON report with
-  per-job results plus the engine's cache statistics.
+  store; ``--parallelism N`` above 1 fans CPU-bound batches over N
+  worker processes, and ``--backend serial``/``process`` stand for 1
+  and every core); emits a JSON report with per-job results plus the
+  engine's cache statistics.
 * ``python -m repro serve (--socket PATH | --port N) [--capacity N]
   [--parallelism N] [--backend B] [--store-dir DIR] [--max-inflight N]``
   — a long-running daemon speaking the batch JSON protocol over a
@@ -58,6 +59,7 @@ shutdown (the ``shutdown`` op or Ctrl-C).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -224,6 +226,17 @@ def _validate_batch_knobs(args: argparse.Namespace) -> None:
             raise ReproError("--shards only makes sense with --store-dir")
 
 
+def _batch_parallelism(args: argparse.Namespace) -> int | None:
+    """The ``parallelism`` that ``--backend`` and ``--parallelism``
+    select together: ``serial`` pins 1, ``process`` defaults to every
+    core."""
+    if args.backend == "serial":
+        return 1
+    if args.backend == "process" and args.parallelism is None:
+        return os.cpu_count() or 1
+    return args.parallelism
+
+
 def _open_store(args: argparse.Namespace):
     """The persistent store for ``--store-dir`` (``None`` without it).
     ``--capacity`` then bounds the store's hot tier, not a private
@@ -262,8 +275,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             engine,
             method=args.method,
             witnesses=args.witnesses,
-            parallelism=args.parallelism,
-            backend=args.backend,
+            parallelism=_batch_parallelism(args),
         )
     finally:
         if store is not None:
@@ -292,8 +304,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         capacity=args.capacity,
         method=args.method,
         witnesses=args.witnesses,
-        parallelism=args.parallelism,
-        backend=args.backend,
+        parallelism=_batch_parallelism(args),
         store_dir=args.store_dir,
         shards=args.shards,
         max_inflight=args.max_inflight,
@@ -656,15 +667,16 @@ def _add_engine_knobs(p: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="fan each batch over N workers (default: serial, or every "
-        "core when --backend thread/process is chosen)",
+        help="fan each batch over N worker processes when N > 1 "
+        "(default: one process, or every core with --backend process)",
     )
     p.add_argument(
         "--backend",
-        choices=["serial", "thread", "process"],
+        choices=["serial", "process"],
         default=None,
-        help="execution backend for batches (process scales CPU-bound "
-        "global checks across cores)",
+        help="shorthand for --parallelism: serial runs every batch in "
+        "this process whatever --parallelism says; process defaults "
+        "--parallelism to every core",
     )
     p.add_argument(
         "--capacity",

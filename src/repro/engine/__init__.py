@@ -18,8 +18,9 @@ Layering (lowest first):
   :class:`LiveBag` handles whose updates bump O(1) incremental pair
   checkers and invalidate only the cache entries they touch;
 * :mod:`repro.engine.jobs`, :mod:`repro.engine.executors` and
-  :mod:`repro.engine.wire` — batch payloads, the serial/thread/process
-  backends, and the v2 frame codec of ``repro serve``;
+  :mod:`repro.engine.wire` — batch payloads, the serial loop and the
+  process pool that run them, and the v2 frame codec of
+  ``repro serve``;
 * :mod:`repro.engine.reference` — the seed's pre-engine loops, kept as
   the oracle for cross-check tests and speedup benchmarks.
 

@@ -1,18 +1,12 @@
-"""Pluggable execution backends for the batched engine entry points.
+"""How the batched engine entry points run a batch.
 
-Three backends, selected by name (``backend=`` on the ``*_many``
-methods, ``--backend`` on ``repro batch`` / ``repro serve``):
+``parallelism`` alone picks (``parallelism=`` on the ``*_many``
+methods, ``--parallelism`` on ``repro batch`` / ``repro serve``):
 
-* ``serial`` — plain loop, no pools.  The default when no parallelism
-  is requested.
-* ``thread`` — a :class:`~concurrent.futures.ThreadPoolExecutor` over
-  the pure kernels.  Workers share the engine's verdict store, so this
-  backend shines on cache-heavy workloads (overlapping pairs, repeated
-  suites) but cannot speed up CPU-bound misses: the interpreter lock
-  serializes them.
-* ``process`` — one long-lived
+* ``None`` or 1 — a plain loop in this process.
+* N > 1 — the N-worker process pool, one long-lived
   :class:`~concurrent.futures.ProcessPoolExecutor` per worker count,
-  created by the first process batch and kept until
+  created by the first such batch and kept until
   :func:`shutdown_pools` (``ReproServer.shutdown()`` and interpreter
   exit call it).  The engine pre-filters the batch against its store
   and ships the *misses* as fingerprint-ref jobs; each chunk carries a
@@ -25,11 +19,10 @@ methods, ``--backend`` on ``repro batch`` / ``repro serve``):
   is pure hits.  A worker that dies breaks its pool: the pool is
   dropped, the replay computes the lost chunks in-process, and the next
   batch starts a fresh pool.  Workers exit when their parent dies.
-  This is the only backend that scales the CPU-bound global checks
-  (Theorem 4 search instances) across cores.
 
-``backend=None`` preserves the PR-2 contract: serial unless
-``parallelism > 1``, which selects threads.
+Batches never run on a thread pool: under the interpreter lock one was
+slower than the plain loop on every batch measured, cache-heavy ones
+included.
 """
 
 from __future__ import annotations
@@ -56,102 +49,44 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.bags import Bag
     from .session import Engine
 
-__all__ = [
-    "BACKENDS",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "is_process_backend",
-    "resolve_executor",
-    "run_process_batch",
-    "shutdown_pools",
-]
-
-BACKENDS = ("serial", "thread", "process")
+__all__ = ["run_batch", "run_process_batch", "shutdown_pools"]
 
 
-def _default_workers(parallelism: int | None) -> int:
-    if parallelism is not None:
-        if parallelism < 1:
-            raise ValueError(
-                f"parallelism must be positive, got {parallelism}"
-            )
-        return parallelism
-    return os.cpu_count() or 1
+def run_batch(
+    engine: "Engine",
+    kind: str,
+    items: list,
+    parallelism: int | None,
+    method: str = "auto",
+) -> list:
+    """Run one batch of ``kind`` jobs (``"consistent"``, ``"witness"``
+    or ``"global"``): in this process for ``parallelism`` ``None`` or 1,
+    on the ``parallelism``-worker pool above that."""
+    if parallelism is None or parallelism == 1:
+        return _run_here(engine, kind, items, method)
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be positive, got {parallelism}")
+    return run_process_batch(engine, kind, items, parallelism, method)
 
 
-class SerialExecutor:
-    """The no-pool baseline: apply ``fn`` in submission order."""
-
-    name = "serial"
-
-    def run(self, fn, items: list) -> list:
-        return [fn(item) for item in items]
-
-
-class ThreadExecutor:
-    """A bounded thread pool.  The kernels are pure and the verdict
-    store is lock-protected, so workers share hits; two workers racing
-    on the same miss at worst compute it twice (deterministic results —
-    one entry survives)."""
-
-    name = "thread"
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError(f"parallelism must be positive, got {workers}")
-        self.workers = workers
-
-    def run(self, fn, items: list) -> list:
-        if self.workers == 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        from concurrent.futures import ThreadPoolExecutor
-
-        trace = obs_trace.current()
-        if trace is not None:
-            # Propagate the request trace into pool threads: contexts
-            # cannot run concurrently, so each call re-sets the var
-            # around the shared (lock-protected) trace object.
-            inner = fn
-
-            def fn(item):
-                with obs_trace.activate(trace):
-                    return inner(item)
-
-        with ThreadPoolExecutor(
-            max_workers=min(self.workers, len(items))
-        ) as pool:
-            return list(pool.map(fn, items))
-
-
-def is_process_backend(backend: str | None) -> bool:
-    if backend is not None and backend not in BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose one of {BACKENDS}"
-        )
-    return backend == "process"
-
-
-def resolve_executor(
-    backend: str | None, parallelism: int | None, n_items: int
-):
-    """The in-process executor for a batch (``process`` is handled by
-    :func:`run_process_batch` before this is consulted)."""
-    if backend is None:
-        # Legacy contract: parallelism alone selects threads.
-        if parallelism is not None and parallelism < 1:
-            raise ValueError(
-                f"parallelism must be positive, got {parallelism}"
-            )
-        if parallelism is None or parallelism == 1:
-            return SerialExecutor()
-        return ThreadExecutor(parallelism)
-    if backend == "serial":
-        return SerialExecutor()
-    if backend == "thread":
-        return ThreadExecutor(_default_workers(parallelism))
-    raise ValueError(
-        f"unknown backend {backend!r}; choose one of {BACKENDS}"
-    )
+def _run_here(engine: "Engine", kind: str, items: list, method: str) -> list:
+    """The plain loop: one result per item, in order, with ``None`` for
+    a witness refused by an inconsistent pair (a batch must not abort on
+    its first inconsistent entry)."""
+    if kind == "consistent":
+        return [engine.are_consistent(left, right) for left, right in items]
+    if kind == "witness":
+        results = []
+        for left, right in items:
+            try:
+                results.append(engine.witness(left, right))
+            except InconsistentError:
+                results.append(None)
+        return results
+    return [
+        engine.global_check(collection, method=method)
+        for collection in items
+    ]
 
 
 # -- the process pool ---------------------------------------------------
@@ -250,7 +185,7 @@ def shutdown_pools() -> None:
 atexit.register(shutdown_pools)
 
 
-# -- the process backend ------------------------------------------------
+# -- the process batch --------------------------------------------------
 #
 # Jobs travel as fingerprint references next to a pickled table of the
 # distinct bags their chunk references.  Workers seed every fingerprint
@@ -282,7 +217,6 @@ def _worker_run(
     jobs: list,
     table: dict,
     node_budget: int | None,
-    minimal: bool,
     method: str,
     trace_id: str | None = None,
 ):
@@ -299,15 +233,10 @@ def _worker_run(
         engine = Engine(node_budget=node_budget)
         start = time.perf_counter()
         if kind == "global":
-            engine.global_check_many(
-                [[table[fp] for fp in fps] for fps in jobs], method=method
-            )
+            items = [[table[fp] for fp in fps] for fps in jobs]
         else:
-            pairs = [(table[lfp], table[rfp]) for lfp, rfp in jobs]
-            if kind == "consistent":
-                engine.are_consistent_many(pairs)
-            else:
-                engine.witness_many(pairs, minimal=minimal)
+            items = [(table[lfp], table[rfp]) for lfp, rfp in jobs]
+        _run_here(engine, kind, items, method)
         if worker_span_sink is not None:
             worker_span_sink.add_span(
                 "worker.chunk", start, time.perf_counter() - start,
@@ -324,20 +253,18 @@ def run_process_batch(
     engine: "Engine",
     kind: str,
     items: list,
-    parallelism: int | None,
-    minimal: bool = False,
+    workers: int,
     method: str = "auto",
 ) -> list:
-    """Fan a batch's cache misses over the worker pool, merge their
-    verdict deltas into ``engine``'s store, then replay the whole batch
-    locally (hits all the way down, preserving order, ``None``
-    refusals, and exception behaviour; chunks lost to a dead worker are
-    computed here)."""
+    """Fan a batch's cache misses over the ``workers``-worker pool,
+    merge their verdict deltas into ``engine``'s store, then replay the
+    whole batch locally (hits all the way down, preserving order,
+    ``None`` refusals, and exception behaviour; chunks lost to a dead
+    worker are computed here)."""
     from concurrent.futures.process import BrokenProcessPool
 
     from . import fingerprint
 
-    workers = _default_workers(parallelism)
     bags_by_fp: "dict[int, Bag]" = {}
 
     def note(bag: "Bag") -> int:
@@ -360,7 +287,7 @@ def run_process_batch(
             continue  # duplicate job in one batch: ship it once
         seen_keys.add(key)
         missing.append(entry)
-    if missing and workers > 1:
+    if missing:
         trace = obs_trace.current()
         trace_id = trace.trace_id if trace is not None else None
         batch_start = time.perf_counter()
@@ -378,7 +305,7 @@ def run_process_batch(
             for chunk, table in payloads:
                 futures.append(pool.submit(
                     _worker_run, kind, chunk, table, engine.node_budget,
-                    minimal, method, trace_id,
+                    method, trace_id,
                 ))
         except RuntimeError:
             # broken (a worker died since the last batch) or shut down
@@ -404,20 +331,6 @@ def run_process_batch(
         # batch boundary (no-op 0 for the in-memory store): a daemon
         # killed right after a process batch keeps those verdicts.
         engine.flush()
-    # Replay locally: merged misses are hits; anything left (workers
-    # disabled, a dead worker's chunk, or a racing invalidation) is
-    # computed here.
-    if kind == "consistent":
-        return [engine.are_consistent(left, right) for left, right in items]
-    if kind == "witness":
-        results = []
-        for left, right in items:
-            try:
-                results.append(engine.witness(left, right, minimal=minimal))
-            except InconsistentError:
-                results.append(None)
-        return results
-    return [
-        engine.global_check(collection, method=method)
-        for collection in items
-    ]
+    # Replay locally: merged misses are hits; anything left (a dead
+    # worker's chunk, or a racing invalidation) is computed here.
+    return _run_here(engine, kind, items, method)

@@ -155,7 +155,6 @@ def run_jobs(
     method: str = "auto",
     witnesses: bool = False,
     parallelism: int | None = None,
-    backend: str | None = None,
 ) -> dict:
     """Run a validated payload through one engine; returns the report.
 
@@ -172,12 +171,12 @@ def run_jobs(
     if jobs.pairs:
         with _section("pairs", len(jobs.pairs)):
             verdicts = engine.are_consistent_many(
-                jobs.pairs, parallelism=parallelism, backend=backend
+                jobs.pairs, parallelism=parallelism
             )
             entries = [{"consistent": verdict} for verdict in verdicts]
             if witnesses:
                 found = engine.witness_many(
-                    jobs.pairs, parallelism=parallelism, backend=backend
+                    jobs.pairs, parallelism=parallelism
                 )
                 for entry, witness in zip(entries, found):
                     if witness is not None:
@@ -191,7 +190,6 @@ def run_jobs(
                     jobs.collections,
                     method=method,
                     parallelism=parallelism,
-                    backend=backend,
                 )
             ]
     if jobs.suites:
@@ -204,7 +202,6 @@ def run_jobs(
                         engine=engine,
                         method=method,
                         parallelism=parallelism,
-                        backend=backend,
                     )
                 ]
         except (KeyError, TypeError, ValueError) as exc:

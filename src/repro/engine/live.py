@@ -389,13 +389,11 @@ class LiveEngine:
             self._resolve(left).bag(), self._resolve(right).bag()
         )
 
-    def witness(self, left, right, minimal: bool = False) -> Bag:
+    def witness(self, left, right) -> Bag:
         """A pairwise witness against the current snapshots, memoized in
         the inner engine until either side is updated."""
         return self._engine.witness(
-            self._resolve(left).bag(),
-            self._resolve(right).bag(),
-            minimal=minimal,
+            self._resolve(left).bag(), self._resolve(right).bag()
         )
 
     def global_check(self, handles=None, method: str = "auto",

@@ -34,12 +34,10 @@ Batched entry points (:meth:`are_consistent_many`,
 :meth:`witness_many`, :meth:`global_check_many`) are the unit of the
 high-throughput workloads in :mod:`repro.workloads.suites`, the
 ``repro batch`` / ``repro serve`` surfaces, and the benchmarks.  Each
-accepts ``parallelism=N`` and ``backend=`` selecting an executor from
-:mod:`repro.engine.executors`: ``serial``, ``thread`` (pool sharing
-this process's store — best for cache-heavy workloads), or ``process``
-(fingerprinted payloads shipped to worker processes, verdict deltas
-merged back into the shared store — the only backend that scales the
-CPU-bound global checks past the GIL).
+accepts ``parallelism=N`` (:mod:`repro.engine.executors`): ``None`` or
+1 runs a plain loop, and N > 1 ships fingerprinted payloads to an
+N-worker process pool whose verdict deltas merge back into the shared
+store — what scales the CPU-bound global checks past the GIL.
 
 The memoization contract: plain :class:`repro.core.bags.Bag` objects
 are immutable and entries are pure functions of their fingerprints, so
@@ -499,16 +497,17 @@ class Engine:
     def _internal_pair_checker(self, left: Bag, right: Bag) -> bool:
         return self._consistent(left, right, internal=True)
 
-    def witness(self, left: Bag, right: Bag, minimal: bool = False) -> Bag:
-        """A Corollary 1 witness (minimal by construction, so both
-        ``minimal`` values share one key), memoized per ordered content
-        pair; raises :class:`InconsistentError` exactly when the
-        uncached pipeline would (the refusal is cached too)."""
+    def witness(self, left: Bag, right: Bag) -> Bag:
+        """A Corollary 1 witness (northwest-corner, so inclusion-minimal
+        by construction), memoized per ordered content pair; raises
+        :class:`InconsistentError` exactly when the uncached pipeline
+        would (the refusal is cached too)."""
         with self._lock:
             self.stats.witness_queries += 1
         lfp, rfp = fingerprint.of_bag(left), fingerprint.of_bag(right)
-        # True for both: older versions stored non-minimal max-flow
-        # witnesses under False, and those are never read back.
+        # The trailing True keeps the key of stores written when the
+        # engine also built non-minimal witnesses (stored under False,
+        # never read back), so those stores keep hitting.
         key = ("witness", lfp, rfp, True)
         cached = self._get(key)
         if cached is not _MISS:
@@ -579,96 +578,40 @@ class Engine:
 
     # -- batched API -----------------------------------------------------
 
-    def _run_batch(
-        self,
-        fn,
-        items: list,
-        parallelism: int | None,
-        backend: str | None,
-    ) -> list:
-        """Apply ``fn`` to every item through the resolved in-process
-        executor (``serial`` or ``thread``; ``process`` never reaches
-        here — the batched entry points route it through
-        :func:`repro.engine.executors.run_process_batch`)."""
-        from .executors import resolve_executor
-
-        executor = resolve_executor(backend, parallelism, len(items))
-        return executor.run(fn, items)
-
-    @staticmethod
-    def _wants_process(backend: str | None) -> bool:
-        from .executors import is_process_backend
-
-        return is_process_backend(backend)
-
     def are_consistent_many(
         self,
         pairs: Iterable[tuple[Bag, Bag]],
         parallelism: int | None = None,
-        backend: str | None = None,
     ) -> list[bool]:
         """Lemma 2(2) over a batch of pairs; one verdict per pair."""
-        pairs = list(pairs)
-        if self._wants_process(backend):
-            from .executors import run_process_batch
+        from .executors import run_batch
 
-            return run_process_batch(self, "consistent", pairs, parallelism)
-        return self._run_batch(
-            lambda pair: self.are_consistent(pair[0], pair[1]),
-            pairs,
-            parallelism,
-            backend,
-        )
+        return run_batch(self, "consistent", list(pairs), parallelism)
 
     def witness_many(
         self,
         pairs: Iterable[tuple[Bag, Bag]],
-        minimal: bool = False,
         parallelism: int | None = None,
-        backend: str | None = None,
     ) -> list[Bag | None]:
         """Witnesses for a batch of pairs: a witness bag per consistent
         pair, ``None`` per inconsistent one (a batch must not abort on
         the first inconsistent entry)."""
-        pairs = list(pairs)
-        if self._wants_process(backend):
-            from .executors import run_process_batch
+        from .executors import run_batch
 
-            return run_process_batch(
-                self, "witness", pairs, parallelism, minimal=minimal
-            )
-
-        def one(pair: tuple[Bag, Bag]) -> Bag | None:
-            try:
-                return self.witness(pair[0], pair[1], minimal=minimal)
-            except InconsistentError:
-                return None
-
-        return self._run_batch(one, pairs, parallelism, backend)
+        return run_batch(self, "witness", list(pairs), parallelism)
 
     def global_check_many(
         self,
         collections: Iterable[Sequence[Bag]],
         method: str = "auto",
         parallelism: int | None = None,
-        backend: str | None = None,
     ) -> list:
         """GCPB over a batch of collections, sharing the pairwise store
         (ledger audits re-use the same reference bags across many
-        collections).  ``backend="process"`` is the CPU-bound scaling
+        collections).  ``parallelism > 1`` is the CPU-bound scaling
         path: misses fan out over worker processes and their verdict
         deltas merge back before a local (all-hit) replay."""
+        from .executors import run_batch
+
         collections = [list(collection) for collection in collections]
-        if self._wants_process(backend):
-            from .executors import run_process_batch
-
-            return run_process_batch(
-                self, "global", collections, parallelism, method=method
-            )
-        return self._run_batch(
-            lambda collection: self.global_check(collection, method=method),
-            collections,
-            parallelism,
-            backend,
-        )
-
+        return run_batch(self, "global", collections, parallelism, method)

@@ -9,8 +9,7 @@ Three small modules, one contract:
   I/O latency) while each ``ReproServer`` owns a private
   registry for exact per-daemon counts.
 * :mod:`repro.obs.trace` — per-request spans behind a contextvar,
-  propagated through the thread pool by re-setting the var per worker
-  call and across the process boundary by shipping the trace id out
+  propagated across the process boundary by shipping the trace id out
   and span deltas back (exactly like verdict deltas); finished traces
   land in the bounded :data:`RECENT` ring with a ``--slow-ms`` log.
 * :mod:`repro.obs.expo` — renders merged registry snapshots as
@@ -50,7 +49,6 @@ from .trace import (
     RECENT,
     Trace,
     TraceBuffer,
-    activate,
     current,
     finish_trace,
     set_enabled,
@@ -68,7 +66,6 @@ __all__ = [
     "MetricsRegistry",
     "Trace",
     "TraceBuffer",
-    "activate",
     "current",
     "finish_trace",
     "gauge_family",

@@ -15,12 +15,6 @@ the hot-path contract is::
 request is in flight — the overhead budget the bench_serve gate
 measures).
 
-Crossing the thread pool: ``contextvars.Context`` objects cannot run
-concurrently in two threads, so the ThreadExecutor propagates the
-*trace object* — it captures ``current()`` at submit and each worker
-call re-sets the contextvar around the callable (``Trace.add_span`` is
-lock-protected, so worker threads appending concurrently is safe).
-
 Crossing the process boundary: the trace id rides the job payload to
 process workers; each worker runs under its own local :class:`Trace`
 and ships its span list back with the verdict deltas, which the parent
@@ -51,7 +45,6 @@ __all__ = [
     "RECENT",
     "Trace",
     "TraceBuffer",
-    "activate",
     "current",
     "enabled",
     "finish_trace",
@@ -233,24 +226,6 @@ def start_trace(op: str, slow_ms: float | None = None):
     finally:
         _CURRENT.reset(token)
         finish_trace(trace, time.perf_counter() - start, slow_ms)
-
-
-@contextmanager
-def activate(trace):
-    """Make an existing :class:`Trace` current in *this* thread — the
-    ThreadExecutor propagation shim.  ``contextvars.Context`` objects
-    cannot run concurrently in two threads, so the pool captures the
-    trace object at submit and re-sets the var around each worker call
-    (``add_span`` is lock-protected; concurrent appends are safe).
-    No-op for ``None``."""
-    if trace is None:
-        yield None
-        return
-    token = _CURRENT.set(trace)
-    try:
-        yield trace
-    finally:
-        _CURRENT.reset(token)
 
 
 @contextmanager

@@ -95,7 +95,7 @@ def _merge_stats(target: EngineStats, source: dict) -> None:
 
 
 # Every bound daemon's listening socket.  A forked child (a process-
-# backend worker) closes its copies at once: a worker that outlived a
+# pool worker) closes its copies at once: a worker that outlived a
 # killed daemon would otherwise keep the address in LISTEN and block
 # the restart.
 _LISTENERS: "weakref.WeakSet[socket.socket]" = weakref.WeakSet()
@@ -120,8 +120,8 @@ os.register_at_fork(after_in_child=_close_listeners)
 class ReproServer:
     """The daemon: one shared verdict store, an engine per connection.
 
-    ``method`` / ``witnesses`` / ``parallelism`` / ``backend`` are the
-    serving defaults applied to every batch request (the same knobs
+    ``method`` / ``witnesses`` / ``parallelism`` are the serving
+    defaults applied to every batch request (the same knobs
     ``repro batch`` takes per invocation).  ``store_dir`` attaches a
     :class:`repro.store.PersistentVerdictStore` (created on first use,
     reopened warm thereafter; the daemon owns it and closes it on
@@ -141,7 +141,6 @@ class ReproServer:
         method: str = "auto",
         witnesses: bool = False,
         parallelism: int | None = None,
-        backend: str | None = None,
         store=None,
         store_dir: str | None = None,
         shards: int | None = None,
@@ -182,7 +181,6 @@ class ReproServer:
         self.method = method
         self.witnesses = witnesses
         self.parallelism = parallelism
-        self.backend = backend
         self.max_inflight = (
             max_inflight if max_inflight is not None else _default_inflight()
         )
@@ -266,7 +264,7 @@ class ReproServer:
         self._thread.start()
 
     def shutdown(self) -> None:
-        """Stop accepting, reap the process-backend worker pools, then
+        """Stop accepting, reap the process worker pools, then
         make buffered verdicts durable.  Safe to call from several
         threads (the wire ``shutdown`` op's helper and the CLI's
         post-``serve_forever`` cleanup both land here): the first caller
@@ -370,7 +368,7 @@ class ReproServer:
             # concurrently up to max_inflight; beyond that, callers wait
             # briefly and are then refused with a one-line error rather
             # than queueing without bound (each batch already fans out
-            # internally via parallelism/backend).
+            # over worker processes when parallelism > 1).
             if not self._admission.acquire(timeout=self.admission_timeout):
                 with self._stats_lock:
                     self.admission_refusals += 1
@@ -395,7 +393,6 @@ class ReproServer:
                     method=self.method,
                     witnesses=self.witnesses,
                     parallelism=self.parallelism,
-                    backend=self.backend,
                 )
             finally:
                 with self._stats_lock:

@@ -248,7 +248,6 @@ def run_suites(
     engine=None,
     method: str = "auto",
     parallelism: int | None = None,
-    backend: str | None = None,
 ) -> list[SuiteRunResult]:
     """Evaluate ``(name, size, seed)`` specs through one shared
     :class:`repro.engine.Engine`.
@@ -256,10 +255,10 @@ def run_suites(
     This is the batched-serving entry point for workload replay: all
     specs share the engine's marginal/pairwise caches, so sweeping a
     suite across seeds or re-running a spec costs one decision, not
-    many.  ``parallelism``/``backend`` select an execution backend for
-    the decisions (:mod:`repro.engine.executors`: ``serial``,
-    ``thread``, or ``process`` for CPU-bound sweeps; duplicate specs
-    share one built collection, hence one cache entry, regardless).
+    many.  ``parallelism`` > 1 fans the decisions over that many worker
+    processes (:mod:`repro.engine.executors`; for CPU-bound sweeps) and
+    ``None`` or 1 runs them in a plain loop; duplicate specs share one
+    built collection, hence one cache entry, regardless.
     ``ok`` records agreement with the suite's expected answer (always
     true for ``expected="depends"``).
     """
@@ -277,7 +276,6 @@ def run_suites(
         [built[spec] for spec in spec_list],
         method=method,
         parallelism=parallelism,
-        backend=backend,
     )
     results = []
     for (name, size, seed), outcome in zip(spec_list, outcomes):

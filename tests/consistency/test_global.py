@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.consistency.global_ import (
     acyclic_global_witness,
@@ -11,11 +12,13 @@ from repro.consistency.global_ import (
     pairwise_consistent,
 )
 from repro.consistency.local_global import tseitin_collection
+from repro.consistency.program import ConsistencyProgram
 from repro.consistency.witness import is_witness
 from repro.core.bags import Bag
 from repro.core.schema import Schema
 from repro.errors import CyclicSchemaError, InconsistentError
 from repro.hypergraphs.families import cycle_hypergraph, triangle_hypergraph
+from repro.lp.simplex import solve_lp
 from repro.workloads.generators import planted_collection, random_collection_over
 from tests.conftest import planted_collections
 
@@ -156,12 +159,14 @@ class TestDecision:
         with pytest.raises(InconsistentError):
             decide_global_consistency([])
 
-    def test_lp_presolve_short_circuits(self):
-        """An instance whose join of supports is empty dies in the LP
-        presolve (or earlier)."""
+    def test_search_refutes_tseitin_triangle(self):
+        """Pairwise consistent, with an empty join of supports: the
+        exact search refutes it on its own, with no relaxation first."""
         bags = tseitin_collection(list(triangle_hypergraph().edges))
-        result = global_witness(bags, lp_presolve=True)
+        assert not ConsistencyProgram.build(bags).join_rows
+        result = global_witness(bags)
         assert not result.consistent
+        assert result.method == "search"
 
     def test_auto_matches_search_on_cyclic(self, rng):
         for _ in range(5):
@@ -189,3 +194,51 @@ class TestTheorem2Step1Agreement:
         fast = decide_global_consistency(bags, method="auto")
         slow = decide_global_consistency(bags, method="search")
         assert fast == slow
+
+
+@st.composite
+def margin_triangles(draw) -> list[Bag]:
+    """Triangles AB, BC, AC built from one shared margin per attribute
+    (domain 2-4, total 6-14): each bag is a random table with its two
+    attributes' margins, so the collection is pairwise consistent and
+    only the cyclic search decides it."""
+    domain = draw(st.integers(2, 4))
+    total = draw(st.integers(6, 14))
+    margins = {}
+    for attr in "ABC":
+        cuts = draw(st.lists(
+            st.integers(0, total), min_size=domain - 1, max_size=domain - 1
+        ))
+        bounds = [0, *sorted(cuts), total]
+        margins[attr] = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    bags = []
+    for x, y in (("A", "B"), ("B", "C"), ("A", "C")):
+        rows, cols = list(margins[x]), list(margins[y])
+        counts: dict = {}
+        for _ in range(total):
+            i = draw(st.sampled_from([k for k, n in enumerate(rows) if n]))
+            j = draw(st.sampled_from([k for k, n in enumerate(cols) if n]))
+            counts[(i, j)] = counts.get((i, j), 0) + 1
+            rows[i] -= 1
+            cols[j] -= 1
+        bags.append(Bag.from_pairs(Schema([x, y]), list(counts.items())))
+    return bags
+
+
+class TestRelaxationOracle:
+    """The rational relaxation of P(R1, ..., Rm) is a necessary
+    condition only, so it stays a test oracle for the exact search: an
+    infeasible relaxation must come with an inconsistent answer."""
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(margin_triangles())
+    def test_search_agrees_with_the_relaxation(self, bags):
+        assert pairwise_consistent(bags)
+        program = ConsistencyProgram.build(bags)
+        relaxation = solve_lp(program.dense_matrix(), program.dense_rhs())
+        result = global_witness(bags)
+        assert result.method == "search"
+        if relaxation.status != "optimal":
+            assert not result.consistent
+        if result.consistent:
+            assert is_witness(bags, result.witness)

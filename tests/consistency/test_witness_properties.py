@@ -143,7 +143,7 @@ def test_inconsistent_pairs_raise_the_historical_message(pair, data):
         consistency_witness(r, s)
     assert str(info.value) == MESSAGE
     with pytest.raises(InconsistentError) as info:
-        Engine().witness(r, s, minimal=True)
+        Engine().witness(r, s)
     assert str(info.value) == MESSAGE
 
 
@@ -152,7 +152,7 @@ def test_inconsistent_pairs_raise_the_historical_message(pair, data):
 def test_engine_minimal_witness_meets_theorem5(pair):
     r, s = pair
     engine = Engine()
-    witness = engine.witness(r, s, minimal=True)
+    witness = engine.witness(r, s)
     assert check_theorem5_bound(r, s, witness)
     assert witness == engine.witness(r, s) == consistency_witness(r, s)
 

@@ -73,8 +73,6 @@ def test_all_deciders_agree_with_the_engine(seed):
         witness = engine.witness(r, s)
         assert is_witness([r, s], witness)
         assert is_witness([r, s], seed_consistency_witness(r, s))
-        minimal = engine.witness(r, s, minimal=True)
-        assert is_witness([r, s], minimal)
     else:
         with pytest.raises(InconsistentError):
             engine.witness(r, s)

@@ -1,22 +1,21 @@
-"""Execution backends: serial/thread/process parity and the process
-merge-back path."""
+"""Batch execution: the plain loop and the process pool agree, the
+CLI's ``--backend`` shorthand, and the process merge-back path."""
 
+import os
 import random
 
 import pytest
 
+from repro.cli import _batch_parallelism, build_parser
 from repro.core.schema import Schema
-from repro.engine.executors import (
-    BACKENDS,
-    SerialExecutor,
-    ThreadExecutor,
-    resolve_executor,
-)
+from repro.engine import executors
 from repro.engine.session import Engine
+from repro.server import ReproServer
 from repro.workloads.generators import inconsistent_pair, planted_pair
 
 AB = Schema(["A", "B"])
 BC = Schema(["B", "C"])
+PARALLELISMS = (1, 2)
 
 
 def pairs_workload(n=5):
@@ -28,51 +27,84 @@ def pairs_workload(n=5):
     return out
 
 
+def cli_parallelism(*argv):
+    return _batch_parallelism(
+        build_parser().parse_args(["batch", "jobs.json", *argv])
+    )
+
+
 class TestResolution:
-    def test_legacy_contract(self):
-        assert isinstance(resolve_executor(None, None, 5), SerialExecutor)
-        assert isinstance(resolve_executor(None, 1, 5), SerialExecutor)
-        assert isinstance(resolve_executor(None, 3, 5), ThreadExecutor)
+    def test_legacy_contract(self, monkeypatch):
+        """``parallelism`` alone picks: ``None`` or 1 runs the plain
+        loop, N > 1 the N-worker pool (``run_process_batch`` is looked
+        up at call time, so wrapping it sees every process batch)."""
+        calls = []
+
+        def recording(engine, kind, items, workers, method="auto"):
+            calls.append((kind, workers))
+            return []
+
+        monkeypatch.setattr(executors, "run_process_batch", recording)
+        workload = pairs_workload(1)
+        assert Engine().are_consistent_many(workload) == [True, False]
+        assert Engine().are_consistent_many(workload, parallelism=1) == [
+            True, False,
+        ]
+        assert calls == []
+        Engine().witness_many(workload, parallelism=3)
+        assert calls == [("witness", 3)]
 
     def test_explicit_backends(self):
-        assert isinstance(resolve_executor("serial", 8, 5), SerialExecutor)
-        thread = resolve_executor("thread", 3, 5)
-        assert isinstance(thread, ThreadExecutor)
-        assert thread.workers == 3
+        """``--backend`` stands for a parallelism: serial pins 1,
+        process defaults to every core."""
+        assert cli_parallelism() is None
+        assert cli_parallelism("--parallelism", "3") == 3
+        assert cli_parallelism("--backend", "serial", "--parallelism", "4") == 1
+        assert cli_parallelism("--backend", "process") == (os.cpu_count() or 1)
+        assert cli_parallelism("--backend", "process", "--parallelism", "2") == 2
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_executor("gpu", None, 5)
-        with pytest.raises(ValueError, match="unknown backend"):
-            Engine().are_consistent_many([], backend="gpu")
+        """The library takes no backend at all."""
+        engine = Engine()
+        for batch in (
+            engine.are_consistent_many,
+            engine.witness_many,
+            engine.global_check_many,
+        ):
+            with pytest.raises(TypeError):
+                batch([], backend="process")
+        with pytest.raises(TypeError):
+            ReproServer(backend="process")
 
     def test_bad_parallelism_rejected(self):
         with pytest.raises(ValueError, match="parallelism"):
-            resolve_executor("thread", 0, 5)
+            Engine().global_check_many([], parallelism=-1)
 
     def test_backends_tuple_is_the_cli_contract(self):
-        assert BACKENDS == ("serial", "thread", "process")
+        """``batch`` and ``serve`` keep the two choices scripts pass."""
+        parser = build_parser()
+        for command in (["batch", "jobs.json"], ["serve", "--port", "0"]):
+            for backend in ("serial", "process"):
+                args = parser.parse_args([*command, "--backend", backend])
+                assert args.backend == backend
+            with pytest.raises(SystemExit):
+                parser.parse_args([*command, "--backend", "thread"])
 
 
 class TestBackendParity:
     def test_pairs_all_backends_agree(self):
         workload = pairs_workload()
         expected = Engine().are_consistent_many(workload)
-        for backend in BACKENDS:
-            engine = Engine()
-            got = engine.are_consistent_many(
-                workload, parallelism=2, backend=backend
-            )
-            assert got == expected, backend
+        for parallelism in PARALLELISMS:
+            got = Engine().are_consistent_many(workload, parallelism=parallelism)
+            assert got == expected, parallelism
 
     def test_witnesses_all_backends_agree(self):
         workload = pairs_workload(3)
         expected = Engine().witness_many(workload)
-        for backend in BACKENDS:
-            got = Engine().witness_many(
-                workload, parallelism=2, backend=backend
-            )
-            assert got == expected, backend
+        for parallelism in PARALLELISMS:
+            got = Engine().witness_many(workload, parallelism=parallelism)
+            assert got == expected, parallelism
             assert got[-1] is None  # the inconsistent pair
 
     def test_global_all_backends_agree(self):
@@ -84,21 +116,21 @@ class TestBackendParity:
         expected = [
             r.consistent for r in Engine().global_check_many(collections)
         ]
-        for backend in BACKENDS:
+        for parallelism in PARALLELISMS:
             got = [
                 r.consistent
                 for r in Engine().global_check_many(
-                    collections, parallelism=2, backend=backend
+                    collections, parallelism=parallelism
                 )
             ]
-            assert got == expected, backend
+            assert got == expected, parallelism
 
 
 class TestProcessMerge:
     def test_worker_deltas_land_in_the_parent_store(self):
         workload = pairs_workload(4)
         engine = Engine()
-        engine.are_consistent_many(workload, parallelism=2, backend="process")
+        engine.are_consistent_many(workload, parallelism=2)
         assert engine.store.merged >= len(workload)
         # the replay after the merge must be pure hits
         before = engine.store.hits
@@ -110,14 +142,14 @@ class TestProcessMerge:
         engine = Engine()
         engine.are_consistent_many(workload)  # warm locally
         merged_before = engine.store.merged
-        engine.are_consistent_many(workload, parallelism=2, backend="process")
+        engine.are_consistent_many(workload, parallelism=2)
         assert engine.store.merged == merged_before  # nothing shipped
 
     def test_duplicate_jobs_shipped_once(self):
         pair = pairs_workload(1)[0]
         engine = Engine()
         verdicts = engine.are_consistent_many(
-            [pair] * 6, parallelism=2, backend="process"
+            [pair] * 6, parallelism=2
         )
         assert verdicts == [True] * 6
         assert len(engine) == 1
@@ -128,7 +160,7 @@ class TestProcessMerge:
         _, r, s = planted_pair(AB, BC, random.Random(7), n_tuples=5)
         engine = Engine()
         (result,) = engine.global_check_many(
-            [[r, s]], parallelism=2, backend="process"
+            [[r, s]], parallelism=2
         )
         assert result.consistent
         assert result.witness is not None

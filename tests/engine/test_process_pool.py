@@ -1,7 +1,8 @@
-"""The process backend's persistent pool: lifecycle, the single pickle
+"""The persistent process pool: lifecycle, the single pickle
 transport, and recovery from killed workers (in-process and through
 the serve socket)."""
 
+import json
 import multiprocessing
 import multiprocessing.process
 import os
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.core.schema import Schema
 from repro.engine import executors
 from repro.engine.session import Engine
@@ -52,9 +54,7 @@ def serial_verdicts(pairs: list) -> list:
 
 
 def process_batch(engine: Engine, pairs: list) -> list:
-    return engine.are_consistent_many(
-        pairs, parallelism=WORKERS, backend="process"
-    )
+    return engine.are_consistent_many(pairs, parallelism=WORKERS)
 
 
 def jobs_payload(pairs: list) -> dict:
@@ -158,6 +158,34 @@ class TestPoolLifecycle:
         # every batch really ran on the workers
         assert engine.store.merged >= shipped
 
+    def test_parallelism_alone_starts_the_pool(
+        self, fresh_pool, process_starts
+    ):
+        """No backend is named: ``parallelism=2`` forks exactly two
+        workers."""
+        pairs = fresh_pairs(50)
+        verdicts = Engine().are_consistent_many(pairs, parallelism=WORKERS)
+        assert verdicts == serial_verdicts(pairs)
+        assert len(process_starts) == WORKERS
+
+    def test_serial_flag_starts_no_worker(
+        self, fresh_pool, process_starts, tmp_path, capsys
+    ):
+        """``--backend serial`` runs in-process whatever
+        ``--parallelism`` says."""
+        pairs = fresh_pairs(60)
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text(json.dumps(jobs_payload(pairs)))
+        out = tmp_path / "report.json"
+        assert main([
+            "batch", str(jobs), "--backend", "serial", "--parallelism", "4",
+            "-o", str(out),
+        ]) == 0
+        assert process_starts == []
+        assert verdicts_of({"report": json.loads(out.read_text())}) == (
+            serial_verdicts(pairs)
+        )
+
     def test_concurrent_batches_share_one_pool(
         self, fresh_pool, process_starts
     ):
@@ -190,7 +218,7 @@ class TestPoolLifecycle:
         assert list(executors._POOLS) == [WORKERS]
 
     def test_server_shutdown_reaps_workers(self, fresh_pool):
-        server = ReproServer(backend="process", parallelism=WORKERS)
+        server = ReproServer(parallelism=WORKERS)
         address = server.bind_tcp()
         server.serve_in_background()
         try:
@@ -295,7 +323,7 @@ class TestKilledWorker:
         assert results == [serial_verdicts(pairs)]
 
     def test_kill_between_batches_over_the_socket(self, fresh_pool):
-        server = ReproServer(backend="process", parallelism=WORKERS)
+        server = ReproServer(parallelism=WORKERS)
         address = server.bind_tcp()
         server.serve_in_background()
         try:
@@ -311,7 +339,7 @@ class TestKilledWorker:
             server.shutdown()
 
     def test_kill_mid_batch_over_the_socket(self, stalled_workers):
-        server = ReproServer(backend="process", parallelism=WORKERS)
+        server = ReproServer(parallelism=WORKERS)
         address = server.bind_tcp()
         server.serve_in_background()
         pairs = fresh_pairs(700)
@@ -340,7 +368,10 @@ def child_pids(pid: int) -> list[int]:
     read every thread's list)."""
     pids = []
     for children in Path(f"/proc/{pid}/task").glob("*/children"):
-        pids.extend(int(child) for child in children.read_text().split())
+        try:
+            pids.extend(int(child) for child in children.read_text().split())
+        except FileNotFoundError:
+            continue  # the thread exited between the listing and the read
     return pids
 
 
@@ -387,7 +418,7 @@ def start_daemon(flags: list[str]) -> tuple[subprocess.Popen, str]:
 )
 class TestKilledDaemon:
     def test_workers_hold_no_listener(self, fresh_pool):
-        server = ReproServer(backend="process", parallelism=WORKERS)
+        server = ReproServer(parallelism=WORKERS)
         address = server.bind_tcp()
         server.serve_in_background()
         listener = os.fstat(server._server.socket.fileno()).st_ino

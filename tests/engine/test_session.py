@@ -64,32 +64,25 @@ class TestPairMemoization:
 
 class TestWitness:
     def test_witness_is_valid_and_cached(self):
-        engine = Engine()
-        r, s = consistent_pair()
-        witness = engine.witness(r, s)
-        assert is_witness([r, s], witness)
-        assert engine.witness(r, s) is witness
-        assert engine.stats.witness_hits == 1
-
-    def test_minimal_witness_obeys_theorem5(self):
-        engine = Engine()
-        r, s = consistent_pair()
-        witness = engine.witness(r, s, minimal=True)
-        assert is_witness([r, s], witness)
-        assert witness.support_size <= r.support_size + s.support_size
-
-    def test_both_minimal_values_share_the_minimal_key(self):
-        """Witnesses are minimal by construction, so both flag values
-        hit one entry; an entry an older version stored under False (a
-        non-minimal max-flow witness) is never served."""
+        """Cached under the key earlier versions wrote, so their
+        persistent stores keep hitting; an entry they stored under False
+        (a non-minimal max-flow witness) is never served."""
         engine = Engine()
         r, s = consistent_pair()
         lfp, rfp = fingerprint.of_bag(r), fingerprint.of_bag(s)
         engine.store.put(("witness", lfp, rfp, False), "stale", (lfp, rfp))
         witness = engine.witness(r, s)
         assert is_witness([r, s], witness)
-        assert engine.witness(r, s, minimal=True) is witness
+        assert engine.witness(r, s) is witness
         assert engine.stats.witness_hits == 1
+        assert engine.store.get(("witness", lfp, rfp, True)) is witness
+
+    def test_minimal_witness_obeys_theorem5(self):
+        engine = Engine()
+        r, s = consistent_pair()
+        witness = engine.witness(r, s)
+        assert is_witness([r, s], witness)
+        assert witness.support_size <= r.support_size + s.support_size
 
     def test_inconsistent_pair_raises_and_caches_the_refusal(self):
         engine = Engine()

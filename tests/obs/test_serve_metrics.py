@@ -147,9 +147,7 @@ class TestCrossLayerTrace:
         persistent store."""
         obs_trace.RECENT.clear()
         store_dir = str(tmp_path / "store")
-        server = ReproServer(
-            store_dir=store_dir, backend="process", parallelism=2
-        )
+        server = ReproServer(store_dir=store_dir, parallelism=2)
         address = server.bind_tcp()
         server.serve_in_background()
         try:

@@ -1,25 +1,21 @@
 """Request tracing: span recording, the bounded ring, the span cap,
-and propagation across the thread pool and (unit-level) the process
-boundary.  The full serve → engine → worker → store chain is exercised
-in ``test_serve_metrics.py``.
+and (unit-level) propagation across the process boundary.  The full
+serve → engine → worker → store chain is exercised in
+``test_serve_metrics.py``.
 """
 
 from __future__ import annotations
 
 import logging
-import random
 import threading
-import time
 
 import pytest
 
-from repro.engine.session import Engine
 from repro.obs import trace as obs_trace
 from repro.obs.trace import (
     MAX_SPANS,
     Trace,
     TraceBuffer,
-    activate,
     current,
     finish_trace,
     span,
@@ -131,16 +127,6 @@ class TestContextManagers:
                 assert inner is None
         assert len(obs_trace.RECENT) == 0
 
-    def test_activate_reentrant_and_none_safe(self):
-        trace = Trace("t")
-        with activate(trace):
-            assert current() is trace
-            with activate(None):
-                # None means "caller wasn't tracing": a no-op, not a
-                # reset — the outer trace stays current
-                assert current() is trace
-        assert current() is None
-
     def test_worker_trace_carries_parent_id(self):
         with worker_trace("abc123") as trace:
             assert trace.trace_id == "abc123"
@@ -162,46 +148,3 @@ class TestContextManagers:
         assert "total_ms=10.000" in slow[0].getMessage()
 
 
-class TestThreadPropagation:
-    def test_activate_across_worker_threads(self):
-        """The ThreadExecutor shim: the trace object crosses threads and
-        lock-protected appends interleave safely."""
-        trace = Trace("t")
-
-        def work(name: str) -> None:
-            with activate(trace):
-                start = time.perf_counter()
-                current().add_span(name, start, 0.0)
-
-        threads = [
-            threading.Thread(target=work, args=(f"w{i}",)) for i in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert sorted(s["name"] for s in trace.spans) == [
-            "w0", "w1", "w2", "w3",
-        ]
-        assert current() is None  # nothing leaked into this thread
-
-    def test_thread_backend_spans_land_on_the_request_trace(self):
-        """End-to-end through the engine's thread pool: compute spans
-        recorded inside pool workers attach to the submitting request's
-        trace."""
-        from repro.workloads.generators import planted_pair
-        from repro.core.schema import Schema
-
-        ab, bc = Schema(["A", "B"]), Schema(["B", "C"])
-        pairs = [
-            planted_pair(ab, bc, random.Random(seed), n_tuples=6)[1:]
-            for seed in range(6)
-        ]
-        engine = Engine()
-        with start_trace("serve.batch") as trace:
-            verdicts = engine.are_consistent_many(
-                pairs, parallelism=2, backend="thread"
-            )
-        assert verdicts == [True] * len(pairs)
-        names = {s["name"] for s in trace.spans}
-        assert any(name.startswith("engine.") for name in names), names

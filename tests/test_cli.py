@@ -287,7 +287,7 @@ class TestBatch:
         path = self.jobs_file(tmp_path, r, s, s + s)
         assert main(["batch", str(path)]) == 0
         serial = json.loads(capsys.readouterr().out)
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             assert main(
                 ["batch", str(path), "--backend", backend,
                  "--parallelism", "2"]
