@@ -18,8 +18,8 @@ Two claims:
    stream against one long-running ``repro serve`` engine over a
    socket is at least 5x faster per round than cold ``repro batch``
    semantics (a fresh engine per run), because the content-addressed
-   store turns every repeated job into a hit — JSON + socket overhead
-   included.
+   store turns every repeated job into a hit and the engine keeps the
+   stream's suite instances built — JSON + socket overhead included.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the sizes so CI replays the file in
 seconds; ``REPRO_BENCH_OUT=path`` writes the measured trajectory (CI
@@ -236,8 +236,17 @@ def test_warm_serve_rounds_beat_cold_batch():
 # design target is <= 3% on this workload (engine histograms record
 # only on miss branches, so the warm path pays none of them); the gate
 # itself is generous (1.25x) because CI timer noise at sub-millisecond
-# request times dwarfs the real overhead.
+# request times dwarfs the real overhead.  A warm request takes 60-110 us
+# now that the engine keeps the stream's suite instances built, so a
+# pass lasts a few milliseconds and a brief fast or slow spell of the
+# host swings one pass by a third: on a shared 2-vCPU VM, each mode's
+# best of 3 passes read 1.25-1.70x in 3 of 40 runs around a typical
+# 1.10-1.17x.  The gate reads the median of OVERHEAD_PASSES paired
+# traced/untraced ratios instead (1.07-1.12x full, 1.10-1.21x smoke
+# over 54 runs).  The trace's fixed ~10 us is thus 7-21% of this
+# request, well above the 3% target (ROADMAP).
 OVERHEAD_ROUNDS = 30 if SMOKE else 80
+OVERHEAD_PASSES = 15
 MAX_OVERHEAD_RATIO = 1.25
 
 
@@ -253,27 +262,34 @@ def test_telemetry_overhead_on_warm_requests():
             assert server.handle_payload(payload)["ok"]
         return time.perf_counter() - start
 
-    # alternate traced/untraced passes and keep each mode's best, so a
-    # background hiccup cannot bias one side
-    traced = untraced = float("inf")
+    # alternate traced/untraced passes and read the median of the
+    # paired ratios, so neither a background hiccup nor a brief fast
+    # spell of the host in one pass decides the gate
+    traced_passes, untraced_passes = [], []
     try:
-        for _ in range(3):
+        for _ in range(OVERHEAD_PASSES):
             set_enabled(True)
-            traced = min(traced, one_pass())
+            traced_passes.append(one_pass())
             set_enabled(False)
-            untraced = min(untraced, one_pass())
+            untraced_passes.append(one_pass())
     finally:
         set_enabled(True)
-    ratio = traced / untraced
+    ratios = [t / u for t, u in zip(traced_passes, untraced_passes)]
+    ratio = statistics.median(ratios)
+    traced = statistics.median(traced_passes)
+    untraced = statistics.median(untraced_passes)
     print(
-        f"\ntelemetry overhead on {OVERHEAD_ROUNDS} warm requests: "
+        f"\ntelemetry overhead on {OVERHEAD_ROUNDS} warm requests "
+        f"(median of {OVERHEAD_PASSES} alternated passes): "
         f"traced {traced * 1000:.1f} ms, untraced {untraced * 1000:.1f} ms, "
         f"ratio {ratio:.3f} (overhead {(ratio - 1) * 100:+.1f}%)"
     )
     _MEASUREMENTS["telemetry_overhead"] = {
         "rounds": OVERHEAD_ROUNDS,
+        "passes": OVERHEAD_PASSES,
         "traced_seconds": traced,
         "untraced_seconds": untraced,
+        "pass_ratios": ratios,
         "ratio": ratio,
         "overhead_percent": (ratio - 1.0) * 100.0,
         "target_percent": 3.0,

@@ -110,6 +110,12 @@ NAMED_LOCKS: dict[str, LockSpec] = {}
 # under an active sanitizer are instrumented).
 _ACTIVE = bool(os.environ.get("REPRO_SANITIZE"))
 
+# Every ``@shared_state`` class with its plain and its guarded
+# ``(__init__, __setattr__)`` pair.  Only an active sanitizer installs
+# the guarded pair, so while it is off an attribute write costs what it
+# costs on an undecorated class.
+_HOOKS: list[tuple[type, tuple, tuple]] = []
+
 # Instances currently inside __init__ (by id): their setup writes are
 # exempt from the lock-held guard.  Keyed by id() so it works for
 # ``__slots__`` classes; thread-local-free because an id is only in the
@@ -124,6 +130,8 @@ def sanitizer_active() -> bool:
 def _set_active(value: bool) -> None:
     global _ACTIVE
     _ACTIVE = value
+    for cls, plain, guarded in _HOOKS:
+        cls.__init__, cls.__setattr__ = guarded if value else plain
 
 
 def validate_tier(tier: str | None) -> None:
@@ -179,8 +187,10 @@ def shared_state(
                 value = check_field_write(self, spec, name, value)
             original_setattr(self, name, value)
 
-        cls.__init__ = guarded_init
-        cls.__setattr__ = guarded_setattr
+        plain = (original_init, original_setattr)
+        guarded = (guarded_init, guarded_setattr)
+        _HOOKS.append((cls, plain, guarded))
+        cls.__init__, cls.__setattr__ = guarded if _ACTIVE else plain
         cls.__shared_state__ = spec
         return cls
 

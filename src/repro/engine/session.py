@@ -71,6 +71,10 @@ __all__ = ["Engine", "EngineStats", "VerdictStore"]
 
 _MISS = object()
 
+# Suite specs an engine keeps built (LRU): a handful of audits replayed
+# round after round fit many times over.
+BUILT_CAPACITY = 64
+
 # Compute-latency histograms, recorded only on *miss* branches: the
 # warm (all-hit) serve path pays zero telemetry here, which is how the
 # bench_serve overhead gate stays within budget.  Cached handles so
@@ -333,7 +337,7 @@ class VerdictStore:
             }
 
 
-@shared_state("_lock", "stats", tier="engine")
+@shared_state("_lock", "stats", "_built", tier="engine")
 class Engine:
     """A session facade over a content-addressed :class:`VerdictStore`.
 
@@ -360,6 +364,7 @@ class Engine:
         self.store = store if store is not None else VerdictStore(capacity)
         self.stats = EngineStats()
         self._lock = threading.RLock()
+        self._built: OrderedDict[tuple, tuple[Bag, ...]] = OrderedDict()
 
     @property
     def capacity(self) -> int | None:
@@ -399,6 +404,7 @@ class Engine:
         self.store.clear()
         with self._lock:
             self.stats = EngineStats()
+            self._built.clear()
 
     def flush(self) -> int:
         """Flush a persistent backing store's write-behind buffers to
@@ -421,6 +427,28 @@ class Engine:
         if evicted:
             with self._lock:
                 self.stats.evictions += evicted
+
+    def instance(
+        self, spec: tuple, build: Callable[[], Sequence[Bag]]
+    ) -> tuple[Bag, ...]:
+        """The collection a suite spec names (``(name, size, seed)``,
+        :func:`repro.workloads.suites.run_suites`), calling ``build()``
+        only when the spec is not among the ``BUILT_CAPACITY`` most
+        recent.  A spec names one deterministic instance, so the memo
+        never goes stale, and a replayed spec reuses bags whose
+        fingerprints are already computed: its verdict costs a store
+        lookup, not a rebuild.  :meth:`clear` drops the memo too."""
+        with self._lock:
+            bags = self._built.get(spec)
+            if bags is not None:
+                self._built.move_to_end(spec)
+                return bags
+        bags = tuple(build())
+        with self._lock:
+            self._built[spec] = bags
+            if len(self._built) > BUILT_CAPACITY:
+                self._built.popitem(last=False)
+        return bags
 
     # -- single-query API ------------------------------------------------
 

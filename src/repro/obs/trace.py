@@ -92,7 +92,9 @@ class Trace:
     the trace's own ``perf_counter`` origin (workers' offsets are their
     local origins — see ``merge_remote``)."""
 
-    __slots__ = ("trace_id", "op", "origin", "spans", "dropped", "_lock")
+    __slots__ = (
+        "trace_id", "op", "origin", "spans", "dropped", "total_ms", "_lock",
+    )
 
     def __init__(self, op: str, trace_id: str | None = None) -> None:
         self.trace_id = trace_id or f"{next(_ids):x}"
@@ -100,6 +102,7 @@ class Trace:
         self.origin = time.perf_counter()
         self.spans = []
         self.dropped = 0
+        self.total_ms = None  # stamped by finish_trace
         self._lock = threading.Lock()
 
     def add_span(self, name: str, start: float, duration: float,
@@ -111,9 +114,8 @@ class Trace:
             "name": name,
             "start_ms": round((start - self.origin) * 1000.0, 3),
             "ms": round(duration * 1000.0, 3),
+            **extra,
         }
-        if extra:
-            entry.update(extra)
         with self._lock:
             if len(self.spans) >= MAX_SPANS:
                 self.dropped += 1
@@ -142,20 +144,26 @@ class Trace:
             return [dict(entry) for entry in self.spans]
 
     def to_dict(self) -> dict:
+        # A shallow copy is a snapshot: span dicts are never mutated
+        # once appended (add_span and merge_remote build fresh ones).
         with self._lock:
             out = {
                 "id": self.trace_id,
                 "op": self.op,
-                "spans": [dict(entry) for entry in self.spans],
+                "spans": list(self.spans),
             }
             if self.dropped:
                 out["dropped_spans"] = self.dropped
+            if self.total_ms is not None:
+                out["total_ms"] = self.total_ms
             return out
 
 
 @shared_state("_lock", "_ring", "_next", tier="obs")
 class TraceBuffer:
-    """Bounded ring of the most recent finished traces (as dicts)."""
+    """Bounded ring of the most recent finished traces.  A buffered
+    :class:`Trace` is rendered to its dict by :meth:`snapshot`, not
+    when it finishes, so a request pays for its ring slot only."""
 
     __slots__ = ("capacity", "_lock", "_ring", "_next")
 
@@ -165,7 +173,7 @@ class TraceBuffer:
         self._ring = []
         self._next = 0
 
-    def append(self, entry: dict) -> None:
+    def append(self, entry: "Trace | dict") -> None:
         with self._lock:
             if len(self._ring) < self.capacity:
                 self._ring.append(entry)
@@ -174,9 +182,13 @@ class TraceBuffer:
                 self._next = (self._next + 1) % self.capacity
 
     def snapshot(self) -> list:
-        """Oldest-first copy of the buffered traces."""
+        """Oldest-first copy of the buffered traces, as dicts."""
         with self._lock:
-            return self._ring[self._next:] + self._ring[:self._next]
+            entries = self._ring[self._next:] + self._ring[:self._next]
+        return [
+            entry.to_dict() if isinstance(entry, Trace) else entry
+            for entry in entries
+        ]
 
     def __len__(self) -> int:
         with self._lock:
@@ -194,20 +206,17 @@ RECENT = TraceBuffer(64)
 
 
 def finish_trace(trace: Trace, duration: float,
-                 slow_ms: float | None = None) -> dict:
-    """Close out a request trace: stamp the total duration, append to
-    :data:`RECENT`, and emit the slow-request log line when the total
-    clears ``slow_ms``.  Returns the buffered dict."""
-    entry = trace.to_dict()
-    entry["total_ms"] = round(duration * 1000.0, 3)
-    RECENT.append(entry)
-    if slow_ms is not None and entry["total_ms"] >= slow_ms > 0:
+                 slow_ms: float | None = None) -> None:
+    """Close out a request trace: stamp the total duration, append it
+    to :data:`RECENT`, and emit the slow-request log line when the
+    total clears ``slow_ms``."""
+    trace.total_ms = total_ms = round(duration * 1000.0, 3)
+    RECENT.append(trace)
+    if slow_ms is not None and total_ms >= slow_ms > 0:
         logger.warning(
             "slow request trace=%s op=%s total_ms=%.3f spans=%d",
-            trace.trace_id, trace.op, entry["total_ms"],
-            len(entry["spans"]),
+            trace.trace_id, trace.op, total_ms, len(trace.spans),
         )
-    return entry
 
 
 @contextmanager

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Literal, Sequence
 
 from ..core.bags import Bag
@@ -257,8 +258,9 @@ def run_suites(
     suite across seeds or re-running a spec costs one decision, not
     many.  ``parallelism`` > 1 fans the decisions over that many worker
     processes (:mod:`repro.engine.executors`; for CPU-bound sweeps) and
-    ``None`` or 1 runs them in a plain loop; duplicate specs share one
-    built collection, hence one cache entry, regardless.
+    ``None`` or 1 runs them in a plain loop.  The engine keeps its
+    recent specs built (:meth:`Engine.instance`), so a duplicate or
+    replayed spec rebuilds nothing and shares one cache entry.
     ``ok`` records agreement with the suite's expected answer (always
     true for ``expected="depends"``).
     """
@@ -267,13 +269,12 @@ def run_suites(
 
         engine = Engine()
     spec_list = [(name, size, seed) for name, size, seed in specs]
-    built: dict[tuple[str, int, int], list[Bag]] = {}
-    for spec in spec_list:
-        if spec not in built:
-            name, size, seed = spec
-            built[spec] = get_suite(name).build(size, seed)
+    collections = [
+        engine.instance(spec, partial(get_suite(spec[0]).build, *spec[1:]))
+        for spec in spec_list
+    ]
     outcomes = engine.global_check_many(
-        [built[spec] for spec in spec_list],
+        collections,
         method=method,
         parallelism=parallelism,
     )

@@ -123,6 +123,22 @@ def test_inactive_instances_stay_plain(desanitize):
     probe._cache["k"] = 1
 
 
+def test_hooks_installed_only_while_active(desanitize):
+    # off: attribute writes take the plain object path, no Python hook
+    assert _SanProbe.__setattr__ is object.__setattr__
+    sanitizer.enable()
+    try:
+        assert _SanProbe.__setattr__ is not object.__setattr__
+        probe = _SanProbe()
+        object.__setattr__(probe, "_lock", _NeverHeld())
+        with pytest.raises(SanitizerError):
+            probe.count = 1
+    finally:
+        sanitizer.disable()
+    assert _SanProbe.__setattr__ is object.__setattr__
+    probe.count = 2  # a pre-existing instance is unguarded again
+
+
 def test_sanitizer_error_is_assertion_error():
     assert issubclass(SanitizerError, AssertionError)
 

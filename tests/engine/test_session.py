@@ -1,5 +1,6 @@
 """The Engine facade: memoization semantics and batched entry points."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,9 +8,10 @@ import pytest
 from repro.consistency.global_ import global_witness
 from repro.consistency.pairwise import are_consistent, consistency_witness
 from repro.consistency.witness import is_witness
+from repro.core.bags import Bag
 from repro.core.schema import Schema
 from repro.engine import fingerprint
-from repro.engine.session import Engine, VerdictStore
+from repro.engine.session import BUILT_CAPACITY, Engine, VerdictStore
 from repro.errors import InconsistentError
 from repro.workloads.generators import inconsistent_pair, planted_pair
 from repro.workloads.suites import run_suites
@@ -473,3 +475,51 @@ class TestSuiteWiring:
         results = run_suites([("tseitin-cycle", 3, 0)])
         assert results[0].consistent is False
         assert results[0].ok is True
+
+    def test_replayed_specs_are_not_rebuilt(self, monkeypatch):
+        from repro.workloads import suites
+
+        suite = suites.get_suite("planted-path")
+        builds = []
+
+        def counting_builder(size, seed):
+            builds.append((size, seed))
+            return suite.builder(size, seed)
+
+        monkeypatch.setitem(
+            suites._SUITES, "planted-path",
+            dataclasses.replace(suite, builder=counting_builder),
+        )
+        specs = [("planted-path", 3, 0), ("planted-path", 3, 1)]
+        engine = Engine()
+        first = run_suites(specs, engine=engine)
+        second = run_suites(specs, engine=engine)
+        assert builds == [(3, 0), (3, 1)]
+        assert first == second
+        assert engine.stats.global_hits == 2
+        # a fresh engine starts cold: the memo is per engine
+        run_suites(specs, engine=Engine())
+        assert len(builds) == 4
+
+    def test_instance_memo_is_bounded_lru_and_cleared(self):
+        engine = Engine()
+        built = []
+
+        def instance(seed):
+            def build():
+                built.append(seed)
+                return [Bag.from_pairs(Schema(["A"]), [((seed,), 1)])]
+            return engine.instance(("one-bag", 1, seed), build)
+
+        first = instance(0)
+        assert instance(0) is first
+        for seed in range(1, BUILT_CAPACITY):
+            instance(seed)
+        instance(0)  # refresh: seed 1 is now the oldest
+        instance(BUILT_CAPACITY)
+        assert built.count(0) == 1
+        instance(1)
+        assert built.count(1) == 2  # evicted, rebuilt
+        engine.clear()
+        instance(0)
+        assert built.count(0) == 2
