@@ -383,7 +383,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
                     "shard": i,
                     "records": s["records"],
                     "dead_records": s["dead_records"],
-                    "bytes": s["bytes"],
+                    "bytes": s["disk_bytes"],
                     "segments": s["segments"],
                     "torn_tails": s["torn_tails"],
                 }

@@ -118,9 +118,9 @@ class WireError(ReproError):
 
 # -- observability ------------------------------------------------------
 
-# Locked registry counters (repro.obs) — the module-level ``+=`` dict
-# these replaced was racy under the thread executor.  ``wire_stats``
-# keeps the historical flat-dict shape byte-compatible.
+# Locked registry counters (repro.obs): the daemon's handler threads
+# count frames and lines concurrently.  ``wire_stats`` keeps the
+# historical flat-dict shape byte-compatible.
 _STATS_KEYS = (
     "wire_frames_encoded", "wire_frames_decoded",
     "wire_frame_bytes_encoded", "wire_frame_bytes_decoded",

@@ -4,11 +4,9 @@ Prometheus text format.
 Both renderers consume the JSON-shaped :meth:`MetricsRegistry.snapshot`
 dict (optionally several, merged with :func:`merge_snapshots` — the
 ``metrics`` serve op merges the per-server registry with the
-process-global one).  :func:`gauge_family` bridges the legacy
-dict-shaped stats surfaces (``EngineStats.as_dict``, store
-``stats_dict``, server counters) into gauge entries at exposition time,
-so those dataclasses stay byte-compatible and collision-free — they
-are *views*, not registered metrics.
+process-global one and with the store's stats, split into counters and
+gauges).  Each snapshot section keeps its type: ``counters`` render as
+Prometheus counters, ``gauges`` as gauges.
 """
 
 from __future__ import annotations
@@ -16,10 +14,7 @@ from __future__ import annotations
 import json
 import re
 
-from .metrics import flat_name
-
 __all__ = [
-    "gauge_family",
     "merge_snapshots",
     "render_json",
     "render_prometheus",
@@ -75,21 +70,6 @@ def merge_snapshots(*snapshots: dict) -> dict:
         for section in out:
             out[section].update(snap.get(section, {}))
     return out
-
-
-def gauge_family(prefix: str, stats: dict,
-                 labels: dict | None = None) -> dict:
-    """Bridge a legacy dict-shaped stats surface into snapshot gauge
-    entries: ``{"gauges": {prefix_key: value, ...}}``, numeric values
-    only (booleans ride as 0/1, non-numerics are dropped)."""
-    gauges = {}
-    for key, value in stats.items():
-        if isinstance(value, bool):
-            value = int(value)
-        elif not isinstance(value, (int, float)):
-            continue
-        gauges[flat_name(f"{prefix}_{key}", labels)] = value
-    return {"gauges": gauges}
 
 
 def render_json(snapshot: dict, traces: list | None = None) -> str:

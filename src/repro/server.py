@@ -28,10 +28,10 @@ on disk and a restarted daemon reopens them warm.
   usual report under ``"report"``, failures put a one-line message
   under ``"error"`` (malformed jobs never tear down the connection,
   let alone the daemon);
-* ``stats`` exposes the aggregated engine counters, the verdict
-  store's hit rate and size — including the persistent tier (shard
-  count, disk bytes, hot hits vs read-through disk hits) when one is
-  attached — and daemon-level request totals.
+* ``stats`` exposes the engine counters summed over every batch, the
+  verdict store's hit rate and size — including the persistent tier
+  (shard count, disk bytes, hot hits vs read-through disk hits) when
+  one is attached — and daemon-level request totals.
 
 Concurrency model (the multi-client upgrade):
 
@@ -84,14 +84,34 @@ __all__ = ["ReproServer", "ServeClient"]
 
 _OPS = ("batch", "ping", "stats", "metrics", "shutdown")
 
+# The daemon's level readings in ``stats()``: exported as gauges.
+_LEVELS = (
+    "active_connections", "inflight_batches", "peak_inflight",
+    "uptime_seconds",
+)
+
+# Keys of a store's ``stats_dict()`` (and of its ``persistent``
+# section) that only ever grow: exported as counters.
+_STORE_COUNTERS = frozenset({
+    "hits", "misses", "evictions", "invalidations", "merged",
+    "hot_hits", "disk_hits", "skipped_segments", "appends", "flushes",
+    "tombstones", "compactions", "torn_tails",
+})
+
 
 def _default_inflight() -> int:
     return max(2, min(8, os.cpu_count() or 2))
 
 
-def _merge_stats(target: EngineStats, source: dict) -> None:
-    for field, value in source.items():
-        setattr(target, field, getattr(target, field) + value)
+def _typed_family(prefix: str, stats: dict) -> dict:
+    """A dict-shaped stats section as snapshot entries: monotone keys
+    as counters, every other numeric key as a gauge."""
+    family: dict = {"counters": {}, "gauges": {}}
+    for key, value in stats.items():
+        if isinstance(value, (int, float)):
+            section = "counters" if key in _STORE_COUNTERS else "gauges"
+            family[section][f"{prefix}_{key}"] = value
+    return family
 
 
 # Every bound daemon's listening socket.  A forked child (a process-
@@ -111,11 +131,9 @@ os.register_at_fork(after_in_child=_close_listeners)
 
 # `_thread`/`_server`/`address`/`started` are setup-phase plumbing
 # written before any connection exists, so they stay unregistered.
+# The daemon totals are registry counters, locked on their own.
 @shared_state(
-    "_stats_lock",
-    "requests", "batches", "errors", "admission_refusals", "connections",
-    "_active_engines", "_retired", "_inflight", "peak_inflight",
-    tier="engine",
+    "_stats_lock", "_active", "_inflight", "peak_inflight", tier="engine"
 )
 class ReproServer:
     """The daemon: one shared verdict store, an engine per connection.
@@ -185,10 +203,10 @@ class ReproServer:
             max_inflight if max_inflight is not None else _default_inflight()
         )
         self.admission_timeout = admission_timeout
-        # Per-server telemetry: request-latency histograms per op plus
-        # the daemon totals bridged at exposition time.  A private
-        # registry (not the process-global one) so a multi-daemon host
-        # and the tests see exact per-server counts.
+        # Per-server telemetry: request-latency histograms per op, the
+        # daemon totals, and the engine counters every batch folds in.
+        # A private registry (not the process-global one) so a
+        # multi-daemon host and the tests see exact per-server counts.
         self.slow_ms = slow_ms
         self.metrics = obs_metrics.MetricsRegistry()
         self._op_histograms = {
@@ -197,28 +215,29 @@ class ReproServer:
             )
             for op in _OPS
         }
+        counter = self.metrics.counter
+        self._requests = counter("repro_server_requests")
+        self._batches = counter("repro_server_batches")
+        self._errors = counter("repro_server_request_errors")
+        self._refusals = counter("repro_server_admission_refusals")
+        self._connections = counter("repro_server_connections")
+        self._engine_totals = {
+            name: counter(f"repro_engine_{name}")
+            for name in EngineStats().as_dict()
+        }
         self._admission = threading.BoundedSemaphore(self.max_inflight)
-        self.requests = 0
-        self.batches = 0
-        self.errors = 0
-        self.admission_refusals = 0
-        self.connections = 0
         self.started = time.monotonic()
-        # handler threads race on the counters above; the engine/store
-        # counters are locked internally, so lock these too or the
-        # stats endpoint undercounts under concurrent connections
+        # handler threads race on the levels below (a batch moves
+        # in-flight and peak together)
         self._stats_lock = threading.Lock()
         # shutdown may be reached twice (wire op's helper thread + the
         # CLI's serve_forever exit); the lock makes the second caller
         # wait for the first one's store flush instead of racing it
         self._shutdown_lock = threading.Lock()
         self._shutdown_done = False
+        self._active = 0
         self._inflight = 0
         self.peak_inflight = 0
-        # per-connection engines: live ones are summed into stats() on
-        # the fly, closed ones fold into _retired so nothing is lost
-        self._active_engines: set[Engine] = set()
-        self._retired = EngineStats()
         self._server: socketserver.BaseServer | None = None
         self._thread: threading.Thread | None = None
         self.address: str | tuple[str, int] | None = None
@@ -295,32 +314,29 @@ class ReproServer:
     def connection_engine(self) -> Engine:
         """A fresh engine over the shared store for one connection (its
         stats describe that client; the verdicts are shared)."""
-        engine = Engine(node_budget=self.node_budget, store=self.store)
+        self._connections.inc()
         with self._stats_lock:
-            self.connections += 1
-            self._active_engines.add(engine)
-        return engine
+            self._active += 1
+        return Engine(node_budget=self.node_budget, store=self.store)
 
-    def retire_engine(self, engine: Engine) -> None:
-        """Fold a closed connection's counters into the daemon totals."""
+    def connection_closed(self) -> None:
         with self._stats_lock:
-            if engine in self._active_engines:
-                self._active_engines.discard(engine)
-                _merge_stats(self._retired, engine.stats.as_dict())
+            self._active -= 1
 
     # -- request handling -------------------------------------------------
 
     def count_request(self, error: bool = False) -> None:
-        with self._stats_lock:
-            self.requests += 1
-            if error:
-                self.errors += 1
+        self._requests.inc()
+        if error:
+            self._errors.inc()
 
     def handle_payload(self, payload: object, engine: Engine | None = None) -> dict:
         """One request object in, one response object out (exceptions
         become ``{"ok": false, "error": one-line}``).  ``engine`` is the
         per-connection engine; embedders may omit it to use the base
-        engine."""
+        engine.  Each batch folds its engine's counter delta into the
+        daemon totals, which stay exact while an engine runs one batch
+        at a time, as a connection's engine does."""
         self.count_request()
         if engine is None:
             engine = self.engine
@@ -370,9 +386,8 @@ class ReproServer:
             # than queueing without bound (each batch already fans out
             # over worker processes when parallelism > 1).
             if not self._admission.acquire(timeout=self.admission_timeout):
-                with self._stats_lock:
-                    self.admission_refusals += 1
-                    self.errors += 1
+                self._refusals.inc()
+                self._errors.inc()
                 return {
                     "ok": False,
                     "error": (
@@ -380,9 +395,10 @@ class ReproServer:
                         f"in flight (waited {self.admission_timeout:g}s)"
                     ),
                 }
+            self._batches.inc()
+            before = engine.stats.as_dict()
             try:
                 with self._stats_lock:
-                    self.batches += 1
                     self._inflight += 1
                     self.peak_inflight = max(
                         self.peak_inflight, self._inflight
@@ -395,46 +411,42 @@ class ReproServer:
                     parallelism=self.parallelism,
                 )
             finally:
+                for name, value in engine.stats.as_dict().items():
+                    if value > before[name]:
+                        self._engine_totals[name].inc(value - before[name])
                 with self._stats_lock:
                     self._inflight -= 1
                 self._admission.release()
             return {"ok": True, "op": "batch", "report": report}
         except ReproError as exc:
-            with self._stats_lock:
-                self.errors += 1
+            self._errors.inc()
             return {"ok": False, "error": str(exc)}
 
     def stats(self) -> dict:
-        """The ``stats`` endpoint body: aggregated engine counters
-        (base + every connection, live and closed), store hit
-        rate/size (persistent tier included when attached), daemon
+        """The ``stats`` endpoint body, read from the server's registry
+        and the store: engine counters summed over every batch, store
+        hit rate/size (persistent tier included when attached), daemon
         totals, and admission state."""
         with self._stats_lock:
-            requests, batches, errors = self.requests, self.batches, self.errors
-            aggregated = EngineStats()
-            _merge_stats(aggregated, self._retired.as_dict())
-            _merge_stats(aggregated, self.engine.stats.as_dict())
-            for engine in self._active_engines:
-                _merge_stats(aggregated, engine.stats.as_dict())
-            connections = self.connections
-            active = len(self._active_engines)
-            inflight = self._inflight
-            refusals = self.admission_refusals
+            active, inflight = self._active, self._inflight
             peak = self.peak_inflight
         return {
-            "stats": aggregated.as_dict(),
+            "stats": {
+                name: counter.value
+                for name, counter in self._engine_totals.items()
+            },
             "store": self.store.stats_dict(),
             "kernels": wire.wire_stats(),
             "wire_format": self.wire_format,
-            "requests": requests,
-            "batches": batches,
-            "request_errors": errors,
-            "connections": connections,
+            "requests": self._requests.value,
+            "batches": self._batches.value,
+            "request_errors": self._errors.value,
+            "connections": self._connections.value,
             "active_connections": active,
             "max_inflight": self.max_inflight,
             "inflight_batches": inflight,
             "peak_inflight": peak,
-            "admission_refusals": refusals,
+            "admission_refusals": self._refusals.value,
             "uptime_seconds": time.monotonic() - self.started,
             # telemetry views (additive: every pre-telemetry key above
             # is unchanged — tests pin that)
@@ -452,41 +464,19 @@ class ReproServer:
 
     def metrics_payload(self) -> dict:
         """The ``metrics`` endpoint body: the process-global and
-        per-server registries merged with gauge *views* of the legacy
-        stats surfaces (aggregated engine counters, store tiers, daemon
-        totals), rendered as both a JSON snapshot and Prometheus text,
-        plus the recent-trace ring."""
+        per-server registries, plus the store's stats and the daemon's
+        levels split into counters and gauges, rendered as both a JSON
+        snapshot and Prometheus text, plus the recent-trace ring."""
         stats = self.stats()
-        store_stats = dict(stats["store"])
-        persistent = store_stats.pop("persistent", None)
-        families = [
+        store = dict(stats["store"])
+        persistent = store.pop("persistent", None) or {}
+        snapshot = obs_expo.merge_snapshots(
             obs_metrics.REGISTRY.snapshot(),
             self.metrics.snapshot(),
-            obs_expo.gauge_family("repro_engine", stats["stats"]),
-            obs_expo.gauge_family("repro_store", store_stats),
-            obs_expo.gauge_family(
-                "repro_server",
-                {
-                    key: stats[key]
-                    for key in (
-                        "requests",
-                        "batches",
-                        "request_errors",
-                        "connections",
-                        "active_connections",
-                        "inflight_batches",
-                        "peak_inflight",
-                        "admission_refusals",
-                        "uptime_seconds",
-                    )
-                },
-            ),
-        ]
-        if isinstance(persistent, dict):
-            families.append(
-                obs_expo.gauge_family("repro_store_persistent", persistent)
-            )
-        snapshot = obs_expo.merge_snapshots(*families)
+            _typed_family("repro_server", {key: stats[key] for key in _LEVELS}),
+            _typed_family("repro_store", store),
+            _typed_family("repro_store_persistent", persistent),
+        )
         return {
             "json": snapshot,
             "prometheus": obs_expo.render_prometheus(snapshot),
@@ -532,7 +522,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 if stop:
                     break
         finally:
-            owner.retire_engine(engine)
+            owner.connection_closed()
 
     def _respond_line(self, response: dict) -> None:
         self.wfile.write((json.dumps(response) + "\n").encode("utf-8"))

@@ -47,7 +47,6 @@ from typing import Iterable, Sequence
 from ..analysis.registry import shared_state
 from ..errors import ReproError
 from ..engine.session import VerdictStore
-from ..obs import metrics as obs_metrics
 from .shard import Shard
 
 __all__ = [
@@ -63,11 +62,6 @@ DEFAULT_SHARDS = 8
 DURABLE_TAGS = frozenset({"consistent", "witness", "global"})
 META_NAME = "META.json"
 META_VERSION = 1
-
-# Process-wide read-through promotions (per-store exact counts stay on
-# ``disk_hits``; this is the fleet-facing Prometheus view).  The span
-# for the disk read itself is attached inside ``Shard.lookup``.
-_DISK_HITS = obs_metrics.REGISTRY.counter("repro_store_disk_hits")
 
 
 class StoreFormatError(ReproError):
@@ -112,7 +106,7 @@ def shard_of_key(key: tuple, n_shards: int) -> int:
 
 # `_closed` is deliberately unregistered: it is a close()-time latch
 # written by the owning thread only, and reads never need freshness.
-@shared_state("_lock", "disk_hits", "merged", tier="store")
+@shared_state("_lock", "disk_hits", "misses", "merged", tier="store")
 class PersistentVerdictStore:
     """A sharded disk tier under per-shard in-memory hot tiers.
 
@@ -131,11 +125,9 @@ class PersistentVerdictStore:
         capacity: int | None = None,
         flush_every: int = 64,
         auto_compact: bool = True,
-        durable_tags: frozenset[str] = DURABLE_TAGS,
     ) -> None:
         self.root = Path(root)
         self.capacity = capacity
-        self.durable_tags = durable_tags
         self.n_shards = self._load_or_create_meta(shards)
         per_shard = None
         if capacity is not None:
@@ -153,6 +145,7 @@ class PersistentVerdictStore:
         ]
         self._lock = threading.Lock()  # store-level counters only
         self.disk_hits = 0
+        self.misses = 0  # lookups neither tier could answer
         self.merged = 0
         self._closed = False
 
@@ -198,7 +191,7 @@ class PersistentVerdictStore:
         return shard_of_key(key, self.n_shards)
 
     def _durable(self, key: tuple) -> bool:
-        return bool(key) and key[0] in self.durable_tags
+        return bool(key) and key[0] in DURABLE_TAGS
 
     # -- the VerdictStore interface --------------------------------------
 
@@ -207,17 +200,16 @@ class PersistentVerdictStore:
         value = self._hot[i].get(key)
         if value is not self.MISS:
             return value
-        if not self._durable(key):
-            return self.MISS
-        found = self._shards[i].lookup(key)
+        found = self._shards[i].lookup(key) if self._durable(key) else None
         if found is None:
+            with self._lock:
+                self.misses += 1
             return self.MISS
         value, fps = found
         # Promote without re-appending: the record is already on disk.
         self._hot[i].put(key, value, fps)
         with self._lock:
             self.disk_hits += 1
-        _DISK_HITS.inc()
         return value
 
     def contains(self, key: tuple) -> bool:
@@ -322,11 +314,6 @@ class PersistentVerdictStore:
         return sum(hot.hits for hot in self._hot) + self.disk_hits
 
     @property
-    def misses(self) -> int:
-        """Lookups neither tier could answer."""
-        return sum(hot.misses for hot in self._hot) - self.disk_hits
-
-    @property
     def evictions(self) -> int:
         return sum(hot.evictions for hot in self._hot)
 
@@ -335,43 +322,32 @@ class PersistentVerdictStore:
         return sum(hot.invalidations for hot in self._hot)
 
     def stats_dict(self) -> dict:
-        """The in-memory store's stats keys (aggregated over the hot
-        tiers, with ``hits`` including read-throughs) plus a
-        ``persistent`` sub-dict describing the disk tier."""
+        """The in-memory store's stats keys (summed over the hot tiers,
+        with ``hits`` including read-throughs) plus a ``persistent``
+        sub-dict describing the disk tier: the shards' stats summed,
+        read from their in-memory state (no directory scan)."""
         hot_hits = sum(hot.hits for hot in self._hot)
-        misses = self.misses
-        lookups = hot_hits + self.disk_hits + misses
-        shard_stats = [shard.stats_dict() for shard in self._shards]
+        with self._lock:
+            disk_hits, misses, merged = self.disk_hits, self.misses, self.merged
+        hits = hot_hits + disk_hits
+        shards = self.shard_stats()
+        disk = {key: sum(s[key] for s in shards) for key in shards[0]}
         return {
             "entries": sum(len(hot) for hot in self._hot),
             "capacity": self.capacity,
-            "hits": hot_hits + self.disk_hits,
+            "hits": hits,
             "misses": misses,
-            "hit_rate": (
-                (hot_hits + self.disk_hits) / lookups if lookups else 0.0
-            ),
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
-            "merged": self.merged,
+            "merged": merged,
             "pinned": sum(len(hot._pinned_fps) for hot in self._hot),
             "persistent": {
                 "root": str(self.root),
                 "shards": self.n_shards,
                 "hot_hits": hot_hits,
-                "disk_hits": self.disk_hits,
-                "records": sum(s["records"] for s in shard_stats),
-                "dead_records": sum(s["dead_records"] for s in shard_stats),
-                "pending": sum(s["pending"] for s in shard_stats),
-                "segments": sum(s["segments"] for s in shard_stats),
-                "skipped_segments": sum(
-                    s["skipped_segments"] for s in shard_stats
-                ),
-                "disk_bytes": sum(s["bytes"] for s in shard_stats),
-                "appends": sum(s["appends"] for s in shard_stats),
-                "flushes": sum(s["flushes"] for s in shard_stats),
-                "tombstones": sum(s["tombstones"] for s in shard_stats),
-                "compactions": sum(s["compactions"] for s in shard_stats),
-                "torn_tails": sum(s["torn_tails"] for s in shard_stats),
+                "disk_hits": disk_hits,
+                **disk,
             },
         }
 

@@ -57,14 +57,13 @@ class ShardStats:
     """Mutable counters one shard exposes (merged by the store)."""
 
     __slots__ = (
-        "appends", "flushes", "lookups", "tombstones", "compactions",
+        "appends", "flushes", "tombstones", "compactions",
         "torn_tails", "skipped_segments",
     )
 
     def __init__(self) -> None:
         self.appends = 0
         self.flushes = 0
-        self.lookups = 0
         self.tombstones = 0
         self.compactions = 0
         self.torn_tails = 0
@@ -74,7 +73,7 @@ class ShardStats:
 @shared_state(
     "_lock",
     "_index", "_fp_keys", "_pending", "_pending_index", "_dead",
-    "_tail", "_tail_fh", "_skipped", "_no_append",
+    "_tail", "_tail_fh", "_skipped", "_no_append", "_sizes",
     tier="store",
 )
 class Shard:
@@ -106,6 +105,10 @@ class Shard:
         # readable but older-versioned segments: replayed and compacted
         # away, never appended to (appends always carry FORMAT_VERSION)
         self._no_append: set[Path] = set()
+        # segment -> its byte size, for every segment in the directory
+        # (skipped ones included), kept as the shard writes so the
+        # stats never scan the disk
+        self._sizes: dict[Path, int] = {}
         self.stats = ShardStats()
         with self._lock:
             self._open()
@@ -132,6 +135,7 @@ class Shard:
     def _replay_segment(self, segment: Path) -> None:
         with segment.open("rb") as fh:
             scan = fmt.scan_segment(fh)
+        self._sizes[segment] = segment.stat().st_size
         if not scan.usable:
             self._skipped.append(segment)
             self.stats.skipped_segments += 1
@@ -141,6 +145,7 @@ class Shard:
             # starts on a clean frame boundary.
             with segment.open("r+b") as fh:
                 fh.truncate(scan.truncate_at)
+            self._sizes[segment] = scan.truncate_at
             self.stats.torn_tails += 1
         if scan.version is not None and scan.version != fmt.FORMAT_VERSION:
             self._no_append.add(segment)
@@ -193,7 +198,6 @@ class Shard:
         """``(value, fps)`` for a stored key, or ``None`` — the
         read-through miss path (one seek + one value unpickle)."""
         with self._lock:
-            self.stats.lookups += 1
             pending = self._pending_index.get(key)
             if pending is not None:
                 return pending
@@ -285,6 +289,7 @@ class Shard:
                 if self._tail_fh.tell() < fmt.HEADER.size:
                     self._tail_fh.truncate(0)
                     fmt.write_header(self._tail_fh)
+            self._sizes[self._tail] = self._tail_fh.tell()
         return self._tail_fh
 
     def _next_segment_path(self) -> Path:
@@ -322,6 +327,7 @@ class Shard:
                 fh.write(fmt.encode_tombstone(op[1]))
             written += 1
         fh.flush()
+        self._sizes[self._tail] = fh.tell()
         self._pending.clear()
         self._pending_index.clear()
         self.stats.flushes += 1
@@ -358,8 +364,7 @@ class Shard:
             # All records are dead: reclaim the segments, skip the
             # empty snapshot.
             for segment in old_segments:
-                segment.unlink(missing_ok=True)
-                self._no_append.discard(segment)
+                self._unlink(segment)
             self._dead = 0
             self.stats.compactions += 1
             return 0
@@ -387,11 +392,11 @@ class Shard:
                 )
             fh.flush()
             os.fsync(fh.fileno())
+            self._sizes[snapshot] = fh.tell()
         self._index = new_index
         for segment in old_segments:
             if segment != snapshot:
-                segment.unlink(missing_ok=True)
-                self._no_append.discard(segment)
+                self._unlink(segment)
         self._dead = 0
         self._tail = snapshot
         self.stats.compactions += 1
@@ -404,14 +409,19 @@ class Shard:
             self._close_tail()
             for segment in self._segments():
                 if segment not in self._skipped:
-                    segment.unlink(missing_ok=True)
-                    self._no_append.discard(segment)
+                    self._unlink(segment)
             self._index.clear()
             self._fp_keys.clear()
             self._pending.clear()
             self._pending_index.clear()
             self._dead = 0
             self._tail = None
+
+    @requires_lock("_lock")
+    def _unlink(self, segment: Path) -> None:
+        segment.unlink(missing_ok=True)
+        self._no_append.discard(segment)
+        self._sizes.pop(segment, None)
 
     @requires_lock("_lock")
     def _close_tail(self) -> None:
@@ -433,11 +443,7 @@ class Shard:
 
     def disk_bytes(self) -> int:
         with self._lock:
-            return sum(
-                segment.stat().st_size
-                for segment in self._segments()
-                if segment.exists()
-            )
+            return sum(self._sizes.values())
 
     def stats_dict(self) -> dict:
         with self._lock:
@@ -445,12 +451,11 @@ class Shard:
                 "records": len(self._index) + len(self._pending_index),
                 "dead_records": self._dead,
                 "pending": len(self._pending),
-                "segments": len(self._segments()),
+                "segments": len(self._sizes),
                 "skipped_segments": self.stats.skipped_segments,
-                "bytes": self.disk_bytes(),
+                "disk_bytes": self.disk_bytes(),
                 "appends": self.stats.appends,
                 "flushes": self.stats.flushes,
-                "lookups": self.stats.lookups,
                 "tombstones": self.stats.tombstones,
                 "compactions": self.stats.compactions,
                 "torn_tails": self.stats.torn_tails,

@@ -259,6 +259,8 @@ class TestMultiClient:
         assert len(results) == n_clients * per_client and all(results)
         assert stats["batches"] == n_clients * per_client
         assert stats["connections"] == n_clients
+        # every batch's engine counters were folded in exactly once
+        assert stats["stats"]["consistency_queries"] == n_clients * per_client
 
     def test_connection_stats_fold_into_daemon_totals(self, tcp_server):
         """Each connection runs its own engine; the daemon's stats op

@@ -249,6 +249,34 @@ def assert_strict_exposition(text: str) -> None:
 
 
 class TestExposition:
+    # The keys of ``ReproServer.stats()`` that only ever grow (besides
+    # every engine counter), by the prefix each is exported under, and
+    # the level readings that stay gauges.
+    MONOTONE = {
+        "repro_server": (
+            "requests", "batches", "request_errors", "connections",
+            "admission_refusals",
+        ),
+        "repro_store": (
+            "hits", "misses", "evictions", "invalidations", "merged",
+        ),
+        "repro_store_persistent": (
+            "hot_hits", "disk_hits", "skipped_segments", "appends",
+            "flushes", "tombstones", "compactions", "torn_tails",
+        ),
+    }
+    LEVELS = {
+        "repro_server": (
+            "active_connections", "inflight_batches", "peak_inflight",
+            "uptime_seconds",
+        ),
+        "repro_store": ("entries", "hit_rate", "pinned"),
+        "repro_store_persistent": (
+            "shards", "records", "dead_records", "pending", "segments",
+            "disk_bytes",
+        ),
+    }
+
     def build_snapshot(self):
         registry = MetricsRegistry()
         registry.counter("repro_c", {"kind": "a"}).inc(2)
@@ -293,10 +321,10 @@ class TestExposition:
             registry.histogram("repro_lat", {"op": op}).record(0.004)
         assert_strict_exposition(render_prometheus(registry.snapshot()))
 
-    def test_metrics_op_exposition_is_strict(self):
+    def test_metrics_op_exposition_is_strict(self, tmp_path):
         from repro.server import ReproServer
 
-        server = ReproServer()
+        server = ReproServer(store_dir=str(tmp_path / "store"))
         payload = {
             "op": "batch",
             "pairs": [[
@@ -305,11 +333,45 @@ class TestExposition:
             ]],
             "suites": [["planted-path", 3, 0]],
         }
-        assert server.handle_payload(payload)["ok"]
-        response = server.handle_payload({"op": "metrics"})
-        text = response["prometheus"]
+        try:
+            assert server.handle_payload(payload)["ok"]
+            first = server.handle_payload({"op": "metrics"})
+            assert server.handle_payload(payload)["ok"]
+            second = server.handle_payload({"op": "metrics"})
+            stats = server.stats()
+        finally:
+            server.shutdown()
+        text = first["prometheus"]
         assert text.count("# TYPE repro_engine_compute_seconds histogram") == 1
         assert_strict_exposition(text)
+        assert_strict_exposition(second["prometheus"])
+
+        # every monotone stats() key reaches Prometheus typed counter
+        sections = {
+            "repro_server": stats,
+            "repro_store": stats["store"],
+            "repro_store_persistent": stats["store"]["persistent"],
+        }
+        types = dict(re.findall(r"^# TYPE (\S+) (\S+)$", text, re.M))
+        monotone = [f"repro_engine_{key}" for key in stats["stats"]]
+        for prefix, keys in self.MONOTONE.items():
+            assert set(keys) <= set(sections[prefix]), prefix
+            monotone += [f"{prefix}_{key}" for key in keys]
+        assert len(monotone) == 32
+        for family in monotone:
+            assert types.get(family) == "counter", family
+        for prefix, keys in self.LEVELS.items():
+            for key in keys:
+                assert types.get(f"{prefix}_{key}") == "gauge", key
+        assert "repro_store_disk_hits" not in types
+
+        # no counter reads lower on a later scrape
+        before = first["json"]["counters"]
+        after = second["json"]["counters"]
+        assert set(before) <= set(after)
+        for key, value in before.items():
+            assert after[key] >= value, key
+        assert after["repro_server_batches"] == 2
 
     def test_json_is_one_line_and_round_trips(self):
         import json

@@ -53,14 +53,13 @@ class TestMetricsOp:
         ping = snapshot["histograms"]["repro_request_seconds{op=ping}"]
         assert ping["count"] == 1
 
-        # daemon totals bridged as gauges (metrics op itself included
-        # in the request count by the time stats() is read)
-        assert snapshot["gauges"]["repro_server_requests"] == 3
-        assert snapshot["gauges"]["repro_server_batches"] == 1
-        assert "repro_engine_consistency_queries" in snapshot["gauges"]
-        assert any(
-            key.startswith("repro_store_") for key in snapshot["gauges"]
-        )
+        # daemon totals are counters (the metrics op itself is counted
+        # by the time the registry is read); store levels stay gauges
+        assert snapshot["counters"]["repro_server_requests"] == 3
+        assert snapshot["counters"]["repro_server_batches"] == 1
+        assert "repro_engine_consistency_queries" in snapshot["counters"]
+        assert snapshot["counters"]["repro_store_misses"] >= 1
+        assert "repro_store_entries" in snapshot["gauges"]
 
         # well-formed Prometheus text with the histogram series
         prometheus = response["prometheus"]
@@ -69,6 +68,7 @@ class TestMetricsOp:
             prometheus
         )
         assert 'repro_request_seconds_count{op="batch"} 1' in prometheus
+        assert "# TYPE repro_server_requests counter" in prometheus
         assert "repro_server_requests 3" in prometheus
 
         # recent traces ride along for `repro obs --traces`
@@ -88,7 +88,7 @@ class TestMetricsOp:
         finally:
             server.shutdown()
         assert response["ok"]
-        assert response["json"]["gauges"]["repro_server_requests"] >= 2
+        assert response["json"]["counters"]["repro_server_requests"] >= 2
         assert response["prometheus"].endswith("\n")
         assert "repro_request_seconds_bucket" in response["prometheus"]
 

@@ -247,15 +247,72 @@ class TestStats:
         assert plain_keys <= set(store.stats_dict())
         store.close()
 
-    def test_persistent_substats_track_disk_state(self, tmp_path):
-        store = PersistentVerdictStore(tmp_path / "s", shards=3, flush_every=1)
-        store.put(("consistent", 1, 2), True, (1, 2))
-        persisted = store.stats_dict()["persistent"]
-        assert persisted["shards"] == 3
-        assert persisted["records"] == 1
-        assert persisted["disk_bytes"] > 0
-        assert persisted["hot_hits"] == 0 and persisted["disk_hits"] == 0
+    def test_persistent_substats_track_disk_state(self, tmp_path, monkeypatch):
+        """``segments`` and ``disk_bytes`` match a directory scan through
+        every write path, and reading them touches no file."""
+        import pathlib
+
+        root = tmp_path / "s"
+
+        def scan():
+            segments = list(root.glob("shard-*/*.seg"))
+            return len(segments), sum(p.stat().st_size for p in segments)
+
+        def no_disk(name):
+            def refuse(*args, **kwargs):
+                raise AssertionError(f"stats_dict() called Path.{name}")
+
+            return refuse
+
+        def persisted(store):
+            with monkeypatch.context() as patched:
+                for name in ("glob", "stat"):
+                    patched.setattr(pathlib.Path, name, no_disk(name))
+                stats = store.stats_dict()["persistent"]
+            assert (stats["segments"], stats["disk_bytes"]) == scan()
+            return stats
+
+        def put(store, i):
+            fp = i << 120  # the top bits pick the shard: i % 3
+            store.put(("consistent", fp, i), True, (fp, i))
+
+        store = PersistentVerdictStore(root, shards=3, flush_every=4)
+        put(store, 1)  # buffered: no segment yet
+        stats = persisted(store)
+        assert stats["shards"] == 3
+        assert stats["records"] == 1 and stats["pending"] == 1
+        assert stats["hot_hits"] == 0 and stats["disk_hits"] == 0
+        store.flush()
+        assert persisted(store)["disk_bytes"] > 0
+        for i in range(2, 40):  # write-behind flushes inside appends
+            put(store, i)
+        assert persisted(store)["flushes"] > 1
+        store.flush()
+        store.invalidate_fp(5 << 120)
+        store.flush()
+        assert persisted(store)["tombstones"] == 1
+        store.compact()
+        assert persisted(store)["dead_records"] == 0
+        store.clear()
+        assert persisted(store)["segments"] == 0
+        for i in range(50, 60):
+            put(store, i)
         store.close()
+
+        # reopen over a torn tail and a foreign segment: the torn bytes
+        # are cut, the foreign file is kept and counted
+        (tail,) = root.glob("shard-01/*.seg")
+        with tail.open("ab") as fh:
+            fh.write(b"\x00torn")
+        (root / "shard-02" / "00000099.seg").write_bytes(b"not a segment")
+        reopened = PersistentVerdictStore(root)
+        stats = persisted(reopened)
+        assert stats["torn_tails"] == 1 and stats["skipped_segments"] == 1
+        assert stats["records"] == 10
+        put(reopened, 70)
+        reopened.flush()
+        persisted(reopened)
+        reopened.close()
 
     def test_capacity_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="capacity"):
