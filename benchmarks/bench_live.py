@@ -20,9 +20,11 @@ perf trend is tracked across PRs).
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
+import statistics
 import time
 
 from repro.consistency.global_ import pairwise_consistent
@@ -40,6 +42,15 @@ N_TUPLES = 48 if SMOKE else 120
 N_TXNS = 15 if SMOKE else 50
 DOMAIN = 4 if SMOKE else 8
 MIN_SPEEDUP = 3.0 if SMOKE else 10.0
+# A smoke live pass lasts ~1 ms, so one pass's ratio swings with the
+# host (single passes read 2.9-6.4x on a 2-vCPU VM), and the first timed
+# live pass is still partly cold (the warm-up replays only 2 updates):
+# in CI's three-file bench-smoke invocation a single pass pair read
+# 2.5-3.7x in 14 runs, 3 of them under the 3x bound.  The gate reads
+# the median of SPEEDUP_PASSES paired ratios instead, as bench_serve's
+# telemetry gate does: 4.2-5.2x at smoke size (14 runs) and 16.2-18.2x
+# at full size (6 runs).
+SPEEDUP_PASSES = 15
 
 
 def path_schemas(m: int) -> list[Schema]:
@@ -133,7 +144,8 @@ def run_cold(bags, updates, samples=None) -> list[bool]:
 
 def test_live_streaming_speedup():
     """The acceptance gate: >= 10x (3x at smoke sizes) on the streaming
-    update -> re-check workload, identical verdicts."""
+    update -> re-check workload, the median of SPEEDUP_PASSES paired
+    pass ratios, identical verdicts on every pass."""
     bags, updates = make_workload()
     # Warm both paths (itemgetter plans, import-time costs).
     run_live(bags, updates[:2])
@@ -141,22 +153,32 @@ def test_live_streaming_speedup():
 
     live_samples: list = []
     cold_samples: list = []
-    start = time.perf_counter()
-    live_verdicts = run_live(bags, updates, samples=live_samples)
-    live_elapsed = time.perf_counter() - start
+    live_passes: list = []
+    cold_passes: list = []
+    for _ in range(SPEEDUP_PASSES):
+        gc.collect()  # a GC pause in one pass would swamp its ratio
+        start = time.perf_counter()
+        live_verdicts = run_live(bags, updates, samples=live_samples)
+        live_passes.append(time.perf_counter() - start)
 
-    start = time.perf_counter()
-    cold_verdicts = run_cold(bags, updates, samples=cold_samples)
-    cold_elapsed = time.perf_counter() - start
+        gc.collect()
+        start = time.perf_counter()
+        cold_verdicts = run_cold(bags, updates, samples=cold_samples)
+        cold_passes.append(time.perf_counter() - start)
 
-    assert live_verdicts == cold_verdicts
-    # Every transaction boundary restores consistency, so the stream
-    # must keep re-reaching "consistent" (not decay to all-False).
-    assert live_verdicts[N_BAGS - 1 :: N_BAGS] == [True] * N_TXNS
+        assert live_verdicts == cold_verdicts
+        # Every transaction boundary restores consistency, so the
+        # stream must keep re-reaching "consistent" (not decay to
+        # all-False).
+        assert live_verdicts[N_BAGS - 1 :: N_BAGS] == [True] * N_TXNS
 
-    speedup = cold_elapsed / live_elapsed
+    ratios = [cold / live for live, cold in zip(live_passes, cold_passes)]
+    speedup = statistics.median(ratios)
+    live_elapsed = statistics.median(live_passes)
+    cold_elapsed = statistics.median(cold_passes)
     print(
-        f"\nstreaming workload: cold {cold_elapsed * 1000:.1f} ms, "
+        f"\nstreaming workload (median of {SPEEDUP_PASSES} paired "
+        f"passes): cold {cold_elapsed * 1000:.1f} ms, "
         f"live {live_elapsed * 1000:.1f} ms, speedup {speedup:.1f}x"
     )
     out = os.environ.get("REPRO_BENCH_OUT")
@@ -172,6 +194,7 @@ def test_live_streaming_speedup():
                     "cold_seconds": cold_elapsed,
                     "live_seconds": live_elapsed,
                     "speedup": speedup,
+                    "pass_ratios": ratios,
                     "min_speedup": MIN_SPEEDUP,
                     "latency": {
                         "live_update": percentiles(live_samples),

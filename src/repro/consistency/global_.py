@@ -97,10 +97,6 @@ def fold_order(bags: Sequence[Bag]) -> list[Bag]:
     """The deduped bags in a running-intersection order — the fold order
     of Theorem 6.  Raises :class:`CyclicSchemaError` when the schema
     hypergraph is cyclic (Theorem 1(c): no such order exists).
-
-    Exposed as a node-level building block so incremental maintainers
-    (:mod:`repro.engine.live_global`) and reference cross-checks share
-    one ordering with the cold fold.
     """
     deduped = _dedupe_by_schema(bags)
     hypergraph = hypergraph_of_bags(deduped)

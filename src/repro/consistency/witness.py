@@ -52,7 +52,7 @@ def witness_marginal_residuals(
     Maps each bag's schema to the sparse signed difference ``bag -
     candidate[schema]`` per cell; a true witness has every residual
     empty (``is_witness`` is "all residuals empty" plus the union-schema
-    check).  This is the quantity the fold-tree delta repair
+    check).  This is the quantity the live witness's delta repair
     (:mod:`repro.engine.live_global`) drives to zero cell-by-cell, and
     the actionable diagnostic when a maintained or stored witness is
     suspected of drift: it names the exact cells to fix.

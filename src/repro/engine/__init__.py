@@ -16,7 +16,9 @@ Layering (lowest first):
   each with a ``parallelism=`` knob);
 * :mod:`repro.engine.live` — :class:`LiveEngine`: mutable
   :class:`LiveBag` handles whose updates bump O(1) incremental pair
-  checkers and invalidate only the cache entries they touch;
+  checkers and invalidate only the cache entries they touch, and a
+  maintained Theorem 6 witness per acyclic handle set, patched by the
+  delta repair of :mod:`repro.engine.live_global`;
 * :mod:`repro.engine.jobs`, :mod:`repro.engine.executors` and
   :mod:`repro.engine.wire` — batch payloads, the serial loop and the
   process pool that run them, and the v2 frame codec of
@@ -37,7 +39,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .index import BagIndex, RelationIndex
     from .live import LiveBag, LiveEngine
-    from .live_global import LiveGlobalWitness
     from .session import Engine, EngineStats, VerdictStore
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "VerdictStore",
     "LiveEngine",
     "LiveBag",
-    "LiveGlobalWitness",
     "BagIndex",
     "RelationIndex",
     "kernels",
@@ -58,7 +58,6 @@ _LAZY = {
     "VerdictStore": ("repro.engine.session", "VerdictStore"),
     "LiveEngine": ("repro.engine.live", "LiveEngine"),
     "LiveBag": ("repro.engine.live", "LiveBag"),
-    "LiveGlobalWitness": ("repro.engine.live_global", "LiveGlobalWitness"),
     "BagIndex": ("repro.engine.index", "BagIndex"),
     "RelationIndex": ("repro.engine.index", "RelationIndex"),
 }

@@ -38,6 +38,7 @@ from ..analysis.registry import register_lock
 from ..errors import InconsistentError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
+from .session import consistent_key, global_key, witness_key
 
 # Process fan-out latency: the whole ship-misses/merge-deltas phase
 # (zero-sample when every job is a hit — the pre-filter skipped it).
@@ -194,22 +195,14 @@ atexit.register(shutdown_pools)
 #             "global"               -> (fps...).
 
 
-def _consistent_key(lfp: int, rfp: int) -> tuple:
-    return (
-        ("consistent", lfp, rfp) if lfp <= rfp else ("consistent", rfp, lfp)
-    )
-
-
-def _job_keys(kind: str, frozen, method: str) -> list[tuple]:
-    """The store keys a local replay of this job will probe — the
+def _job_key(kind: str, frozen, method: str) -> tuple:
+    """The store key a local replay of this job will probe — the
     pre-filter that keeps already-answered jobs off the wire."""
     if kind == "consistent":
-        lfp, rfp = frozen
-        return [_consistent_key(lfp, rfp)]
+        return consistent_key(*frozen)
     if kind == "witness":
-        lfp, rfp = frozen
-        return [("witness", lfp, rfp, True)]  # Engine.witness's key
-    return [("global", frozen, method)]
+        return witness_key(*frozen)
+    return global_key(frozen, method)
 
 
 def _worker_run(
@@ -279,12 +272,9 @@ def run_process_batch(
     missing: list = []
     seen_keys: set[tuple] = set()
     for entry in frozen:
-        keys = _job_keys(kind, entry, method)
-        if any(engine.store.contains(key) for key in keys):
-            continue
-        key = keys[0]
-        if key in seen_keys:
-            continue  # duplicate job in one batch: ship it once
+        key = _job_key(kind, entry, method)
+        if key in seen_keys or engine.store.contains(key):
+            continue  # answered already, or a duplicate: ship it once
         seen_keys.add(key)
         missing.append(entry)
     if missing:

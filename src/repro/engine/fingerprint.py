@@ -1,14 +1,14 @@
-"""Content fingerprints: canonical hashes for schemas, bags, relations.
+"""Content fingerprints: canonical hashes for schemas and bags.
 
 The PR-1/PR-2 engine keyed every cached result on *object identity*
 (``id()``), so two value-equal bags — the same ledger parsed by two
 requests, the same suite built twice, a bag rebuilt after an undo —
-never shared a verdict.  This module gives every schema, bag, and
-relation a deterministic **content fingerprint** so caches can be keyed
-on *what a bag is* rather than *which object holds it*:
+never shared a verdict.  This module gives every schema and bag a
+deterministic **content fingerprint** so caches can be keyed on *what a
+bag is* rather than *which object holds it*:
 
 * fingerprints are pure functions of the value: schema attributes, and
-  the (row, multiplicity) multiset for bags (row set for relations);
+  the (row, multiplicity) multiset for bags;
 * they are **order-insensitive over rows** — the per-row digests are
   combined with a commutative modular sum, so insertion order, dict
   order, and construction route (``from_pairs``, ``KRelation`` round
@@ -48,11 +48,10 @@ from itertools import starmap
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..analysis.registry import register_lock
-from .index import BagIndex, RelationIndex
+from .index import BagIndex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.bags import Bag
-    from ..core.relations import Relation
     from ..core.schema import Schema
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "content_sum",
     "of_bag",
     "of_collection",
-    "of_relation",
     "of_schema",
     "row_term",
     "seed",
@@ -69,17 +67,15 @@ __all__ = [
 
 MASK = (1 << 128) - 1
 
-# fingerprint -> the index already serving a bag/relation with that
-# content; value-equal instances adopt it so marginals, buckets, and
-# sorted orders are computed once per *value*, not once per object.
+# fingerprint -> the index already serving a bag with that content;
+# value-equal bags adopt it so marginals, buckets, and sorted orders
+# are computed once per *value*, not once per object.
 _BAG_INDEXES: "weakref.WeakValueDictionary[int, BagIndex]"
 _BAG_INDEXES = weakref.WeakValueDictionary()
-_RELATION_INDEXES: "weakref.WeakValueDictionary[int, RelationIndex]"
-_RELATION_INDEXES = weakref.WeakValueDictionary()
 _REGISTRY_LOCK = register_lock(
     "_REGISTRY_LOCK", threading.Lock(), tier="engine",
     slots=("_fingerprint",),
-    containers=("_BAG_INDEXES", "_RELATION_INDEXES"),
+    containers=("_BAG_INDEXES",),
 )
 
 
@@ -151,10 +147,6 @@ def bag_fingerprint(schema_fp: int, content: int, support_size: int) -> int:
     return _digest(b"bag|%d|%d|%d" % (schema_fp, support_size, content))
 
 
-def relation_fingerprint(schema_fp: int, content: int, size: int) -> int:
-    return _digest(b"rel|%d|%d|%d" % (schema_fp, size, content))
-
-
 def of_bag(bag: "Bag") -> int:
     """The bag's content fingerprint, computed once and cached on its
     :class:`BagIndex`.
@@ -181,29 +173,6 @@ def of_bag(bag: "Bag") -> int:
                 bag._index = shared
             return fp
         _BAG_INDEXES[fp] = index
-    return fp
-
-
-def of_relation(relation: "Relation") -> int:
-    """The relation's content fingerprint (cached + index sharing, the
-    set-semantics sibling of :func:`of_bag`)."""
-    index = RelationIndex.of(relation)
-    fp = index._fingerprint
-    if fp is not None:
-        return fp
-    fp = relation_fingerprint(
-        of_schema(relation._schema),
-        content_sum((row, 1) for row in relation._rows),
-        len(relation._rows),
-    )
-    with _REGISTRY_LOCK:
-        index._fingerprint = fp
-        shared = _RELATION_INDEXES.get(fp)
-        if shared is not None and shared is not index:
-            if shared._relation == relation:
-                relation._index = shared
-            return fp
-        _RELATION_INDEXES[fp] = index
     return fp
 
 

@@ -151,8 +151,6 @@ class RelationIndex:
         "_projections",
         "_buckets",
         "_key_sets",
-        "_fingerprint",
-        "__weakref__",
     )
 
     def __init__(self, relation: "Relation") -> None:
@@ -160,7 +158,6 @@ class RelationIndex:
         self._projections: dict[tuple, "Relation"] = {}
         self._buckets: dict[tuple, dict] = {}
         self._key_sets: dict[tuple, frozenset] = {}
-        self._fingerprint: int | None = None
 
     @staticmethod
     def of(relation: "Relation") -> "RelationIndex":

@@ -21,12 +21,13 @@ is acyclic.  A :class:`LiveEngine` wires both into the engine cache:
   between updates — and because each handle maintains its fingerprint
   incrementally, snapshots are born pre-fingerprinted and invalidation
   never rescans a bag;
-* over an acyclic schema of :data:`FOLD_TREE_MIN_ROWS` rows or more,
-  :meth:`LiveEngine.global_check` maintains the Theorem 6 *witness* in
-  a persistent fold tree (:mod:`repro.engine.live_global`) instead of
-  re-folding it after every update, and pushes each maintained result
-  into the engine's verdict store so serve/batch clients sharing the
-  store get it for free.
+* over an acyclic schema, :meth:`LiveEngine.global_check` keeps one
+  Theorem 6 *witness* per handle set and, after updates, patches it
+  with one delta repair over all the bags
+  (:func:`repro.engine.live_global.repair_fold_witness`) instead of
+  re-folding, and pushes each maintained result into the engine's
+  verdict store so serve/batch clients sharing the store get it for
+  free.
 
 The consistency-checking-as-serving loop this enables —
 ``update(...); globally_consistent()`` — is the streaming workload of
@@ -40,22 +41,38 @@ from collections import OrderedDict
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from ..consistency.global_ import GlobalConsistencyResult
+from ..consistency.global_ import (
+    GlobalConsistencyResult,
+    acyclic_global_witness,
+)
 from ..consistency.incremental import IncrementalPairChecker, validate_update
 from ..core.bags import Bag
 from ..core.schema import Schema
 from ..lp.integer_feasibility import DEFAULT_NODE_BUDGET
 from . import fingerprint
-from .live_global import LiveGlobalWitness
-from .session import Engine, EngineStats, VerdictStore
+from .live_global import repair_fold_witness
+from .session import Engine, EngineStats, VerdictStore, global_key
 
-__all__ = ["FOLD_TREE_MIN_ROWS", "LiveBag", "LiveEngine"]
+__all__ = ["LiveBag", "LiveEngine"]
 
-# Support rows in a handle set from which global_check keeps a fold
-# tree by default: below it the tree's repair bookkeeping costs more
-# than the linear re-fold it saves (measured crossover and the bench
-# streams on each side: docs/ARCHITECTURE.md, "Live global witnesses").
-FOLD_TREE_MIN_ROWS = 48
+# Handle sets whose global witness one LiveEngine maintains (LRU): each
+# pins one snapshot per schema plus its witness, so a session sweeping
+# many distinct subsets must not accumulate them (an evicted set pays
+# one cold fold on its next check).
+MAX_WITNESS_SETS = 8
+
+
+def _diff_mults(new: dict, old: dict) -> dict:
+    """Sparse signed difference ``new - old`` of two multiplicity maps."""
+    diff = {}
+    for row, mult in new.items():
+        delta = mult - old.get(row, 0)
+        if delta:
+            diff[row] = delta
+    for row, mult in old.items():
+        if row not in new:
+            diff[row] = -mult
+    return diff
 
 
 class LiveBag:
@@ -134,8 +151,9 @@ class LiveEngine:
     ``capacity`` and ``node_budget`` are forwarded to the inner engine;
     queries between handles are answered from incrementally-maintained
     pair checkers (created on the first query of each pair, O(1)
-    afterwards), everything else from the inner engine's snapshot-keyed
-    cache.
+    afterwards), acyclic global checks from the witness the session
+    maintains per handle set, everything else from the inner engine's
+    snapshot-keyed cache.
     """
 
     def __init__(
@@ -144,12 +162,7 @@ class LiveEngine:
         node_budget: int | None = DEFAULT_NODE_BUDGET,
         capacity: int | None = None,
         store: VerdictStore | None = None,
-        max_fold_trees: int = 8,
     ) -> None:
-        if max_fold_trees < 1:
-            raise ValueError(
-                f"max_fold_trees must be positive, got {max_fold_trees}"
-            )
         self._engine = Engine(
             node_budget=node_budget, capacity=capacity, store=store
         )
@@ -178,16 +191,13 @@ class LiveEngine:
         self._acyclic_sets: dict[frozenset[int], bool] = {}
         # the key of the whole handle set, kept current by add_bag
         self._schema_key: frozenset[int] = frozenset()
-        # slot set -> the maintained Theorem 6 fold tree for those
-        # handles (created on the first global check served live).
-        # LRU-bounded at max_fold_trees: trees pin bag snapshots and
-        # per-node witness histories, and every update notifies every
-        # retained tree, so a session sweeping many distinct subsets
-        # must not accumulate one forever (an evicted set just pays
-        # one fresh fold on its next live check).
-        self.max_fold_trees = max_fold_trees
-        self._live_globals: "OrderedDict[frozenset[int], LiveGlobalWitness]"
-        self._live_globals = OrderedDict()
+        # slot set -> (one snapshot per schema, the result they were
+        # last checked at): the maintained Theorem 6 witness of those
+        # handles, LRU-bounded at MAX_WITNESS_SETS.
+        self._live_globals: OrderedDict[
+            frozenset[int], tuple[list[Bag], GlobalConsistencyResult]
+        ] = OrderedDict()
+        self._live_global_counts = {"repairs": 0, "refolds": 0}
         self.updates = 0
         for bag in bags:
             self.add_bag(bag)
@@ -264,8 +274,6 @@ class LiveEngine:
             if self._invalidate_on_update:
                 self._engine.invalidate(old)
             handle._snapshot = None
-        for live_global in self._live_globals.values():
-            live_global.notify(slot)  # O(1) dirty mark, work deferred
         self.updates += 1
 
     # -- queries ---------------------------------------------------------
@@ -396,44 +404,11 @@ class LiveEngine:
             self._resolve(left).bag(), self._resolve(right).bag()
         )
 
-    def global_check(self, handles=None, method: str = "auto",
-                     mode: str | None = None):
-        """The GCPB decision + witness over the current snapshots.
-
-        ``mode="live"`` maintains the Theorem 6 witness incrementally
-        whenever the handles' schema hypergraph is acyclic: a fold tree
-        (:class:`~repro.engine.live_global.LiveGlobalWitness`) repairs
-        only the nodes on the updated bags' leaf-to-root paths, and the
-        maintained result is pushed into the engine's verdict store so
-        engines sharing it hit without folding.  The default picks it
-        from :data:`FOLD_TREE_MIN_ROWS` rows on.  Cyclic schemas,
-        ``method="search"``, and ``mode="cold"`` take the memoized cold
-        path; there the pairwise phase is still served from the
-        maintained O(1) checkers, and the cached per-handle-set
-        acyclicity is forwarded so a post-update miss re-pays only
-        witness construction — neither the pairwise scan nor the GYO
-        reduction.
-        """
-        if mode not in (None, "live", "cold"):
-            raise ValueError(f"unknown mode {mode!r}; use 'live' or 'cold'")
-        resolved = (
-            self._handles
-            if handles is None
-            else [self._resolve(handle) for handle in handles]
-        )
-        if mode is None:
-            rows = sum(handle.support_size for handle in resolved)
-            mode = "live" if rows >= FOLD_TREE_MIN_ROWS else "cold"
-        acyclic = self.schema_acyclic(resolved) if resolved else False
-        if (
-            mode == "live"
-            and method in ("auto", "acyclic")
-            and resolved
-            and acyclic
-        ):
-            return self._live_global_check(resolved, method)
-        bags = [handle.bag() for handle in resolved]
-        by_id = {id(bag): handle for bag, handle in zip(bags, resolved)}
+    def _pair_checker(self, handles, bags):
+        """A Lemma 2(2) checker answering from the maintained O(1)
+        checkers for ``bags``, the snapshots of ``handles``; any other
+        pair goes through the inner engine's cached test."""
+        by_id = {id(bag): handle for bag, handle in zip(bags, handles)}
 
         def pair_checker(left: Bag, right: Bag) -> bool:
             left_handle = by_id.get(id(left))
@@ -442,20 +417,52 @@ class LiveEngine:
                 return self.are_consistent(left_handle, right_handle)
             return self._engine._internal_pair_checker(left, right)
 
+        return pair_checker
+
+    def global_check(self, handles=None, method: str = "auto"):
+        """The GCPB decision + witness over the current snapshots.
+
+        Whenever the handles' schema hypergraph is acyclic (and
+        ``method`` is ``"auto"`` or ``"acyclic"``), the Theorem 6
+        witness is maintained per handle set: after updates a single
+        delta repair patches it, and the maintained result is pushed
+        into the engine's verdict store so engines sharing it hit
+        without folding.  Cyclic schemas and ``method="search"`` take
+        the memoized cold path; there the pairwise phase is still
+        served from the maintained O(1) checkers, and the cached
+        per-handle-set acyclicity is forwarded so a post-update miss
+        re-pays only witness construction — neither the pairwise scan
+        nor the GYO reduction.
+        """
+        resolved = (
+            self._handles
+            if handles is None
+            else [self._resolve(handle) for handle in handles]
+        )
+        acyclic = self.schema_acyclic(resolved) if resolved else False
+        if acyclic and method in ("auto", "acyclic"):
+            return self._live_global_check(resolved, method)
+        bags = [handle.bag() for handle in resolved]
         return self._engine.global_check(
             bags,
             method=method,
-            _pair_checker=pair_checker,
+            _pair_checker=self._pair_checker(resolved, bags),
             _acyclic_hint=acyclic if resolved else None,
         )
 
     def _live_global_check(self, resolved, method: str):
-        """Serve a global check from the maintained fold tree.
+        """Serve a global check from the handle set's maintained witness.
 
-        Counts as an external global query on the engine stats (a clean
-        tree is a hit); successful results land in the shared verdict
-        store under the same key the cold path uses, so value-equal
-        collections served elsewhere reuse the maintained witness.
+        The held snapshots are diffed against the current ones and
+        :func:`~repro.engine.live_global.repair_fold_witness` patches
+        the held witness over all the bags at once.  The set re-folds
+        cold (``acyclic_global_witness``) on its first check, when the
+        repair gives up, or when the patched witness exceeds Theorem 6's
+        support bound.  Counts as an external global query on the
+        engine stats (unchanged snapshots are a hit); successful results
+        land in the shared verdict store under the same key the cold
+        path uses, so value-equal collections served elsewhere reuse the
+        maintained witness.
         """
         stats = self._engine.stats
         with self._engine._lock:
@@ -463,33 +470,67 @@ class LiveEngine:
         if not self.pairwise_consistent(resolved):
             return GlobalConsistencyResult(False, None, "pairwise")
         key = frozenset(self._slots[handle] for handle in resolved)
-        live_global = self._live_globals.get(key)
-        if live_global is None:
-            live_global = LiveGlobalWitness(self, resolved)
-            self._live_globals[key] = live_global
-            while len(self._live_globals) > self.max_fold_trees:
-                self._live_globals.popitem(last=False)
-        else:
-            self._live_globals.move_to_end(key)
-        clean = not live_global._dirty and live_global._result is not None
-        result = live_global.refresh()
-        if clean:
-            with self._engine._lock:
-                stats.global_hits += 1
+        # Pairwise consistency forces equal-schema bags to be equal, so
+        # the lowest slot's snapshot stands for its schema (the cold
+        # fold dedupes the same way).
+        representatives: dict[Schema, LiveBag] = {}
+        for slot in sorted(key):
+            handle = self._handles[slot]
+            representatives.setdefault(handle.schema, handle)
+        handles = list(representatives.values())
+        bags = [handle.bag() for handle in handles]
+        held = self._live_globals.pop(key, None)
+        result = None
+        if held is not None:
+            old_bags, result = held
+            deltas = [
+                {}
+                if fingerprint.of_bag(new) == fingerprint.of_bag(old)
+                else _diff_mults(new._mults, old._mults)
+                for new, old in zip(bags, old_bags)
+            ]
+            if not any(deltas):
+                with self._engine._lock:
+                    stats.global_hits += 1
+            else:
+                result = self._repaired(result.witness, bags, deltas)
+        if result is None:
+            witness = acyclic_global_witness(
+                bags, pair_checker=self._pair_checker(handles, bags)
+            )
+            result = GlobalConsistencyResult(True, witness, "live")
+            self._live_global_counts["refolds"] += 1
+        self._live_globals[key] = (bags, result)
+        while len(self._live_globals) > MAX_WITNESS_SETS:
+            self._live_globals.popitem(last=False)
         store = self._engine.store
         fps = fingerprint.of_collection(
             [handle.bag() for handle in resolved]
         )
-        store_key = ("global", fps, method)
+        store_key = global_key(fps, method)
         if not store.contains(store_key):
             store.put(store_key, result, fps)
         return result
 
+    def _repaired(self, witness: Bag, bags: list[Bag], deltas: list[dict]):
+        """The witness patched to the new ``bags``, or None when the
+        repair gives up or its support breaks Theorem 6's bound (the
+        delta invalidated minimality), so the caller re-folds cold."""
+        patched = repair_fold_witness(
+            witness._mults,
+            witness.schema.attrs,
+            [(bag.schema.attrs, delta) for bag, delta in zip(bags, deltas)],
+        )
+        if patched is None or len(patched[0]) > sum(
+            bag.support_size for bag in bags
+        ):
+            return None
+        self._live_global_counts["repairs"] += 1
+        return GlobalConsistencyResult(
+            True, Bag._from_clean(witness.schema, patched[0]), "live"
+        )
+
     def live_global_stats(self) -> dict:
-        """Fold-tree maintenance counters aggregated over every handle
-        set maintained so far (repairs vs recomputes vs restores)."""
-        totals: dict[str, int] = {}
-        for live_global in self._live_globals.values():
-            for name, value in live_global.stats.as_dict().items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
+        """How this session's maintained global checks were served: by
+        a delta repair (``repairs``) or by a cold fold (``refolds``)."""
+        return dict(self._live_global_counts)

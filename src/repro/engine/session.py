@@ -87,6 +87,26 @@ _COMPUTE_HISTOGRAMS = {
 }
 
 
+def consistent_key(lfp: int, rfp: int) -> tuple:
+    """The store key of a pair verdict.  Consistency is symmetric, so
+    the key is unordered and both orientations share one entry."""
+    return ("consistent", lfp, rfp) if lfp <= rfp else ("consistent", rfp, lfp)
+
+
+def witness_key(lfp: int, rfp: int) -> tuple:
+    """The store key of a pair witness, per ordered content pair.  The
+    trailing True keeps the key of stores written when the engine also
+    built non-minimal witnesses (stored under False, never read back),
+    so those stores keep hitting."""
+    return ("witness", lfp, rfp, True)
+
+
+def global_key(fps: tuple[int, ...], method: str) -> tuple:
+    """The store key of a global check: the collection's fingerprints
+    in order, and the method asked for."""
+    return ("global", fps, method)
+
+
 def _observe_compute(op: str, start: float) -> None:
     """Record one miss-branch compute into the per-op histogram and,
     when a request trace is in flight, attach the matching span."""
@@ -476,8 +496,7 @@ class Engine:
         return value
 
     def _consistent(self, left: Bag, right: Bag, internal: bool) -> bool:
-        """Lemma 2(2), memoized.  Consistency is symmetric, so the key
-        is unordered and both orientations share one entry."""
+        """Lemma 2(2), memoized under :func:`consistent_key`."""
         stats = self.stats
         with self._lock:
             if internal:
@@ -485,7 +504,7 @@ class Engine:
             else:
                 stats.consistency_queries += 1
         a, b = fingerprint.of_bag(left), fingerprint.of_bag(right)
-        key = ("consistent", a, b) if a <= b else ("consistent", b, a)
+        key = consistent_key(a, b)
         value = self._get(key)
         if value is _MISS:
             from ..consistency.pairwise import are_consistent
@@ -519,10 +538,7 @@ class Engine:
         with self._lock:
             self.stats.witness_queries += 1
         lfp, rfp = fingerprint.of_bag(left), fingerprint.of_bag(right)
-        # The trailing True keeps the key of stores written when the
-        # engine also built non-minimal witnesses (stored under False,
-        # never read back), so those stores keep hitting.
-        key = ("witness", lfp, rfp, True)
+        key = witness_key(lfp, rfp)
         cached = self._get(key)
         if cached is not _MISS:
             with self._lock:
@@ -570,7 +586,7 @@ class Engine:
             self.stats.global_queries += 1
         bags = list(bags)
         fps = fingerprint.of_collection(bags)
-        key = ("global", fps, method)
+        key = global_key(fps, method)
         cached = self._get(key)
         if cached is _MISS:
             from ..consistency.global_ import global_witness

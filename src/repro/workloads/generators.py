@@ -249,8 +249,8 @@ def planted_stream(
     transaction boundary it is globally consistent again, with the
     evolved plant as certificate — the monitoring pattern behind
     ``benchmarks/bench_live.py`` / ``bench_live_global.py`` and the
-    fold-tree stream tests, generated in one place so they replay the
-    identical traffic.
+    live global-witness stream tests, generated in one place so they
+    replay the identical traffic.
     """
     from ..core.schema import projection_plan
 

@@ -157,8 +157,8 @@ _register(InstanceSuite(
 _register(InstanceSuite(
     name="planted-star",
     description="Marginals of a hidden witness over the star {Hub, A_i}; "
-                "globally consistent, acyclic with a depth-2 join tree "
-                "(the wide-fan fold-tree shape).",
+                "globally consistent, acyclic with a wide-fan, depth-2 "
+                "join tree.",
     expected="consistent",
     schema_kind="acyclic",
     min_size=1,

@@ -5,7 +5,6 @@ import random
 
 from repro.core.bags import Bag
 from repro.core.krelations import KRelation
-from repro.core.relations import Relation
 from repro.core.schema import Schema
 from repro.engine import fingerprint
 from repro.engine.live import LiveEngine
@@ -63,14 +62,6 @@ class TestFingerprintValue:
         a = Bag.from_pairs(AB, [((1, 2), 1)])
         b = Bag.from_pairs(Schema(["A", "C"]), [((1, 2), 1)])
         assert fingerprint.of_bag(a) != fingerprint.of_bag(b)
-
-    def test_relation_fingerprint_shares_semantics(self):
-        r = Relation.from_pairs(AB, [(1, 2), (2, 2)])
-        s = Relation.from_pairs(AB, [(2, 2), (1, 2)])
-        assert fingerprint.of_relation(r) == fingerprint.of_relation(s)
-        assert fingerprint.of_relation(r) != fingerprint.of_relation(
-            Relation.from_pairs(AB, [(1, 2)])
-        )
 
     def test_deterministic_across_instances(self):
         # the digest must be a pure function of the value, not of the

@@ -11,7 +11,7 @@ from repro.consistency.pairwise import are_consistent
 from repro.consistency.witness import is_witness
 from repro.core.bags import Bag
 from repro.core.schema import Schema
-from repro.engine.live import FOLD_TREE_MIN_ROWS, LiveBag, LiveEngine
+from repro.engine.live import LiveBag, LiveEngine
 from repro.errors import InconsistentError, MultiplicityError, SchemaError
 from repro.workloads.generators import planted_collection
 
@@ -202,29 +202,6 @@ class TestGlobal:
     def test_capacity_forwarded_to_inner_engine(self):
         live = LiveEngine(capacity=2)
         assert live.engine.capacity == 2
-
-    def test_default_mode_picks_the_fold_tree_by_size(self):
-        """Below FOLD_TREE_MIN_ROWS rows the default re-folds cold and
-        builds no tree; from it on the tree serves.  An explicit mode
-        overrides either way."""
-        _, small = planted_collection([AB, BC, CD], random.Random(1))
-        _, large = planted_collection(
-            [AB, BC, CD], random.Random(1), domain_size=6, n_tuples=30
-        )
-        assert sum(bag.support_size for bag in small) < FOLD_TREE_MIN_ROWS
-        assert sum(bag.support_size for bag in large) >= FOLD_TREE_MIN_ROWS
-
-        live = LiveEngine(small)
-        assert live.global_check().method == "acyclic"
-        assert not live._live_globals
-        assert live.global_check(mode="live").method == "live"
-
-        live = LiveEngine(large)
-        assert live.global_check(mode="cold").method == "acyclic"
-        assert not live._live_globals
-        result = live.global_check()
-        assert result.method == "live"
-        assert is_witness([h.bag() for h in live.handles], result.witness)
 
 
 class TestStreamCrossCheck:

@@ -1,4 +1,4 @@
-"""LiveGlobalWitness: the maintained Theorem 6 fold.
+"""The maintained Theorem 6 witness of ``LiveEngine.global_check``.
 
 Every maintained witness is cross-checked the way the acceptance
 criteria demand: it must pass :func:`is_witness` and agree with the
@@ -7,6 +7,7 @@ of every bag — both must equal the bag itself — while obeying the
 Theorem 6 support bound.
 """
 
+import functools
 import random
 
 import pytest
@@ -21,19 +22,9 @@ from repro.core.schema import Schema
 from repro.engine import fingerprint
 from repro.engine import live as live_module
 from repro.engine.live import LiveEngine
-from repro.engine.live_global import (
-    LiveGlobalWitness,
-    repair_fold_witness,
-)
+from repro.engine.live_global import repair_fold_witness
 from repro.engine.session import Engine, VerdictStore
 from repro.workloads.generators import planted_collection, planted_stream
-
-
-@pytest.fixture(autouse=True)
-def fold_tree_at_any_size(monkeypatch):
-    """These tests drive the fold tree on collections smaller than the
-    size from which ``global_check`` picks it by default."""
-    monkeypatch.setattr(live_module, "FOLD_TREE_MIN_ROWS", 0)
 
 
 def path_schemas(m):
@@ -42,6 +33,24 @@ def path_schemas(m):
 
 def star_schemas(leaves):
     return [Schema(["Hub", f"L{i}"]) for i in range(leaves)]
+
+
+def schemas_of(*names):
+    """One schema per name, one attribute per letter: ``"AB"`` -> A, B."""
+    return [Schema(list(name)) for name in names]
+
+
+# The acyclic shapes the stream test replays: deep and wide join trees,
+# a schema set with several connected components, nested schemas, two
+# handles over one schema, and a caterpillar (a path with legs).
+STREAM_SHAPES = {
+    "path": path_schemas(5),
+    "star": star_schemas(4),
+    "disconnected": schemas_of("AB", "CD", "DE"),
+    "nested": schemas_of("A", "AB", "ABC"),
+    "shared-schema": schemas_of("AB", "BC", "BC", "CD"),
+    "caterpillar": schemas_of("AB", "BC", "CD", "BE", "CF"),
+}
 
 
 def assert_cross_checked(bags, result):
@@ -93,18 +102,21 @@ class TestMaintainedWitness:
             [h.bag() for h in live.handles], live.global_check()
         )
 
-    def test_mode_cold_still_served(self):
-        _, bags = planted_collection(path_schemas(3), random.Random(3))
+    def test_small_sets_are_maintained(self):
+        """No size floor: a set of a few rows is maintained from its
+        first check on, and an update is served by the repair."""
+        bags, transactions = planted_stream(
+            path_schemas(3), random.Random(3), 1
+        )
+        assert sum(bag.support_size for bag in bags) < 48
         live = LiveEngine(bags)
-        cold = live.global_check(mode="cold")
-        assert cold.consistent and cold.method == "acyclic"
-        hot = live.global_check(mode="live")
-        for bag in bags:
-            assert hot.witness.marginal(bag.schema) == cold.witness.marginal(
-                bag.schema
-            )
-        with pytest.raises(ValueError):
-            live.global_check(mode="tepid")
+        assert live.global_check().method == "live"
+        for index, row, amount in transactions[0]:
+            live.update(live.handles[index], row, amount)
+        result = live.global_check()
+        assert result.method == "live"
+        assert_cross_checked([h.bag() for h in live.handles], result)
+        assert live.live_global_stats() == {"repairs": 1, "refolds": 1}
 
     def test_subset_handles_maintained_independently(self):
         _, bags = planted_collection(path_schemas(4), random.Random(4))
@@ -124,24 +136,31 @@ class TestMaintainedWitness:
 
 
 class TestRandomizedStreams:
-    @pytest.mark.parametrize(
-        "schemas", [path_schemas(5), star_schemas(4)], ids=["path", "star"]
-    )
-    def test_transaction_stream_cross_checks_every_boundary(self, schemas):
+    @pytest.mark.parametrize("every", [1, 2, 5])
+    @pytest.mark.parametrize("shape", sorted(STREAM_SHAPES))
+    def test_transaction_stream_cross_checks_every_boundary(
+        self, shape, every
+    ):
+        """A refresh after every ``every`` transactions; after the
+        first fold, the repair serves every refresh."""
         rng = random.Random(20210621)
         bags, transactions = planted_stream(
-            schemas, rng, 25, n_tuples=8, max_multiplicity=3
+            STREAM_SHAPES[shape], rng, 25, n_tuples=8, max_multiplicity=3
         )
         live = LiveEngine(bags)
         handles = live.handles
-        for transaction in transactions:
+        assert_cross_checked(bags, live.global_check())
+        for step, transaction in enumerate(transactions, 1):
             for index, row, amount in transaction:
                 live.update(handles[index], row, amount)
-            assert_cross_checked(
-                [h.bag() for h in handles], live.global_check()
-            )
-        stats = live.live_global_stats()
-        assert stats["node_repairs"] + stats["snapshot_restores"] > 0
+            if step % every == 0:
+                assert_cross_checked(
+                    [h.bag() for h in handles], live.global_check()
+                )
+        assert live.live_global_stats() == {
+            "repairs": len(transactions) // every,
+            "refolds": 1,
+        }
 
     def test_uncoordinated_stream_matches_decision_oracle(self):
         """Single-bag updates (mostly inconsistent states): the live
@@ -189,6 +208,8 @@ class TestRandomizedStreams:
             assert_cross_checked([h.bag() for h in handles], result)
 
     def test_delete_to_zero_restores_node_snapshot(self):
+        """Inserting a row and deleting it again leaves the witness the
+        stream started from."""
         schemas = path_schemas(4)
         _, bags = planted_collection(schemas, random.Random(8), n_tuples=6)
         live = LiveEngine(bags)
@@ -209,22 +230,24 @@ class TestRandomizedStreams:
         live.update(handles[2], (99, 97), -1)
         live.update(handles[3], (97, 96), -1)
         after = live.global_check().witness
-        stats = live.live_global_stats()
-        assert stats["snapshot_restores"] >= 1
+        assert live.live_global_stats() == {"repairs": 2, "refolds": 1}
         assert fingerprint.of_bag(after) == before_fp
         assert after == before
 
-    def test_repair_failure_falls_back_to_node_recompute(self):
-        """A delta wider than the repair limit must re-fold the touched
-        node only — and still produce a correct witness."""
+    def test_repair_failure_falls_back_to_node_recompute(self, monkeypatch):
+        """A delta wider than the repair limit re-folds the witness
+        cold — and still produces a correct witness."""
+        monkeypatch.setattr(
+            live_module,
+            "repair_fold_witness",
+            functools.partial(repair_fold_witness, limit=4),
+        )
         schemas = path_schemas(4)
         _, bags = planted_collection(schemas, random.Random(9), n_tuples=6)
         live = LiveEngine(bags)
         handles = live.handles
-        tree = LiveGlobalWitness(live, handles, repair_limit=4)
-        live._live_globals[frozenset(range(len(handles)))] = tree
         assert_cross_checked([h.bag() for h in handles], live.global_check())
-        recomputes = tree.stats.node_recomputes
+        assert live.live_global_stats() == {"repairs": 0, "refolds": 1}
         # one wide transaction: replace many rows at once, consistently
         rng = random.Random(10)
         plant, _ = planted_collection(schemas, rng, n_tuples=6)
@@ -235,8 +258,26 @@ class TestRandomizedStreams:
             for row, mult in target.items():
                 live.update(handle, row, mult)
         assert_cross_checked([h.bag() for h in handles], live.global_check())
-        assert tree.stats.repair_failures >= 1
-        assert tree.stats.node_recomputes > recomputes
+        assert live.live_global_stats() == {"repairs": 0, "refolds": 2}
+
+    def test_support_bound_breach_refolds_cold(self):
+        """Repairs that pile rows past Theorem 6's support bound (the
+        sum of the bags' supports) hand the set back to the cold fold."""
+        ab, bc = schemas_of("AB", "BC")
+        live = LiveEngine([
+            Bag(ab, {(a, 0): 1 for a in range(3)}),
+            Bag(bc, {(0, c): 1 for c in range(3)}),
+        ])
+        left, right = live.handles
+        live.global_check()
+        for a in range(3):
+            for c in range(3):
+                live.update(left, (a, 0), 1)
+                live.update(right, (0, c), 1)
+                result = live.global_check()
+                assert_cross_checked([left.bag(), right.bag()], result)
+        stats = live.live_global_stats()
+        assert stats["repairs"] > 0 and stats["refolds"] > 1
 
 
 class TestStoreIntegration:
@@ -368,9 +409,10 @@ class TestResidualDiagnostic:
 
 
 class TestFoldTreeBound:
-    def test_fold_trees_are_lru_bounded(self):
+    def test_fold_trees_are_lru_bounded(self, monkeypatch):
+        monkeypatch.setattr(live_module, "MAX_WITNESS_SETS", 2)
         _, bags = planted_collection(path_schemas(6), random.Random(15))
-        live = LiveEngine(bags, max_fold_trees=2)
+        live = LiveEngine(bags)
         handles = live.handles
         # sweep more distinct handle subsets than the bound
         for end in range(1, len(handles) + 1):
@@ -380,7 +422,3 @@ class TestFoldTreeBound:
         # an evicted set still answers correctly (fresh fold)
         result = live.global_check(handles=handles[:1])
         assert_cross_checked([handles[0].bag()], result)
-
-    def test_max_fold_trees_validated(self):
-        with pytest.raises(ValueError):
-            LiveEngine(max_fold_trees=0)
