@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import _batch_parallelism, build_parser
 from repro.core.schema import Schema
-from repro.engine import executors
+from repro.engine import executors, fingerprint
 from repro.engine.session import Engine
 from repro.server import ReproServer
 from repro.workloads.generators import inconsistent_pair, planted_pair
@@ -165,3 +165,21 @@ class TestProcessMerge:
         assert result.consistent
         assert result.witness is not None
         assert is_witness([r, s], result.witness)
+
+    @pytest.mark.parametrize("kind", ["consistent", "witness", "global"])
+    def test_prefilter_probes_the_keys_a_local_replay_fills(self, kind):
+        """The pre-filter keeps a job off the wire only if its key is the
+        one the session stores the answer under."""
+        r, s = pairs_workload(1)[0]
+        engine = Engine()
+        if kind == "consistent":
+            engine.are_consistent(s, r)  # either orientation answers it
+        elif kind == "witness":
+            engine.witness(r, s)
+        else:
+            engine.global_check([r, s])
+        fps = (fingerprint.of_bag(r), fingerprint.of_bag(s))
+        jobs = [fps, fps[::-1]] if kind == "consistent" else [fps]
+        for frozen in jobs:
+            key = executors._job_key(kind, frozen, "auto")
+            assert engine.store.contains(key)

@@ -23,7 +23,7 @@ from repro.engine import fingerprint
 from repro.engine import live as live_module
 from repro.engine.live import LiveEngine
 from repro.engine.live_global import repair_fold_witness
-from repro.engine.session import Engine, VerdictStore
+from repro.engine.session import Engine, VerdictStore, global_key
 from repro.workloads.generators import planted_collection, planted_stream
 
 
@@ -133,6 +133,64 @@ class TestMaintainedWitness:
         live = LiveEngine([bags[0]] + bags)  # bags[0] tracked twice
         result = live.global_check()
         assert_cross_checked(bags, result)
+
+    def test_handle_order_shares_one_maintained_witness(self):
+        _, bags = planted_collection(path_schemas(3), random.Random(6))
+        live = LiveEngine(bags)
+        handles = live.handles
+        first = live.global_check(handles=handles)
+        reordered = live.global_check(handles=handles[::-1])
+        assert reordered is first
+        assert_cross_checked([h.bag() for h in handles[::-1]], reordered)
+        assert live.live_global_stats() == {"repairs": 0, "refolds": 1}
+
+    def test_inconsistent_interlude_keeps_the_held_witness(self):
+        """A check in mid-transaction answers from the pairwise phase
+        and leaves the held witness alone: once the transaction
+        completes, the repair serves from it."""
+        bags, transactions = planted_stream(
+            path_schemas(3), random.Random(7), 1
+        )
+        live = LiveEngine(bags)
+        handles = live.handles
+        live.global_check()
+        (first, *rest), = transactions
+        index, row, amount = first
+        live.update(handles[index], row, amount)
+        assert live.global_check().method == "pairwise"
+        for index, row, amount in rest:
+            live.update(handles[index], row, amount)
+        assert_cross_checked([h.bag() for h in handles], live.global_check())
+        assert live.live_global_stats() == {"repairs": 1, "refolds": 1}
+
+    def test_added_bag_starts_a_new_handle_set(self):
+        _, bags = planted_collection(path_schemas(4), random.Random(8))
+        live = LiveEngine(bags[:3])
+        first = live.global_check()
+        live.add_bag(bags[3])
+        assert_cross_checked(bags, live.global_check())
+        assert live.live_global_stats() == {"repairs": 0, "refolds": 2}
+        # the first three handles are still their own maintained set
+        assert live.global_check(handles=live.handles[:3]) is first
+
+    def test_search_method_takes_the_cold_path(self):
+        _, bags = planted_collection(path_schemas(3), random.Random(9))
+        live = LiveEngine(bags)
+        result = live.global_check(method="search")
+        assert result.consistent and result.method == "search"
+        assert is_witness(bags, result.witness)
+        assert live.global_check(method="acyclic").method == "live"
+        assert live.live_global_stats() == {"repairs": 0, "refolds": 1}
+
+    def test_cyclic_sets_are_not_maintained(self):
+        _, bags = planted_collection(
+            schemas_of("AB", "BC", "CA"), random.Random(10)
+        )
+        live = LiveEngine(bags)
+        result = live.global_check()
+        assert result.consistent and result.method == "search"
+        assert is_witness(bags, result.witness)
+        assert live.live_global_stats() == {"repairs": 0, "refolds": 0}
 
 
 class TestRandomizedStreams:
@@ -313,6 +371,25 @@ class TestStoreIntegration:
         assert second.global_check().witness == result.witness
 
 
+class TestStorePush:
+    def test_repaired_results_are_pushed_under_the_global_key(self):
+        shared = VerdictStore()
+        bags, transactions = planted_stream(
+            path_schemas(3), random.Random(18), 1
+        )
+        live = LiveEngine(bags, store=shared)
+        handles = live.handles
+        live.global_check()
+        for index, row, amount in transactions[0]:
+            live.update(handles[index], row, amount)
+        result = live.global_check()
+        assert live.live_global_stats() == {"repairs": 1, "refolds": 1}
+        rebuilt = [Bag(h.schema, dict(h.items())) for h in handles]
+        key = global_key(fingerprint.of_collection(rebuilt), "auto")
+        assert shared.get(key) is result
+        assert Engine(store=shared).global_check(rebuilt) is result
+
+
 class TestAcyclicityCache:
     def test_gyo_runs_once_per_handle_set(self, monkeypatch):
         from repro.hypergraphs import acyclicity
@@ -394,6 +471,45 @@ class TestRepairPrimitive:
         assert work == mults and changed == {}
 
 
+class TestRepairDeltas:
+    """The repair over mixed, empty and longer-path deltas."""
+
+    UNION = ("A", "B", "C")
+
+    def test_moved_row_patched_without_mutating_the_witness(self):
+        mults = {(1, 1, 1): 2, (2, 2, 2): 1}
+        held = dict(mults)
+        move = {(2, 2): -1, (3, 3): 1}
+        inputs = [(("A", "B"), dict(move)), (("B", "C"), dict(move))]
+        work, changed = repair_fold_witness(mults, self.UNION, inputs)
+        assert mults == held
+        assert work == {(1, 1, 1): 2, (3, 3, 3): 1}
+        assert changed == {(2, 2, 2): -1, (3, 3, 3): 1}
+
+    def test_zero_amounts_are_not_needs(self):
+        """Zero entries neither count against the limit nor patch: two
+        of them fit a limit of one round and one cell."""
+        mults = {(1, 1, 1): 1}
+        inputs = [(("A", "B"), {(1, 1): 0}), (("B", "C"), {(2, 2): 0})]
+        work, changed = repair_fold_witness(
+            mults, self.UNION, inputs, limit=1
+        )
+        assert work == mults and changed == {}
+
+    def test_insert_unifies_along_a_longer_path(self):
+        mults = {(1, 1, 1, 1): 1}
+        inputs = [
+            (("A", "B"), {(2, 1): 1}),
+            (("B", "C"), {(1, 1): 1}),
+            (("C", "D"), {(1, 2): 1}),
+        ]
+        work, changed = repair_fold_witness(
+            mults, ("A", "B", "C", "D"), inputs
+        )
+        assert work == {(1, 1, 1, 1): 1, (2, 1, 1, 2): 1}
+        assert changed == {(2, 1, 1, 2): 1}
+
+
 class TestResidualDiagnostic:
     def test_residuals_name_the_drifted_cells(self):
         _, bags = planted_collection(path_schemas(2), random.Random(14))
@@ -422,3 +538,20 @@ class TestFoldTreeBound:
         # an evicted set still answers correctly (fresh fold)
         result = live.global_check(handles=handles[:1])
         assert_cross_checked([handles[0].bag()], result)
+
+    def test_recently_checked_sets_survive_eviction(self, monkeypatch):
+        monkeypatch.setattr(live_module, "MAX_WITNESS_SETS", 2)
+        _, bags = planted_collection(path_schemas(3), random.Random(16))
+        live = LiveEngine(bags)
+        first, second, third = ([handle] for handle in live.handles)
+        live.global_check(handles=first)
+        live.global_check(handles=second)
+        live.global_check(handles=first)  # a hit: now the most recent
+        live.global_check(handles=third)  # evicts second, not first
+        assert live.live_global_stats() == {"repairs": 0, "refolds": 3}
+        live.global_check(handles=first)
+        assert live.live_global_stats()["refolds"] == 3
+        assert_cross_checked(
+            [second[0].bag()], live.global_check(handles=second)
+        )
+        assert live.live_global_stats()["refolds"] == 4

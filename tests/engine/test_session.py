@@ -11,7 +11,14 @@ from repro.consistency.witness import is_witness
 from repro.core.bags import Bag
 from repro.core.schema import Schema
 from repro.engine import fingerprint
-from repro.engine.session import BUILT_CAPACITY, Engine, VerdictStore
+from repro.engine.session import (
+    BUILT_CAPACITY,
+    Engine,
+    VerdictStore,
+    consistent_key,
+    global_key,
+    witness_key,
+)
 from repro.errors import InconsistentError
 from repro.workloads.generators import inconsistent_pair, planted_pair
 from repro.workloads.suites import run_suites
@@ -99,6 +106,56 @@ class TestWitness:
         engine = Engine()
         r, s = consistent_pair(seed=4)
         assert engine.witness(r, s) == consistency_witness(r, s)
+
+
+def query_and_key(engine, kind, r, s):
+    """Ask ``engine`` one ``kind`` of query over ``r`` and ``s``; return
+    the answer and the store key it must land under."""
+    lfp, rfp = fingerprint.of_bag(r), fingerprint.of_bag(s)
+    if kind == "consistent":
+        return engine.are_consistent(s, r), consistent_key(lfp, rfp)
+    if kind == "witness":
+        return engine.witness(r, s), witness_key(lfp, rfp)
+    return engine.global_check([r, s]), global_key((lfp, rfp), "auto")
+
+
+class TestStoreKeys:
+    """The one constructor per key shape that the session, the process
+    pre-filter and the live engine all build their keys with.  The key
+    values are pinned: persistent stores written by earlier versions
+    must keep hitting."""
+
+    def test_consistent_key_is_unordered(self):
+        assert consistent_key(7, 3) == consistent_key(3, 7)
+        assert consistent_key(7, 3) == ("consistent", 3, 7)
+
+    def test_witness_key_is_ordered_and_keeps_the_minimal_flag(self):
+        assert witness_key(7, 3) == ("witness", 7, 3, True)
+        assert witness_key(3, 7) != witness_key(7, 3)
+
+    def test_global_key_keeps_collection_order_and_method(self):
+        assert global_key((5, 1, 5), "auto") == ("global", (5, 1, 5), "auto")
+        assert global_key((1, 5, 5), "auto") != global_key((5, 1, 5), "auto")
+        assert global_key((5, 1), "search") != global_key((5, 1), "auto")
+
+    @pytest.mark.parametrize("kind", ["consistent", "witness", "global"])
+    def test_answers_land_under_the_constructed_key(self, kind):
+        engine = Engine()
+        r, s = consistent_pair(seed=5)
+        answer, key = query_and_key(engine, kind, r, s)
+        assert engine.store.get(key) is answer
+
+    @pytest.mark.parametrize("kind", ["consistent", "witness", "global"])
+    def test_entries_under_the_key_are_served(self, kind):
+        """Whatever the store holds under the key is the answer: the
+        engine computes nothing when a store already has it."""
+        r, s = consistent_pair(seed=6)
+        _, key = query_and_key(Engine(), kind, r, s)
+        engine = Engine()
+        fps = (fingerprint.of_bag(r), fingerprint.of_bag(s))
+        engine.store.put(key, "stored", fps)
+        assert query_and_key(engine, kind, r, s)[0] == "stored"
+        assert len(engine) == 1  # nothing computed, nothing added
 
 
 class TestBatchedAPI:
