@@ -30,6 +30,19 @@ from .schema import Attribute, Schema
 from .tuples import Tup
 
 
+def _check_multiplicity(row: tuple, mult: object) -> None:
+    """Raise :class:`MultiplicityError` unless ``mult`` is a
+    non-negative ``int``; a ``bool`` is not a multiplicity."""
+    if not isinstance(mult, int) or isinstance(mult, bool):
+        raise MultiplicityError(
+            f"multiplicity of {row!r} is {mult!r}; must be an int"
+        )
+    if mult < 0:
+        raise MultiplicityError(
+            f"multiplicity of {row!r} is negative: {mult}"
+        )
+
+
 class Bag:
     """An immutable finite bag over a schema.
 
@@ -57,14 +70,8 @@ class Bag:
                     f"row {row!r} has arity {len(row)}, schema {schema!r} "
                     f"has arity {len(schema)}"
                 )
-            if not isinstance(mult, int) or isinstance(mult, bool):
-                raise MultiplicityError(
-                    f"multiplicity of {row!r} is {mult!r}; must be an int"
-                )
-            if mult < 0:
-                raise MultiplicityError(
-                    f"multiplicity of {row!r} is negative: {mult}"
-                )
+            if type(mult) is not int or mult < 0:
+                _check_multiplicity(row, mult)
             if mult > 0:
                 cleaned[row] = mult
         self._mults = cleaned
@@ -87,10 +94,16 @@ class Bag:
     def from_pairs(
         cls, schema: Schema, pairs: Iterable[tuple[Sequence, int]]
     ) -> "Bag":
-        """Build from ``(row, multiplicity)`` pairs; repeated rows add up."""
+        """Build from ``(row, multiplicity)`` pairs; repeated rows add up.
+
+        Each pair's multiplicity is checked before it is added, so a
+        bool or a negative count cannot hide inside a valid-looking sum.
+        """
         mults: dict[tuple, int] = {}
         for row, mult in pairs:
             row = tuple(row)
+            if type(mult) is not int or mult < 0:
+                _check_multiplicity(row, mult)
             mults[row] = mults.get(row, 0) + mult
         return cls(schema, mults)
 

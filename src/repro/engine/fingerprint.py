@@ -17,14 +17,36 @@ bag is* rather than *which object holds it*:
   each row's term, so bags with equal supports but different counts
   never share a fingerprint;
 * they are **process-independent** — digests are BLAKE2b over a
-  type-qualified ``repr`` encoding, never the salted builtin ``hash``,
-  so fingerprints computed in a worker process or another daemon match
-  the parent's (the process executor and ``repro serve`` depend on
-  this);
+  canonical byte encoding of each ``(row, multiplicity)`` entry, never
+  the salted builtin ``hash``, so fingerprints computed in a worker
+  process or another daemon match the parent's (the process executor
+  and ``repro serve`` depend on this);
 * they support **O(1) incremental maintenance** — changing one row's
   multiplicity shifts the commutative sum by a two-term delta
   (:func:`shift_content`), which is how :class:`repro.engine.live.LiveBag`
   keeps its fingerprint current across update streams without rescans.
+
+A row has one of two encodings, chosen per row:
+
+* **marshal** — a row whose values are all exact ``str``, ``int``,
+  ``float``, ``bool`` or ``None`` (everything JSON decodes to) and
+  whose multiplicity is an exact ``int`` hashes
+  ``marshal.dumps((row, mult), 2)``.  Version 2 is pinned: it writes
+  no back-references and no interned-string markers (version 3 and
+  up do), so equal values give equal bytes whatever their object
+  identity.  It keeps ``1``, ``True``, ``1.0``, ``0.0``, ``-0.0``,
+  ``"1"`` and ``None`` apart, and it has no digit limit on integers.
+  :func:`content_sum` checks a whole bag's types in one bulk scan and
+  then hashes it without running a Python frame per row.
+* **qualified** — every other row (``IntEnum`` members, ``str``
+  subclasses, nested tuples, ...) hashes the text
+  ``row|<type>:<repr>|...|#<mult>``.
+
+The two cannot coincide: marshal output for a tuple starts with
+``(``, the qualified text with ``row|``.  One digest LRU caches the
+terms of both.  :data:`ENCODING_VERSION` names this scheme; persistent
+stores record it in their ``META.json`` because their keys are
+fingerprints.
 
 Fingerprints are 128-bit integers.  A collision requires two unequal
 values whose digest sums agree mod 2**128; we treat that as impossible
@@ -40,12 +62,13 @@ workers never rescan.
 
 from __future__ import annotations
 
+import marshal
 import threading
 import weakref
 from functools import lru_cache
 from hashlib import blake2b
-from itertools import starmap
-from typing import TYPE_CHECKING, Iterable, Sequence
+from itertools import chain, repeat, starmap
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..analysis.registry import register_lock
 from .index import BagIndex
@@ -55,6 +78,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.schema import Schema
 
 __all__ = [
+    "ENCODING_VERSION",
     "MASK",
     "content_sum",
     "of_bag",
@@ -66,6 +90,14 @@ __all__ = [
 ]
 
 MASK = (1 << 128) - 1
+
+# The row-encoding scheme (see the module docstring); version 1 was
+# the qualified text for every row.
+ENCODING_VERSION = 2
+
+_MARSHAL_VERSION = 2  # pinned: later formats depend on object identity
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+_INT_TYPE = frozenset({int})
 
 # fingerprint -> the index already serving a bag with that content;
 # value-equal bags adopt it so marginals, buckets, and sorted orders
@@ -108,37 +140,67 @@ def of_schema(schema: "Schema") -> int:
 
 
 @lru_cache(maxsize=262144)
-def _row_term_cached(encoded: str) -> int:
-    return _digest(encoded.encode("utf-8", "surrogatepass"))
-
-
-def _row_key(row: tuple) -> str:
-    return "row|" + "|".join([_encode_value(v) for v in row])
+def _term(key: str) -> int:
+    """One LRU of row terms for both encodings, keyed on a ``str``:
+    ``lru_cache`` keeps a lone ``str`` argument as the key itself but
+    wraps ``bytes`` in a 48-byte args tuple per entry.  Marshal output
+    arrives decoded as latin-1 (one char per byte, so it round-trips)
+    and starts with ``(``; the qualified text starts with ``row|``."""
+    if key[0] == "(":
+        return _digest(key.encode("latin-1"))
+    return _digest(key.encode("utf-8", "surrogatepass"))
 
 
 def row_term(row: tuple, mult: int) -> int:
-    """The commutative-sum term for one ``(row, multiplicity)`` entry.
+    """The commutative-sum term for one ``(row, multiplicity)`` entry,
+    in the row's encoding (marshal for exact JSON scalars and an exact
+    ``int`` multiplicity, the qualified text otherwise).
 
     Only defined for positive multiplicities — a stored bag never holds
     a zero row, and the incremental shift skips the zero side.
     """
-    return _row_term_cached(f"{_row_key(row)}|#{mult}")
+    if (
+        type(mult) is int
+        and type(row) is tuple
+        and _SCALAR_TYPES.issuperset(map(type, row))
+    ):
+        return _term(
+            marshal.dumps((row, mult), _MARSHAL_VERSION).decode("latin-1")
+        )
+    return _term(
+        "row|" + "|".join([_encode_value(v) for v in row]) + f"|#{mult}"
+    )
 
 
-def content_sum(items: Iterable[tuple[tuple, int]]) -> int:
-    """The order-insensitive combination of every row term (mod 2**128)."""
-    return sum(starmap(row_term, items)) & MASK
+def content_sum(mults: Mapping[tuple, int]) -> int:
+    """The order-insensitive combination of every row term (mod 2**128).
+
+    When every value and multiplicity has an exact scalar type (one
+    bulk type scan), the terms are looked up straight from marshal
+    bytes without a Python frame per row; otherwise each row picks its
+    own encoding through :func:`row_term`.
+    """
+    if _SCALAR_TYPES.issuperset(
+        map(type, chain.from_iterable(mults))
+    ) and _INT_TYPE.issuperset(map(type, mults.values())):
+        try:
+            payloads = map(
+                marshal.dumps, mults.items(), repeat(_MARSHAL_VERSION)
+            )
+            keys = map(bytes.decode, payloads, repeat("latin-1"))
+            return sum(map(_term, keys)) & MASK
+        except ValueError:
+            pass  # a tuple-subclass row: marshal refuses it
+    return sum(starmap(row_term, mults.items())) & MASK
 
 
 def shift_content(content: int, row: tuple, old: int, new: int) -> int:
     """The O(1) incremental update: move ``row`` from multiplicity
-    ``old`` to ``new`` (either side may be zero = absent); the row is
-    encoded once for both terms."""
-    key = _row_key(row)
+    ``old`` to ``new`` (either side may be zero = absent)."""
     if old > 0:
-        content -= _row_term_cached(f"{key}|#{old}")
+        content -= row_term(row, old)
     if new > 0:
-        content += _row_term_cached(f"{key}|#{new}")
+        content += row_term(row, new)
     return content & MASK
 
 
@@ -162,7 +224,7 @@ def of_bag(bag: "Bag") -> int:
         return fp
     fp = bag_fingerprint(
         of_schema(bag._schema),
-        content_sum(bag._mults.items()),
+        content_sum(bag._mults),
         len(bag._mults),
     )
     with _REGISTRY_LOCK:

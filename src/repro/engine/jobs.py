@@ -92,7 +92,7 @@ def parse_jobs_text(text: str) -> BatchJobs:
 
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integers past the digit limit
         raise JobError(f"invalid JSON in jobs payload: {exc}") from exc
     return parse_jobs(payload)
 

@@ -100,7 +100,7 @@ class LiveBag:
         self.name = name
         self._mults: dict[tuple, int] = dict(mults)
         self._snapshot: Bag | None = None
-        self._content = fingerprint.content_sum(self._mults.items())
+        self._content = fingerprint.content_sum(self._mults)
 
     def fingerprint(self) -> int:
         """The current content fingerprint, from the incrementally

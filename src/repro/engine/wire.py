@@ -216,7 +216,7 @@ def _check_prefix(prefix: bytes) -> tuple[int, int]:
 def _parse_header(header_bytes: bytes) -> dict:
     try:
         header = json.loads(header_bytes)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also invalid UTF-8, over-long integers
         raise WireError(f"invalid JSON in frame header: {exc}") from exc
     if not isinstance(header, dict):
         raise WireError("frame header must be a JSON object")

@@ -549,7 +549,9 @@ class _Handler(socketserver.StreamRequestHandler):
             return False
         try:
             payload = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # JSONDecodeError, invalid UTF-8, or an integer past the
+            # interpreter's digit limit
             owner.count_request(error=True)
             response = {"ok": False, "error": f"invalid JSON: {exc}"}
         else:

@@ -46,6 +46,7 @@ from typing import Iterable, Sequence
 
 from ..analysis.registry import shared_state
 from ..errors import ReproError
+from ..engine.fingerprint import ENCODING_VERSION
 from ..engine.session import VerdictStore
 from .shard import Shard
 
@@ -66,7 +67,48 @@ META_VERSION = 1
 
 class StoreFormatError(ReproError):
     """A store directory this build cannot safely use (newer metadata
-    version, or metadata that is not ours)."""
+    version, metadata that is not ours, or keys from another
+    fingerprint encoding)."""
+
+
+def read_meta(root: Path) -> dict | None:
+    """The store directory's ``META.json``, or ``None`` if it has none.
+
+    Raises :class:`StoreFormatError` for metadata this build cannot
+    use.  That includes a store written under another fingerprint
+    encoding: its keys are fingerprints, so none of its records would
+    ever be found, and ``verify`` would misreport every witness.  A
+    ``META.json`` without a ``"fingerprint"`` key predates the field
+    and means encoding 1.
+    """
+    meta_path = root / META_NAME
+    if not meta_path.exists():
+        return None
+    try:
+        meta = json.loads(meta_path.read_text())
+    except (OSError, ValueError) as exc:
+        raise StoreFormatError(
+            f"unreadable store metadata at {meta_path}: {exc}"
+        ) from exc
+    if not isinstance(meta, dict) or "shards" not in meta:
+        raise StoreFormatError(
+            f"{meta_path} is not a verdict-store metadata file"
+        )
+    if meta.get("version", 0) > META_VERSION:
+        raise StoreFormatError(
+            f"store at {root} has metadata version {meta['version']}; "
+            f"this build reads up to {META_VERSION} (upgrade, or point "
+            f"at a fresh --store-dir)"
+        )
+    encoding = meta.get("fingerprint", 1)
+    if encoding != ENCODING_VERSION:
+        raise StoreFormatError(
+            f"store at {root} keys its records by fingerprint encoding "
+            f"{encoding}; this build computes encoding {ENCODING_VERSION}, "
+            f"so none of them would match (point --store-dir at a fresh "
+            f"directory, or delete this one and let it refill)"
+        )
+    return meta
 
 
 def shard_of_fp(fp: int, n_shards: int) -> int:
@@ -150,25 +192,8 @@ class PersistentVerdictStore:
         self._closed = False
 
     def _load_or_create_meta(self, shards: int | None) -> int:
-        meta_path = self.root / META_NAME
-        if meta_path.exists():
-            try:
-                meta = json.loads(meta_path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise StoreFormatError(
-                    f"unreadable store metadata at {meta_path}: {exc}"
-                ) from exc
-            if not isinstance(meta, dict) or "shards" not in meta:
-                raise StoreFormatError(
-                    f"{meta_path} is not a verdict-store metadata file"
-                )
-            if meta.get("version", 0) > META_VERSION:
-                raise StoreFormatError(
-                    f"store at {self.root} has metadata version "
-                    f"{meta['version']}; this build reads up to "
-                    f"{META_VERSION} (upgrade, or point at a fresh "
-                    f"--store-dir)"
-                )
+        meta = read_meta(self.root)
+        if meta is not None:
             existing = int(meta["shards"])
             if shards is not None and shards != existing:
                 raise StoreFormatError(
@@ -180,9 +205,11 @@ class PersistentVerdictStore:
         if n < 1:
             raise ValueError(f"shards must be positive, got {n}")
         self.root.mkdir(parents=True, exist_ok=True)
-        meta_path.write_text(
-            json.dumps({"version": META_VERSION, "shards": n}) + "\n"
-        )
+        (self.root / META_NAME).write_text(json.dumps({
+            "version": META_VERSION,
+            "fingerprint": ENCODING_VERSION,
+            "shards": n,
+        }) + "\n")
         return n
 
     # -- routing ---------------------------------------------------------

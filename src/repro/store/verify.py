@@ -36,7 +36,7 @@ from itertools import chain, combinations
 from pathlib import Path
 
 from . import format as fmt
-from .persistent import META_NAME
+from .persistent import read_meta
 
 __all__ = ["verify_store"]
 
@@ -212,9 +212,13 @@ def verify_store(
     Read-only: unlike opening the store, a torn tail is reported
     instead of truncated.  Returns the one-line-JSON-able report;
     ``ok`` is False when any framing damage or recompute mismatch was
-    found (the CLI turns that into a nonzero exit).
+    found (the CLI turns that into a nonzero exit).  Metadata the open
+    path would refuse (another fingerprint encoding among it) raises
+    :class:`~repro.store.persistent.StoreFormatError` instead: its
+    witnesses' keys could not match a recompute.
     """
     root = Path(store_dir)
+    meta = read_meta(root)
     report = {
         "action": "verify",
         "store_dir": str(root),
@@ -269,6 +273,6 @@ def verify_store(
     report["ok"] = (
         report["mismatches"] == 0
         and report["torn_tails"] == 0
-        and (root / META_NAME).exists()
+        and meta is not None
     )
     return report

@@ -47,6 +47,17 @@ class TestConstruction:
         b = Bag.from_pairs(AB, [((1, 2), 2), ((1, 2), 3)])
         assert b.multiplicity((1, 2)) == 5
 
+    def test_from_pairs_checks_each_multiplicity_before_summing(self):
+        # a bool would sum to a valid 1, and 2 + -1 to a valid 1
+        for pairs in (
+            [((1, 2), True)],
+            [((1, 2), 2), ((1, 2), -1)],
+            [((1, 2), -1), ((1, 2), 2)],
+            [((1, 2), 1.0)],
+        ):
+            with pytest.raises(MultiplicityError):
+                Bag.from_pairs(AB, pairs)
+
     def test_from_relation_gives_multiplicity_one(self):
         r = Relation.from_pairs(AB, [(1, 2), (3, 4)])
         b = Bag.from_relation(r)

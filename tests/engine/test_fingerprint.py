@@ -1,7 +1,12 @@
 """Content-fingerprint semantics: order-insensitivity, multiplicity
 awareness, cross-engine sharing, and incremental maintenance."""
 
+import os
 import random
+import subprocess
+import sys
+from enum import IntEnum
+from pathlib import Path
 
 from repro.core.bags import Bag
 from repro.core.krelations import KRelation
@@ -12,6 +17,14 @@ from repro.engine.session import Engine, VerdictStore
 
 AB = Schema(["A", "B"])
 BC = Schema(["B", "C"])
+SRC = Path(__file__).resolve().parents[2] / "src"
+# of_bag of the bag in TestFingerprintValue.test_pinned_value, encoding 2
+PINNED_FP = "1ac7bf1a01f223a21c55fc8b44f3200e"
+
+
+class Color(IntEnum):
+    RED = 1
+    BLUE = 2
 
 
 def consistent_pair(seed=0, n=6):
@@ -41,7 +54,8 @@ class TestFingerprintValue:
     def test_unequal_multiplicities_never_collide(self):
         base = Bag.from_pairs(AB, [((1, 2), 2), ((2, 2), 1)])
         seen = {fingerprint.of_bag(base)}
-        for bump in (1, 2, 100, 2**40):
+        # 10**4400 has more digits than str(int) will convert
+        for bump in (1, 2, 100, 2**40, 10**4400):
             other = Bag.from_pairs(AB, [((1, 2), 2 + bump), ((2, 2), 1)])
             fp = fingerprint.of_bag(other)
             assert fp not in seen
@@ -54,9 +68,51 @@ class TestFingerprintValue:
         assert fingerprint.of_bag(a) != fingerprint.of_bag(b)
 
     def test_type_distinguished_values(self):
-        a = Bag.from_pairs(AB, [((1, 2), 1)])
-        b = Bag.from_pairs(AB, [(("1", 2), 1)])
-        assert fingerprint.of_bag(a) != fingerprint.of_bag(b)
+        # values that compare or hash equal in Python, or print alike
+        values = [1, True, 1.0, 0.0, -0.0, "1", None, Color.RED]
+        fps = {
+            fingerprint.of_bag(Bag.from_pairs(AB, [((v, 2), 1)]))
+            for v in values
+        }
+        assert len(fps) == len(values)
+
+    def test_equal_strings_fingerprint_alike_whatever_their_identity(self):
+        # marshal format 3 and up would write a back-reference for the
+        # repeated object and mark interned strings; format 2 does not
+        one = "".join(["val", "ue"])
+        other = "".join(["va", "lue"])
+        assert one == other and one is not other
+        same = Bag(AB, {(one, one): 3})
+        distinct = Bag(AB, {(one, other): 3})
+        assert fingerprint.of_bag(same) == fingerprint.of_bag(distinct)
+        interned = Bag(AB, {(sys.intern("value"), "value"): 3})
+        assert fingerprint.of_bag(interned) == fingerprint.of_bag(same)
+
+    def test_mixed_encodings_sum_their_row_terms(self):
+        mults = {
+            (1, "x"): 2,
+            (2.5, None): 1,
+            (Color.BLUE, "x"): 4,  # IntEnum: the qualified encoding
+            ((1, 2), True): 1,  # nested tuple: the qualified encoding
+            ("y", 10**5000): 3,
+        }
+        expected = sum(fingerprint.row_term(r, m) for r, m in mults.items())
+        assert fingerprint.content_sum(mults) == expected & fingerprint.MASK
+        scalar = {(1, "x"): 2, (2.5, None): 1}
+        assert fingerprint.content_sum(scalar) == sum(
+            fingerprint.row_term(r, m) for r, m in scalar.items()
+        ) & fingerprint.MASK
+
+    def test_pinned_value(self):
+        # a drift in either row encoding (or in marshal format 2 across
+        # Python versions) would orphan every persisted store key
+        bag = Bag.from_pairs(AB, [
+            ((1, "x"), 2),
+            ((-0.0, None), 1),
+            ((True, "\u00e9"), 10**30),
+            (((1, "a"), 2), 1),  # nested tuple: the qualified encoding
+        ])
+        assert f"{fingerprint.of_bag(bag):032x}" == PINNED_FP
 
     def test_schema_reaches_the_bag_fingerprint(self):
         a = Bag.from_pairs(AB, [((1, 2), 1)])
@@ -65,9 +121,26 @@ class TestFingerprintValue:
 
     def test_deterministic_across_instances(self):
         # the digest must be a pure function of the value, not of the
-        # interpreter's salted hash()
-        r = Bag.from_pairs(AB, [((1, "x"), 2)])
+        # interpreter's salted hash(): another process with another
+        # hash seed computes the same fingerprint
+        pairs = [((f"k{i}", "x" * i), i + 1) for i in range(12)]
+        r = Bag.from_pairs(AB, pairs)
         assert fingerprint.of_bag(r) == fingerprint.of_bag(rebuild(r))
+        script = (
+            "from repro.core.bags import Bag\n"
+            "from repro.core.schema import Schema\n"
+            "from repro.engine import fingerprint\n"
+            f"bag = Bag.from_pairs(Schema(['A', 'B']), {pairs!r})\n"
+            "print(fingerprint.of_bag(bag))\n"
+        )
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(SRC),
+                       PYTHONHASHSEED=hash_seed)
+            out = subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=60,
+            ).stdout
+            assert int(out) == fingerprint.of_bag(r)
 
 
 class TestCacheSharing:
@@ -193,6 +266,26 @@ class TestIncrementalMaintenance:
             assert live.globally_consistent() == decide_global_consistency(
                 copies
             )
+
+    def test_mixed_encoding_stream_ends_on_of_bag(self):
+        """Rows of both encodings in one handle: the O(1) shifts land
+        on exactly what a full scan computes."""
+        rng = random.Random(20261018)
+        # no two values compare equal: a bag keys 1, True and 1.0 as
+        # one row
+        pool = [1, "1", 2.5, -0.5, None, False, Color.BLUE, (1, 2), ("a",)]
+        live = LiveEngine([Bag.empty(AB)])
+        handle = live.handles[0]
+        for _ in range(120):
+            row = (rng.choice(pool), rng.choice(pool))
+            current = handle._mults.get(row, 0)
+            amount = -current if current and rng.random() < 0.4 else \
+                rng.randint(1, 3)
+            live.update(handle, row, amount)
+        fresh = Bag.from_pairs(AB, list(handle.items()))
+        types = {type(v) for row, _ in fresh.items() for v in row}
+        assert {int, str, Color, tuple} <= types
+        assert handle.fingerprint() == fingerprint.of_bag(fresh)
 
     def test_return_to_previous_content_restores_fingerprint(self):
         live = LiveEngine([Bag.from_pairs(AB, [((1, 2), 2)])])

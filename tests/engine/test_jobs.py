@@ -38,8 +38,12 @@ class TestParsing:
         assert jobs.pairs[0][0] is jobs.collections[0][0]
 
     def test_text_entry_point_rejects_invalid_json(self):
-        with pytest.raises(JobError, match="invalid JSON"):
-            parse_jobs_text("{not json")
+        # past the interpreter's 4,300-digit limit json.loads raises a
+        # plain ValueError, not a JSONDecodeError
+        long_int = '{"suites": [["planted-path", 3, %s]]}' % ("9" * 5000)
+        for text in ("{not json", long_int):
+            with pytest.raises(JobError, match="invalid JSON"):
+                parse_jobs_text(text)
 
     def test_non_object_rejected(self):
         with pytest.raises(JobError, match="JSON object"):
@@ -60,8 +64,15 @@ class TestParsing:
             parse_jobs({"collections": [{}]})
 
     def test_bad_bag_encoding(self):
-        with pytest.raises(JobError, match="bad pair entry"):
-            parse_jobs({"pairs": [[{"schema": ["A"]}, bag_to_dict(S)]]})
+        # each multiplicity is checked before it is summed: True would
+        # count as 1, and 2 + -1 as a valid 1
+        for bad in (
+            {"schema": ["A"]},
+            {"schema": ["A"], "tuples": [[[1], True]]},
+            {"schema": ["A"], "tuples": [[[1], 2], [[1], -1]]},
+        ):
+            with pytest.raises(JobError, match="bad pair entry"):
+                parse_jobs({"pairs": [[bad, bag_to_dict(S)]]})
 
     def test_bad_suite_spec_shape(self):
         with pytest.raises(JobError, match=r"bad suite spec: #0"):

@@ -71,12 +71,23 @@ class TestProtocol:
         import socket as socket_module
 
         _, address = tcp_server
+        lines = (
+            b"{this is not json}\n",
+            b'{"pairs": [\xc3]}\n',  # invalid UTF-8
+            b'{"pairs": [' + b"7" * 5000 + b"]}\n",  # past 4,300 digits
+        )
         raw = socket_module.create_connection(address, timeout=10)
         with raw:
-            raw.sendall(b"{this is not json}\n")
-            response = json.loads(raw.makefile("rb").readline())
-        assert response["ok"] is False
-        assert "invalid JSON" in response["error"]
+            rfile = raw.makefile("rb")
+            for line in lines:
+                raw.sendall(line)
+                response = json.loads(rfile.readline())
+                assert response["ok"] is False
+                assert "invalid JSON" in response["error"]
+            # same connection, still synchronized, every error counted
+            raw.sendall(b'{"op": "stats"}\n')
+            stats = json.loads(rfile.readline())
+        assert stats["ok"] and stats["request_errors"] == len(lines)
 
     def test_unknown_op_rejected(self, tcp_server):
         _, address = tcp_server

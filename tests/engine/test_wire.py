@@ -229,6 +229,21 @@ class TestFrameCodec:
         with pytest.raises(wire.WireError, match="exceeds"):
             wire.read_frame(io.BytesIO(frame))
 
+    def test_undecodable_header_json_rejected(self):
+        for header in (
+            b'{"v": 2, "payload": {"pairs": [\xc3]}}',  # invalid UTF-8
+            b'{"v": 2, "payload": {"n": ' + b"7" * 5000 + b"}}",
+        ):
+            frame = b"".join((
+                wire.MAGIC,
+                wire._PREFIX.pack(wire.VERSION, len(header), 0),
+                header,
+            ))
+            with pytest.raises(wire.WireError, match="invalid JSON"):
+                wire.read_frame(io.BytesIO(frame))
+            with pytest.raises(wire.WireError, match="invalid JSON"):
+                wire.split_frame(frame)
+
     def test_bad_magic_rejected(self):
         with pytest.raises(wire.WireError, match="magic"):
             wire.read_frame(io.BytesIO(b"NOPE" + b"\x00" * 64))

@@ -1,5 +1,7 @@
 """PersistentVerdictStore: tiers, routing, restarts, engine contract."""
 
+import json
+
 import pytest
 
 from repro.core.bags import Bag
@@ -64,6 +66,26 @@ class TestMeta:
         root.mkdir()
         (root / "META.json").write_text('{"version": 99, "shards": 2}')
         with pytest.raises(StoreFormatError, match="version 99"):
+            PersistentVerdictStore(root)
+
+    def test_meta_records_the_fingerprint_encoding(self, tmp_path):
+        PersistentVerdictStore(tmp_path / "s", shards=2).close()
+        meta = json.loads((tmp_path / "s" / "META.json").read_text())
+        assert meta["fingerprint"] == fingerprint.ENCODING_VERSION == 2
+
+    def test_store_of_another_fingerprint_encoding_is_refused(
+        self, tmp_path
+    ):
+        root = tmp_path / "s"
+        PersistentVerdictStore(root, shards=2).close()
+        # as a build of encoding 1 wrote it: no "fingerprint" key
+        (root / "META.json").write_text('{"version": 1, "shards": 2}\n')
+        with pytest.raises(StoreFormatError, match="encoding 1.*encoding 2"):
+            PersistentVerdictStore(root)
+        (root / "META.json").write_text(
+            '{"version": 1, "fingerprint": 3, "shards": 2}\n'
+        )
+        with pytest.raises(StoreFormatError, match="fresh directory"):
             PersistentVerdictStore(root)
 
     def test_alien_meta_is_refused_cleanly(self, tmp_path):

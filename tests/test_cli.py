@@ -275,11 +275,13 @@ class TestBatch:
 
     def test_batch_invalid_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "jobs.json"
-        path.write_text("{definitely not json")
-        assert main(["batch", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "invalid JSON" in err
-        assert len(err.strip().splitlines()) == 1  # one structured line
+        # the second is an integer past the 4,300-digit limit
+        for text in ("{definitely not json", '{"pairs": [%s]}' % ("7" * 5000)):
+            path.write_text(text)
+            assert main(["batch", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "invalid JSON" in err
+            assert len(err.strip().splitlines()) == 1  # one structured line
 
     def test_batch_backend_matches_serial(self, tmp_path, pair_files,
                                           capsys):
