@@ -50,9 +50,11 @@ Usage (all inputs are the JSON encodings of :mod:`repro.io`):
   (per-shard record/byte counts, compaction results) for scripting.
 
 Exit codes: 0 for "yes"/success, 1 for "no" (inconsistent / cyclic),
-2 for usage or input errors.  ``batch`` exits 0 when every job ran
-(individual verdicts live in the report); malformed job files exit 2
-with a structured one-line error.  ``serve`` exits 0 on a clean
+2 for usage or input errors: an input file that is missing, not UTF-8,
+not JSON, or not the expected encoding exits 2 with one error line,
+never a traceback.  ``batch`` exits 0 when every job ran (individual
+verdicts live in the report); malformed job files exit 2 with a
+structured one-line error.  ``serve`` exits 0 on a clean
 shutdown (the ``shutdown`` op or Ctrl-C).
 """
 
@@ -74,8 +76,17 @@ from .hypergraphs.acyclicity import is_acyclic, running_intersection_order
 from .hypergraphs.obstructions import find_obstruction
 
 
+def _load(path: str, decode):
+    """``decode`` applied to a file's bytes; a file it cannot read as
+    its encoding is a :class:`ReproError` naming the file (exit 2)."""
+    try:
+        return decode(Path(path).read_bytes())
+    except ReproError as exc:
+        raise ReproError(f"{path}: {exc}") from exc
+
+
 def _load_bag(path: str):
-    return repro_io.bag_from_json(Path(path).read_text())
+    return _load(path, repro_io.bag_from_json)
 
 
 def _cmd_check_pair(args: argparse.Namespace) -> int:
@@ -106,7 +117,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_global_check(args: argparse.Namespace) -> int:
-    bags = repro_io.collection_from_json(Path(args.collection).read_text())
+    bags = _load(args.collection, repro_io.collection_from_json)
     print(collection_summary(bags))
     result = global_witness(bags, method=args.method)
     print(f"method: {result.method}")
@@ -126,9 +137,7 @@ def _cmd_global_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit_schema(args: argparse.Namespace) -> int:
-    hypergraph = repro_io.hypergraph_from_json(
-        Path(args.hypergraph).read_text()
-    )
+    hypergraph = _load(args.hypergraph, repro_io.hypergraph_from_json)
     if is_acyclic(hypergraph):
         print("acyclic: pairwise consistency checks are sound and complete")
         rip = running_intersection_order(hypergraph)
@@ -163,7 +172,7 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
         verify_certificate,
     )
 
-    bags = repro_io.collection_from_json(Path(args.collection).read_text())
+    bags = _load(args.collection, repro_io.collection_from_json)
     certificate = collection_certificate(bags)
     if certificate is None:
         print("globally consistent: no inconsistency certificate exists")
@@ -199,7 +208,7 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
 def _cmd_repair(args: argparse.Namespace) -> int:
     from .consistency.repair import repair_collection
 
-    bags = repro_io.collection_from_json(Path(args.collection).read_text())
+    bags = _load(args.collection, repro_io.collection_from_json)
     fixed, cost = repair_collection(bags)
     print(f"repair cost: {cost} tuple edits")
     if args.output:
@@ -263,7 +272,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     from .engine.session import Engine
 
     _validate_batch_knobs(args)
-    jobs = parse_jobs_text(Path(args.jobs).read_text())
+    jobs = parse_jobs_text(Path(args.jobs).read_bytes())
     store = _open_store(args)
     engine = (
         Engine(store=store) if store is not None

@@ -84,10 +84,10 @@ class BatchJobs:
         return len(self.pairs) + len(self.collections) + len(self.suites)
 
 
-def parse_jobs_text(text: str) -> BatchJobs:
-    """Parse a raw JSON string (file contents, socket line) into a
-    validated :class:`BatchJobs`; raises :class:`JobError` on any
-    malformation, including invalid JSON."""
+def parse_jobs_text(text: str | bytes) -> BatchJobs:
+    """Parse a raw JSON document (file contents as UTF-8 bytes, a socket
+    line) into a validated :class:`BatchJobs`; raises :class:`JobError`
+    on any malformation, including invalid JSON and invalid UTF-8."""
     import json
 
     try:

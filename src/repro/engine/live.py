@@ -12,15 +12,15 @@ is acyclic.  A :class:`LiveEngine` wires both into the engine cache:
 * each tracked bag is a mutable :class:`LiveBag` handle;
 * ``update(handle, row, amount)`` bumps the O(1) pair checkers touching
   the handle and invalidates exactly the inner-engine entries (pair
-  verdicts, witnesses, joins, marginals, global results) in which the
-  handle's current snapshot participates — untouched pairs keep their
-  memoized answers;
-* heavyweight queries (witnesses, joins, global checks) run against an
-  immutable *snapshot* of the handle, reused until the next update, so
-  the inner engine's content-keyed memoization applies unchanged
-  between updates — and because each handle maintains its fingerprint
-  incrementally, snapshots are born pre-fingerprinted and invalidation
-  never rescans a bag;
+  verdicts, witnesses, global results) in which the handle's current
+  snapshot participates — untouched pairs keep their memoized answers;
+* heavyweight queries (witnesses, joins, marginals, global checks) run
+  against an immutable *snapshot* of the handle, reused until the next
+  update, so the inner engine's content-keyed memoization (and the
+  snapshot's own marginal memo) applies unchanged between updates —
+  and because each handle maintains its fingerprint incrementally,
+  snapshots are born pre-fingerprinted and invalidation never rescans
+  a bag;
 * over an acyclic schema, :meth:`LiveEngine.global_check` keeps one
   Theorem 6 *witness* per handle set and, after updates, patches it
   with one delta repair over all the bags
@@ -89,9 +89,13 @@ class LiveBag:
     bag.  All mutation goes through :meth:`LiveEngine.update` (which
     also maintains the pair checkers and the store); the handle itself
     is read-only.
+
+    ``_rows`` maps each stored row to itself: Python-equal rows such as
+    ``(1, "x")`` and ``(True, "x")`` share one entry, and the
+    fingerprint must hash the row as stored, not as an update spells it.
     """
 
-    __slots__ = ("schema", "name", "_mults", "_snapshot", "_content")
+    __slots__ = ("schema", "name", "_mults", "_rows", "_snapshot", "_content")
 
     def __init__(
         self, schema: Schema, mults: Mapping[tuple, int], name: str
@@ -99,6 +103,7 @@ class LiveBag:
         self.schema = schema
         self.name = name
         self._mults: dict[tuple, int] = dict(mults)
+        self._rows: dict[tuple, tuple] = {row: row for row in self._mults}
         self._snapshot: Bag | None = None
         self._content = fingerprint.content_sum(self._mults)
 
@@ -206,7 +211,7 @@ class LiveEngine:
 
     @property
     def engine(self) -> Engine:
-        """The inner snapshot cache (stats, pinning, eviction knobs)."""
+        """The inner snapshot cache (stats, store, eviction bound)."""
         return self._engine
 
     @property
@@ -256,6 +261,7 @@ class LiveEngine:
         row, new = validate_update(handle.schema, handle._mults, row, amount)
         if amount == 0:
             return
+        row = handle._rows.setdefault(row, row)
         slot = self._slots[handle]
         for checker, is_left in self._by_slot.get(slot, ()):
             if is_left:
@@ -266,7 +272,7 @@ class LiveEngine:
             handle._content, row, new - amount, new
         )
         if new == 0:
-            handle._mults.pop(row, None)
+            del handle._mults[row], handle._rows[row]
         else:
             handle._mults[row] = new
         old = handle._snapshot
@@ -390,12 +396,12 @@ class LiveEngine:
         return self.global_check(method=method).consistent
 
     def marginal(self, handle, target: Schema) -> Bag:
-        return self._engine.marginal(self._resolve(handle).bag(), target)
+        """R[Z] of the current snapshot, memoized on its index."""
+        return self._resolve(handle).bag().marginal(target)
 
     def join(self, left, right) -> Bag:
-        return self._engine.join(
-            self._resolve(left).bag(), self._resolve(right).bag()
-        )
+        """The bag join of the two current snapshots."""
+        return self._resolve(left).bag().bag_join(self._resolve(right).bag())
 
     def witness(self, left, right) -> Bag:
         """A pairwise witness against the current snapshots, memoized in

@@ -9,8 +9,8 @@ content-addressing refactor the engine memoizes per *bag value*:
 
 * marginals and join buckets live on the bags themselves (see
   :mod:`repro.engine.index`), shared across value-equal bags through
-  the fingerprint registry;
-* pair-level results — consistency verdicts, witnesses, joins — and
+  the fingerprint registry, so the engine stores none of them;
+* pair verdicts (Lemma 2(2)), pair witnesses (Corollary 1) and
   collection-level global checks live in a :class:`VerdictStore`,
   keyed on the **content fingerprints** of the participating bags
   (:mod:`repro.engine.fingerprint`), so two separately-constructed but
@@ -18,11 +18,8 @@ content-addressing refactor the engine memoizes per *bag value*:
   handed the same store, and across ``repro serve`` connections.
 
 The store is **bounded**: ``Engine(capacity=N)`` keeps at most N
-results, evicting in LRU order.  :meth:`pin` exempts every entry
-touching a bag's content from eviction until :meth:`unpin` (explicitly
-pinned entries may push the store above capacity — that is the point
-of pinning).  The default ``capacity=None`` preserves the unbounded
-behaviour.  Pass ``store=`` to share one :class:`VerdictStore` between
+results, evicting in LRU order; the default ``capacity=None`` is
+unbounded.  Pass ``store=`` to share one :class:`VerdictStore` between
 several engines — each engine keeps its own :class:`EngineStats`, so
 hit rates still describe each served workload.
 
@@ -60,7 +57,6 @@ from typing import Callable, Iterable, Sequence
 
 from ..analysis.registry import requires_lock, shared_state
 from ..core.bags import Bag
-from ..core.schema import Schema
 from ..errors import InconsistentError
 from ..lp.integer_feasibility import DEFAULT_NODE_BUDGET
 from ..obs import metrics as obs_metrics
@@ -83,7 +79,7 @@ _COMPUTE_HISTOGRAMS = {
     op: obs_metrics.REGISTRY.histogram(
         "repro_engine_compute_seconds", {"op": op}
     )
-    for op in ("marginal", "join", "consistent", "witness", "global")
+    for op in ("consistent", "witness", "global")
 }
 
 
@@ -131,12 +127,8 @@ class EngineStats:
     consistency_hits: int = 0
     internal_consistency_queries: int = 0
     internal_consistency_hits: int = 0
-    marginal_queries: int = 0
-    marginal_hits: int = 0
     witness_queries: int = 0
     witness_hits: int = 0
-    join_queries: int = 0
-    join_hits: int = 0
     global_queries: int = 0
     global_hits: int = 0
     evictions: int = 0
@@ -149,7 +141,7 @@ class EngineStats:
 
 @shared_state(
     "_lock",
-    "_cache", "_participants", "_fp_keys", "_pinned_fps",
+    "_cache", "_participants", "_fp_keys",
     "hits", "misses", "evictions", "invalidations", "merged",
     tier="engine",
 )
@@ -166,8 +158,7 @@ class VerdictStore:
 
     Bookkeeping: every key records its participant fingerprints and a
     reverse index maps each fingerprint to the keys touching it, making
-    per-content invalidation and pin exemption O(entries touched), not
-    O(store).
+    per-content invalidation O(entries touched), not O(store).
     """
 
     def __init__(self, capacity: int | None = None) -> None:
@@ -181,7 +172,6 @@ class VerdictStore:
         # fingerprints touch a single key, and a one-element set costs
         # ~200 bytes per entry
         self._fp_keys: dict[int, tuple | set[tuple]] = {}
-        self._pinned_fps: set[int] = set()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -231,7 +221,7 @@ class VerdictStore:
                     self._fp_keys[fp] = {held, key}
             self._cache[key] = value
             self._participants[key] = tuple(fps)
-            return self._evict(protect=key)
+            return self._evict()
 
     @requires_lock("_lock")
     def _remove_key(self, key: tuple) -> None:
@@ -246,37 +236,16 @@ class VerdictStore:
                 del self._fp_keys[fp]
 
     @requires_lock("_lock")
-    def _evict(self, protect: tuple | None = None) -> int:
-        if self.capacity is None or len(self._cache) <= self.capacity:
+    def _evict(self) -> int:
+        """Pop the LRU head until the store is within capacity."""
+        if self.capacity is None:
             return 0
-        # Collect just the excess from the LRU head: an insert costs
-        # O(excess + exempt entries skipped), not O(capacity).
-        excess = len(self._cache) - self.capacity
-        victims = []
-        for key in self._cache:
-            if key == protect:
-                # Never evict the entry being inserted: when pinned
-                # entries fill the capacity, the store overflows rather
-                # than silently refusing to serve unpinned work.
-                continue
-            if any(fp in self._pinned_fps for fp in self._participants[key]):
-                continue  # entries touching pinned content are exempt
-            victims.append(key)
-            if len(victims) == excess:
-                break
-        for key in victims:
-            self._remove_key(key)
-        self.evictions += len(victims)
-        return len(victims)
-
-    def pin_fp(self, fp: int) -> None:
-        with self._lock:
-            self._pinned_fps.add(fp)
-
-    def unpin_fp(self, fp: int) -> int:
-        with self._lock:
-            self._pinned_fps.discard(fp)
-            return self._evict()
+        evicted = 0
+        while len(self._cache) > self.capacity:
+            self._remove_key(next(iter(self._cache)))
+            evicted += 1
+        self.evictions += evicted
+        return evicted
 
     def invalidate_fp(self, fp: int) -> int:
         """Drop every entry whose participants include ``fp``; returns
@@ -289,7 +258,6 @@ class VerdictStore:
                 keys = list(held) if isinstance(held, set) else [held]
             for key in keys:
                 self._remove_key(key)
-            self._pinned_fps.discard(fp)
             self.invalidations += len(keys)
             return len(keys)
 
@@ -298,7 +266,6 @@ class VerdictStore:
             self._cache.clear()
             self._participants.clear()
             self._fp_keys.clear()
-            self._pinned_fps.clear()
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -339,7 +306,6 @@ class VerdictStore:
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,
                 "merged": self.merged,
-                "pinned": len(self._pinned_fps),
             }
 
 
@@ -378,34 +344,20 @@ class Engine:
 
     # -- lifecycle -------------------------------------------------------
 
-    def pin(self, bag: Bag) -> None:
-        """Exempt every store entry touching ``bag``'s content from LRU
-        eviction (current and future) until :meth:`unpin`.  Pinned
-        entries still count toward ``capacity`` but are skipped by the
-        evictor, so heavy pinning can hold the store above it."""
-        self.store.pin_fp(fingerprint.of_bag(bag))
-
-    def unpin(self, bag: Bag) -> None:
-        """Make the entries touching ``bag``'s content ordinary LRU
-        citizens again."""
-        evicted = self.store.unpin_fp(fingerprint.of_bag(bag))
-        with self._lock:
-            self.stats.evictions += evicted
-
     def invalidate(self, bag: Bag) -> int:
         """Drop every stored result touching ``bag``'s content — pair
-        verdicts, witnesses, joins, marginals, and global results it
-        participates in — and release its pin.  Returns the number of
-        entries dropped.  This is the :class:`LiveEngine` update
-        primitive; for immutable bags it is only ever a memory lever
-        (content-addressed entries cannot go stale)."""
+        verdicts, witnesses, and global results it participates in.
+        Returns the number of entries dropped.  This is the
+        :class:`LiveEngine` update primitive; for immutable bags it is
+        only ever a memory lever (content-addressed entries cannot go
+        stale)."""
         dropped = self.store.invalidate_fp(fingerprint.of_bag(bag))
         with self._lock:
             self.stats.invalidations += dropped
         return dropped
 
     def clear(self) -> None:
-        """Drop every stored result and pin, and reset the counters.
+        """Drop every stored result and reset the counters.
         With a shared store this clears it for every engine using it."""
         self.store.clear()
         with self._lock:
@@ -457,43 +409,6 @@ class Engine:
         return bags
 
     # -- single-query API ------------------------------------------------
-
-    def marginal(self, bag: Bag, target: Schema) -> Bag:
-        """R[Z] — stored like every other entry point; the bag-level
-        :class:`~repro.engine.index.BagIndex` memo still applies
-        beneath, so a miss after eviction recomputes nothing, it only
-        re-registers the entry."""
-        with self._lock:
-            self.stats.marginal_queries += 1
-        fp = fingerprint.of_bag(bag)
-        key = ("marginal", fp, target.attrs)
-        value = self._get(key)
-        if value is _MISS:
-            start = time.perf_counter()
-            value = bag.marginal(target)
-            _observe_compute("marginal", start)
-            self._put(key, value, (fp,))
-        else:
-            with self._lock:
-                self.stats.marginal_hits += 1
-        return value
-
-    def join(self, left: Bag, right: Bag) -> Bag:
-        """The bag join, memoized per (left, right) content pair."""
-        with self._lock:
-            self.stats.join_queries += 1
-        lfp, rfp = fingerprint.of_bag(left), fingerprint.of_bag(right)
-        key = ("join", lfp, rfp)
-        value = self._get(key)
-        if value is _MISS:
-            start = time.perf_counter()
-            value = left.bag_join(right)
-            _observe_compute("join", start)
-            self._put(key, value, (lfp, rfp))
-        else:
-            with self._lock:
-                self.stats.join_hits += 1
-        return value
 
     def _consistent(self, left: Bag, right: Bag, internal: bool) -> bool:
         """Lemma 2(2), memoized under :func:`consistent_key`."""

@@ -15,6 +15,11 @@ Values must be JSON scalars (strings, numbers, booleans, null); tuples
 with other Python values can still be used in memory, they just will not
 round-trip through JSON.  Multiplicities of arbitrary size are fine —
 JSON integers are unbounded and Python reads them exactly.
+
+The ``*_from_json`` readers take ``str`` or UTF-8 ``bytes`` and raise
+:class:`~repro.errors.SchemaError` for anything they cannot decode:
+invalid JSON, bytes that are not UTF-8, or a well-formed document of
+the wrong shape.
 """
 
 from __future__ import annotations
@@ -27,6 +32,13 @@ from .core.relations import Relation
 from .core.schema import Schema
 from .errors import SchemaError
 from .hypergraphs.hypergraph import Hypergraph
+
+
+def _loads(text: str | bytes) -> Any:
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # also bad UTF-8 and the digit limit
+        raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
 # -- bags -------------------------------------------------------------------
@@ -54,8 +66,8 @@ def bag_to_json(bag: Bag, indent: int | None = None) -> str:
     return json.dumps(bag_to_dict(bag), indent=indent)
 
 
-def bag_from_json(text: str) -> Bag:
-    return bag_from_dict(json.loads(text))
+def bag_from_json(text: str | bytes) -> Bag:
+    return bag_from_dict(_loads(text))
 
 
 # -- relations ---------------------------------------------------------------
@@ -80,8 +92,8 @@ def relation_to_json(relation: Relation, indent: int | None = None) -> str:
     return json.dumps(relation_to_dict(relation), indent=indent)
 
 
-def relation_from_json(text: str) -> Relation:
-    return relation_from_dict(json.loads(text))
+def relation_from_json(text: str | bytes) -> Relation:
+    return relation_from_dict(_loads(text))
 
 
 # -- collections --------------------------------------------------------------
@@ -102,8 +114,8 @@ def collection_to_json(bags: list[Bag], indent: int | None = None) -> str:
     return json.dumps(collection_to_dict(bags), indent=indent)
 
 
-def collection_from_json(text: str) -> list[Bag]:
-    return collection_from_dict(json.loads(text))
+def collection_from_json(text: str | bytes) -> list[Bag]:
+    return collection_from_dict(_loads(text))
 
 
 # -- hypergraphs ---------------------------------------------------------------
@@ -118,7 +130,7 @@ def hypergraph_to_dict(hypergraph: Hypergraph) -> dict:
 def hypergraph_from_dict(data: dict) -> Hypergraph:
     try:
         return Hypergraph(data.get("vertices"), data["edges"])
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise SchemaError(f"malformed hypergraph encoding: {exc}") from exc
 
 
@@ -128,8 +140,8 @@ def hypergraph_to_json(
     return json.dumps(hypergraph_to_dict(hypergraph), indent=indent)
 
 
-def hypergraph_from_json(text: str) -> Hypergraph:
-    return hypergraph_from_dict(json.loads(text))
+def hypergraph_from_json(text: str | bytes) -> Hypergraph:
+    return hypergraph_from_dict(_loads(text))
 
 
 # -- text tables ---------------------------------------------------------------

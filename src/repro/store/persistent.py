@@ -6,35 +6,32 @@ accepts ``store=`` (``Engine``, ``LiveEngine``, ``ReproServer``, the
 executors' merge path) takes one unchanged — that adds a **disk tier**
 under the hot tier:
 
+* the hot tier is one in-memory ``VerdictStore`` holding at most
+  ``capacity`` entries in exact LRU order, the same bound as without a
+  disk tier;
 * keys are routed to one of N :class:`~repro.store.shard.Shard`
   directories by the **top bits of their primary content fingerprint**
-  (:func:`shard_of_fp`), so a multi-process deployment can in principle
-  split shards between daemons and, today, concurrent connections touch
-  disjoint shard locks instead of one global lock;
-* the hot tier is one in-memory ``VerdictStore`` *per shard* (the
-  configured ``capacity`` is split across them), so reads that hit
-  memory also never serialize store-wide;
+  (:func:`shard_of_fp`), so disk reads and appends take only their
+  shard's lock, and a multi-process deployment could split shards
+  between daemons;
 * **read-through**: a hot-tier miss consults the shard's segment index;
   a disk hit promotes the entry into the hot tier and is counted
   separately (``disk_hits``) so warmth is observable;
-* **write-behind**: puts land in the hot tier immediately and are
-  buffered per shard, flushed every ``flush_every`` operations and on
-  explicit :meth:`flush` / :meth:`close` — a crash loses at most the
-  unflushed tail, never corrupts what was flushed (CRC framing,
-  torn-tail truncation on reopen);
-* only **durable tags** persist (pair verdicts, witnesses — refusals
-  included — and global results).  Marginals and joins stay hot-only:
-  they are cheap to rebuild from the bag indexes and would bloat the
-  log with large value blobs.
+* **write-behind**: every put lands in the hot tier immediately and is
+  buffered in its shard, flushed every
+  :data:`~repro.store.shard.FLUSH_EVERY` operations and on explicit
+  :meth:`flush` / :meth:`close` — a crash loses at most the unflushed
+  tail, never corrupts what was flushed (CRC framing, torn-tail
+  truncation on reopen).
+
+The engine stores only pair verdicts, pair witnesses (refusals
+included) and global results, so every entry is durable.
 
 Durability contract: :meth:`flush` makes everything buffered readable
 by a future open; :meth:`close` flushes and releases file handles.
 Eviction from the bounded hot tier never loses data — the entry was
 appended to its shard's log at put time, so a later query pays one
 read-through, not a recompute.
-
-Pins are deliberately **ephemeral** (hot-tier only): a pin is an
-eviction exemption, and eviction does not exist on disk.
 """
 
 from __future__ import annotations
@@ -52,7 +49,6 @@ from .shard import Shard
 
 __all__ = [
     "DEFAULT_SHARDS",
-    "DURABLE_TAGS",
     "PersistentVerdictStore",
     "StoreFormatError",
     "shard_of_fp",
@@ -60,7 +56,6 @@ __all__ = [
 ]
 
 DEFAULT_SHARDS = 8
-DURABLE_TAGS = frozenset({"consistent", "witness", "global"})
 META_NAME = "META.json"
 META_VERSION = 1
 
@@ -150,7 +145,7 @@ def shard_of_key(key: tuple, n_shards: int) -> int:
 # written by the owning thread only, and reads never need freshness.
 @shared_state("_lock", "disk_hits", "misses", "merged", tier="store")
 class PersistentVerdictStore:
-    """A sharded disk tier under per-shard in-memory hot tiers.
+    """A sharded disk tier under one in-memory LRU hot tier.
 
     ``root`` is the store directory (created on first use; its
     ``META.json`` records the shard count, which later opens reuse —
@@ -165,25 +160,13 @@ class PersistentVerdictStore:
         root: str | Path,
         shards: int | None = None,
         capacity: int | None = None,
-        flush_every: int = 64,
-        auto_compact: bool = True,
     ) -> None:
         self.root = Path(root)
         self.capacity = capacity
+        self._hot = VerdictStore(capacity)
         self.n_shards = self._load_or_create_meta(shards)
-        per_shard = None
-        if capacity is not None:
-            if capacity < 1:
-                raise ValueError(f"capacity must be positive, got {capacity}")
-            per_shard = max(1, -(-capacity // self.n_shards))  # ceil div
-        self._hot = [VerdictStore(per_shard) for _ in range(self.n_shards)]
         self._shards = [
-            Shard(
-                self.root / f"shard-{i:02d}",
-                flush_every=flush_every,
-                auto_compact=auto_compact,
-            )
-            for i in range(self.n_shards)
+            Shard(self.root / f"shard-{i:02d}") for i in range(self.n_shards)
         ]
         self._lock = threading.Lock()  # store-level counters only
         self.disk_hits = 0
@@ -212,78 +195,55 @@ class PersistentVerdictStore:
         }) + "\n")
         return n
 
-    # -- routing ---------------------------------------------------------
-
-    def _route(self, key: tuple) -> int:
-        return shard_of_key(key, self.n_shards)
-
-    def _durable(self, key: tuple) -> bool:
-        return bool(key) and key[0] in DURABLE_TAGS
-
     # -- the VerdictStore interface --------------------------------------
 
+    def _shard(self, key: tuple) -> Shard:
+        return self._shards[shard_of_key(key, self.n_shards)]
+
     def get(self, key: tuple):
-        i = self._route(key)
-        value = self._hot[i].get(key)
+        value = self._hot.get(key)
         if value is not self.MISS:
             return value
-        found = self._shards[i].lookup(key) if self._durable(key) else None
+        found = self._shard(key).lookup(key)
         if found is None:
             with self._lock:
                 self.misses += 1
             return self.MISS
         value, fps = found
         # Promote without re-appending: the record is already on disk.
-        self._hot[i].put(key, value, fps)
+        self._hot.put(key, value, fps)
         with self._lock:
             self.disk_hits += 1
         return value
 
     def contains(self, key: tuple) -> bool:
-        i = self._route(key)
-        if self._hot[i].contains(key):
-            return True
-        return self._durable(key) and self._shards[i].contains(key)
+        return self._hot.contains(key) or self._shard(key).contains(key)
 
     def put(self, key: tuple, value, fps: Sequence[int]) -> int:
-        i = self._route(key)
-        evicted = self._hot[i].put(key, value, fps)
-        if self._durable(key):
-            self._shards[i].append(key, value, tuple(fps))
+        evicted = self._hot.put(key, value, fps)
+        self._shard(key).append(key, value, tuple(fps))
         return evicted
-
-    def pin_fp(self, fp: int) -> None:
-        # A pin exempts entries touching the fingerprint from hot-tier
-        # eviction; participants can live in any shard, so pin all.
-        for hot in self._hot:
-            hot.pin_fp(fp)
-
-    def unpin_fp(self, fp: int) -> int:
-        return sum(hot.unpin_fp(fp) for hot in self._hot)
 
     def invalidate_fp(self, fp: int) -> int:
         """Drop every entry touching ``fp`` from both tiers (disk drops
         are tombstoned and reclaimed by compaction); returns the number
         of distinct keys dropped."""
-        hot_total = sum(hot.invalidate_fp(fp) for hot in self._hot)
+        hot_total = self._hot.invalidate_fp(fp)
         disk_total = sum(shard.tombstone(fp) for shard in self._shards)
         # Disk and hot overlap (read-through promotions); report the
         # larger tier so the count is a lower bound on distinct keys.
         return max(hot_total, disk_total)
 
     def clear(self) -> None:
-        for hot in self._hot:
-            hot.clear()
+        self._hot.clear()
         for shard in self._shards:
             shard.clear()
 
     def __len__(self) -> int:
         """Distinct stored keys across both tiers (hot entries that are
         also on disk count once)."""
-        keys: set[tuple] = set()
-        for hot in self._hot:
-            with hot._lock:
-                keys.update(hot._cache)
+        with self._hot._lock:
+            keys = set(self._hot._cache)
         for shard in self._shards:
             keys.update(shard.keys())
         return len(keys)
@@ -291,10 +251,7 @@ class PersistentVerdictStore:
     # -- bulk transfer (process-executor merge path) ---------------------
 
     def export(self) -> list[tuple[tuple, object, tuple[int, ...]]]:
-        entries = []
-        for hot in self._hot:
-            entries.extend(hot.export())
-        return entries
+        return self._hot.export()
 
     def merge(
         self, entries: Iterable[tuple[tuple, object, tuple[int, ...]]]
@@ -338,41 +295,38 @@ class PersistentVerdictStore:
     def hits(self) -> int:
         """Served-from-store lookups, either tier (the serve tests and
         stats read this like the in-memory store's counter)."""
-        return sum(hot.hits for hot in self._hot) + self.disk_hits
+        return self._hot.hits + self.disk_hits
 
     @property
     def evictions(self) -> int:
-        return sum(hot.evictions for hot in self._hot)
+        return self._hot.evictions
 
     @property
     def invalidations(self) -> int:
-        return sum(hot.invalidations for hot in self._hot)
+        return self._hot.invalidations
 
     def stats_dict(self) -> dict:
-        """The in-memory store's stats keys (summed over the hot tiers,
-        with ``hits`` including read-throughs) plus a ``persistent``
-        sub-dict describing the disk tier: the shards' stats summed,
-        read from their in-memory state (no directory scan)."""
-        hot_hits = sum(hot.hits for hot in self._hot)
+        """The hot tier's stats keys (``hits`` including read-throughs,
+        ``misses`` only lookups neither tier answered) plus a
+        ``persistent`` sub-dict describing the disk tier: the shards'
+        stats summed, read from their in-memory state (no directory
+        scan)."""
+        hot = self._hot.stats_dict()
         with self._lock:
             disk_hits, misses, merged = self.disk_hits, self.misses, self.merged
-        hits = hot_hits + disk_hits
+        hits = hot["hits"] + disk_hits
         shards = self.shard_stats()
         disk = {key: sum(s[key] for s in shards) for key in shards[0]}
         return {
-            "entries": sum(len(hot) for hot in self._hot),
-            "capacity": self.capacity,
+            **hot,
             "hits": hits,
             "misses": misses,
             "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
             "merged": merged,
-            "pinned": sum(len(hot._pinned_fps) for hot in self._hot),
             "persistent": {
                 "root": str(self.root),
                 "shards": self.n_shards,
-                "hot_hits": hot_hits,
+                "hot_hits": hot["hits"],
                 "disk_hits": disk_hits,
                 **disk,
             },

@@ -25,9 +25,9 @@ until a read-through asks for one (:meth:`lookup`), so reopening a
 large store is one sequential scan per segment with **zero** value
 unpickling.
 
-Thread safety: every public method takes the shard's own lock — this
-is the per-shard locking that lets concurrent serve connections touch
-disjoint shards without serializing on one global store lock.
+Thread safety: every public method takes the shard's own lock, so
+read-throughs and appends on disjoint shards never serialize on one
+store-wide disk lock.
 """
 
 from __future__ import annotations
@@ -42,9 +42,16 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from . import format as fmt
 
-__all__ = ["Shard", "ShardStats"]
+__all__ = ["COMPACT_MIN_DEAD", "FLUSH_EVERY", "Shard", "ShardStats"]
 
 _SEGMENT_SUFFIX = ".seg"
+
+# Write-behind batch: buffered operations are written once this many
+# accumulate (and on every explicit flush or close).
+FLUSH_EVERY = 64
+# A flush compacts the shard once its dead records exceed both this
+# floor and its live record count.
+COMPACT_MIN_DEAD = 64
 
 # Disk-touching latency only: the in-memory index probe records
 # nothing.  The obs tier is last in the lock order, so recording while
@@ -79,17 +86,8 @@ class ShardStats:
 class Shard:
     """One fingerprint-prefix shard of the persistent verdict store."""
 
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        flush_every: int = 64,
-        auto_compact: bool = True,
-    ) -> None:
-        if flush_every < 1:
-            raise ValueError(f"flush_every must be positive, got {flush_every}")
+    def __init__(self, path: str | os.PathLike) -> None:
         self.path = Path(path)
-        self.flush_every = flush_every
-        self.auto_compact = auto_compact
         self._lock = threading.RLock()
         # key -> (segment Path, value_offset, value_length,
         # value_compressed, fps)
@@ -227,7 +225,7 @@ class Shard:
 
     def append(self, key: tuple, value, fps) -> None:
         """Buffer one PUT (write-behind); flushes automatically every
-        ``flush_every`` buffered operations."""
+        :data:`FLUSH_EVERY` buffered operations."""
         with self._lock:
             fps = tuple(fps)
             if key in self._pending_index or key in self._index:
@@ -238,7 +236,7 @@ class Shard:
             self._pending.append(("put", key, value, fps))
             self._pending_index[key] = (value, fps)
             self.stats.appends += 1
-            if len(self._pending) >= self.flush_every:
+            if len(self._pending) >= FLUSH_EVERY:
                 self._flush_locked()
 
     def tombstone(self, fp: int) -> int:
@@ -261,7 +259,7 @@ class Shard:
                 self._apply_tombstone(fp)
                 self._pending.append(("del", fp))
                 self.stats.tombstones += 1
-                if len(self._pending) >= self.flush_every:
+                if len(self._pending) >= FLUSH_EVERY:
                     self._flush_locked()
             return dropped
 
@@ -336,7 +334,7 @@ class Shard:
         tr = obs_trace.current()
         if tr is not None:
             tr.add_span("store.flush", flush_start, elapsed, ops=written)
-        if self.auto_compact and self._dead > max(64, len(self._index)):
+        if self._dead > max(COMPACT_MIN_DEAD, len(self._index)):
             self._compact_locked()
         return written
 

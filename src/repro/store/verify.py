@@ -17,11 +17,12 @@ verdict store without mutating it:
    verifier searches the sub-schemas of ``W.schema`` for marginals
    whose fingerprints equal the key's; finding them recovers the
    original bags, and the verdict is recomputed from scratch
-   (``are_consistent`` + ``is_witness`` + the minimality bound when the
-   key claims it).  Global results recover every participant the same
-   way; pair verdicts are cross-referenced against the stored witness
-   for the same fingerprint pair.  A corrupted or mislabelled value
-   cannot survive: its marginal fingerprints no longer match its key.
+   (``are_consistent`` + ``is_witness`` + Theorem 5's support bound,
+   which every engine witness meets).  Global results recover every
+   participant the same way; pair verdicts are cross-referenced
+   against the stored witness for the same fingerprint pair.  A
+   corrupted or mislabelled value cannot survive: its marginal
+   fingerprints no longer match its key.
 
 Records whose schemas are too wide to enumerate (``max_attrs``) or
 that carry nothing recomputable (e.g. a lone ``consistent`` bool with
@@ -35,6 +36,7 @@ import random
 from itertools import chain, combinations
 from pathlib import Path
 
+from ..engine.session import consistent_key, witness_key
 from . import format as fmt
 from .persistent import read_meta
 
@@ -123,7 +125,6 @@ def _check_witness_value(key: tuple, witness, max_attrs: int) -> str:
     from ..consistency.witness import is_witness
 
     lfp, rfp = key[1], key[2]
-    minimal = bool(key[3]) if len(key) > 3 else False
     by_fp = _marginal_fingerprints(witness, max_attrs)
     if by_fp is None:
         return "skipped"
@@ -139,10 +140,8 @@ def _check_witness_value(key: tuple, witness, max_attrs: int) -> str:
         return "mismatch"
     if not is_witness([left, right], witness):
         return "mismatch"
-    if minimal and witness.support_size > (
-        left.support_size + right.support_size
-    ):
-        return "mismatch"
+    if witness.support_size > left.support_size + right.support_size:
+        return "mismatch"  # Theorem 5: the engine builds minimal witnesses
     return "checked"
 
 
@@ -171,19 +170,18 @@ def _check_global_value(key: tuple, result, max_attrs: int) -> str:
 
 def _check_consistent_value(key: tuple, verdict, live: dict) -> str:
     """Cross-reference a pair verdict against the stored witness for
-    the same fingerprint pair (either orientation, either minimality)."""
+    the same fingerprint pair (either orientation)."""
     if not isinstance(verdict, bool):
         return "mismatch"
     a, b = key[1], key[2]
-    for pair in ((a, b), (b, a)):
-        for minimal in (False, True):
-            entry = live.get(("witness", *pair, minimal))
-            if entry is None:
-                continue
-            witness = _load_value(entry)
-            if verdict != (witness is not None):
-                return "mismatch"
-            return "checked"
+    for lfp, rfp in ((a, b), (b, a)):
+        entry = live.get(witness_key(lfp, rfp))
+        if entry is None:
+            continue
+        witness = _load_value(entry)
+        if verdict != (witness is not None):
+            return "mismatch"
+        return "checked"
     return "skipped"  # no recomputable companion record
 
 
@@ -192,7 +190,7 @@ def _check_witness_refusal(key: tuple, live: dict) -> str:
     stored pair verdict (symmetric key: sorted fingerprints) must
     agree."""
     a, b = key[1], key[2]
-    entry = live.get(("consistent", min(a, b), max(a, b)))
+    entry = live.get(consistent_key(a, b))
     if entry is None:
         return "skipped"  # refusal with no companion verdict
     verdict = _load_value(entry)

@@ -109,10 +109,7 @@ def test_engines_share_store_verdicts_match_oracle(sanitize):
                 f"thread {tid} step {step}: wrong verdict"
             )
             roll = rng.random()
-            if roll < 0.15:
-                engine.pin(r)
-                engine.unpin(r)
-            elif roll < 0.25:
+            if roll < 0.25:
                 engine.invalidate(s)
             elif roll < 0.35 and expected:
                 w = engine.witness(r, s)
@@ -171,7 +168,7 @@ def test_live_engines_under_shared_registries(sanitize):
 
 
 def test_persistent_store_hammer(sanitize, tmp_path):
-    """put/get/pin/unpin/invalidate/flush from every thread against one
+    """put/get/invalidate/flush from every thread against one
     sharded persistent store; values are deterministic functions of the
     key, so any cross-thread corruption is a visible wrong value."""
     store = PersistentVerdictStore(tmp_path / "store", shards=4,
@@ -193,9 +190,6 @@ def test_persistent_store_hammer(sanitize, tmp_path):
             elif roll < 0.80:
                 value = store.get(key)
                 assert value is store.MISS or value == value_of(key)
-            elif roll < 0.86:
-                store.pin_fp(fps[a])
-                store.unpin_fp(fps[a])
             elif roll < 0.92:
                 store.invalidate_fp(fps[a])
             elif roll < 0.97:

@@ -11,6 +11,7 @@ from repro.consistency.pairwise import are_consistent
 from repro.consistency.witness import is_witness
 from repro.core.bags import Bag
 from repro.core.schema import Schema
+from repro.engine import fingerprint
 from repro.engine.live import LiveBag, LiveEngine
 from repro.errors import InconsistentError, MultiplicityError, SchemaError
 from repro.workloads.generators import planted_collection
@@ -70,6 +71,28 @@ class TestHandles:
         live = LiveEngine([Bag.empty(AB)])
         live.update(0, (1, 2), 2)
         assert live.handles[0].multiplicity((1, 2)) == 2
+
+    def test_fingerprint_hashes_the_row_as_stored(self):
+        """``(True, "x")`` finds the stored ``(1, "x")`` entry, so the
+        maintained fingerprint must move that row's term: the handle
+        and its snapshot both fingerprint like a freshly built bag."""
+        schema = Schema(["A", "B"])
+        live = LiveEngine([Bag.from_pairs(schema, [((1, "x"), 2)])])
+        handle = live.handles[0]
+
+        def assert_in_step():
+            fresh = Bag(schema, dict(handle.items()))
+            assert handle.fingerprint() == fingerprint.of_bag(fresh)
+            assert fingerprint.of_bag(handle.bag()) == fingerprint.of_bag(fresh)
+
+        live.update(handle, (True, "x"), 1)
+        assert dict(handle.items()) == {(1, "x"): 3}
+        assert_in_step()
+        live.update(handle, (True, "x"), -3)  # delete to zero
+        assert not handle
+        assert_in_step()
+        live.update(handle, (True, "x"), 1)  # now stored as spelled
+        assert_in_step()
 
     def test_foreign_handle_rejected(self):
         live = LiveEngine([Bag.empty(AB)])
@@ -158,15 +181,20 @@ class TestInvalidation:
         live.update(h1, (0, 0), 1)
         assert live.global_check() is not first
 
-    def test_join_and_marginal_route_through_cache(self):
+    def test_join_and_marginal_answer_from_the_snapshots(self):
         live, (h0, h1) = planted_live([AB, BC], seed=5)
         joined = live.join(h0, h1)
         assert joined == h0.bag().bag_join(h1.bag())
-        assert live.join(h0, h1) is joined
+        assert live.join(h0, h1) == joined
         marg = live.marginal(h0, Schema(["B"]))
-        assert live.marginal(h0, Schema(["B"])) is marg
+        assert marg == h0.bag().marginal(Schema(["B"]))
+        assert live.marginal(h0, Schema(["B"])) is marg  # the index memo
+        assert len(live) == 0  # the verdict store holds neither
         live.update(h0, (4, 4), 1)
-        assert live.join(h0, h1) is not joined
+        assert live.join(h0, h1) == h0.bag().bag_join(h1.bag())
+        assert live.marginal(h0, Schema(["B"])) == marg + Bag.from_pairs(
+            Schema(["B"]), [((4,), 1)]
+        )
 
 
 class TestGlobal:

@@ -424,7 +424,7 @@ class TestPersistentServe:
         assert "disk_bytes" in persisted and "disk_hits" in persisted
 
     def test_shutdown_flushes_the_write_behind_tail(self, tmp_path):
-        """Verdicts buffered below flush_every must still be on disk
+        """Verdicts buffered below FLUSH_EVERY must still be on disk
         after a clean shutdown."""
         from repro.store import PersistentVerdictStore
 

@@ -20,6 +20,7 @@ from repro.engine.session import (
     witness_key,
 )
 from repro.errors import InconsistentError
+from repro.store import PersistentVerdictStore, shard_of_key
 from repro.workloads.generators import inconsistent_pair, planted_pair
 from repro.workloads.suites import run_suites
 
@@ -61,14 +62,6 @@ class TestPairMemoization:
         assert engine.are_consistent(r, s) is False
         assert engine.are_consistent(r, s) is False
         assert engine.stats.consistency_hits == 1
-
-    def test_join_matches_bag_join_and_caches(self):
-        engine = Engine()
-        r, s = consistent_pair()
-        joined = engine.join(r, s)
-        assert joined == r.bag_join(s)
-        assert engine.join(r, s) is joined
-        assert engine.stats.join_hits == 1
 
 
 class TestWitness:
@@ -249,33 +242,10 @@ class TestStatsSeparation:
         for field in (
             "internal_consistency_queries",
             "internal_consistency_hits",
-            "marginal_queries",
-            "marginal_hits",
             "evictions",
             "invalidations",
         ):
             assert field in report
-
-
-class TestMarginalFacade:
-    def test_marginal_matches_bag_and_records_stats(self):
-        engine = Engine()
-        r, _ = consistent_pair(seed=23)
-        target = Schema(["B"])
-        marg = engine.marginal(r, target)
-        assert marg == r.marginal(target)
-        assert engine.stats.marginal_queries == 1
-        assert engine.stats.marginal_hits == 0
-        assert engine.marginal(r, target) is marg
-        assert engine.stats.marginal_hits == 1
-
-    def test_marginal_pins_the_bag_like_other_entry_points(self):
-        engine = Engine()
-        r, _ = consistent_pair(seed=24)
-        engine.marginal(r, Schema(["B"]))
-        assert len(engine) == 1
-        assert engine.invalidate(r) == 1
-        assert len(engine) == 0
 
 
 class TestBoundedCache:
@@ -309,43 +279,6 @@ class TestBoundedCache:
         engine.are_consistent(r1, s1)
         assert engine.stats.consistency_hits == hits + 1
 
-    def test_explicit_pin_exempts_entries_from_eviction(self):
-        engine = Engine(capacity=2)
-        r, s = consistent_pair(seed=25)
-        engine.pin(r)
-        engine.are_consistent(r, s)
-        self.sweep(engine, 6)
-        hits = engine.stats.consistency_hits
-        engine.are_consistent(r, s)
-        assert engine.stats.consistency_hits == hits + 1
-
-    def test_unpin_makes_entries_evictable_again(self):
-        engine = Engine(capacity=2)
-        r, s = consistent_pair(seed=26)
-        engine.pin(r)
-        engine.are_consistent(r, s)
-        engine.unpin(r)
-        self.sweep(engine, 6)
-        hits = engine.stats.consistency_hits
-        engine.are_consistent(r, s)
-        assert engine.stats.consistency_hits == hits  # recomputed, no hit
-
-    def test_pinned_entries_filling_capacity_do_not_disable_caching(self):
-        """When pinned entries occupy the whole capacity, new unpinned
-        entries overflow the bound instead of being evicted on insert —
-        the cache must keep serving unpinned work."""
-        engine = Engine(capacity=2)
-        (r1, s1), (r2, s2) = [consistent_pair(seed=80 + k) for k in range(2)]
-        for bag in (r1, s1, r2, s2):
-            engine.pin(bag)
-        engine.are_consistent(r1, s1)
-        engine.are_consistent(r2, s2)
-        t, u = consistent_pair(seed=90)
-        engine.are_consistent(t, u)
-        engine.are_consistent(t, u)
-        assert engine.stats.consistency_hits == 1
-        assert len(engine) == 3  # overflow is documented pinning behaviour
-
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             Engine(capacity=0)
@@ -354,13 +287,11 @@ class TestBoundedCache:
 class LRUModel:
     """The store's eviction contract, spelled out over a plain list:
     entries oldest first, and an over-capacity store drops the oldest
-    entries that are neither the one being inserted nor touching a
-    pinned fingerprint."""
+    entries."""
 
     def __init__(self, capacity):
         self.capacity = capacity
         self.entries = []  # [key, value, fps], least recent first
-        self.pinned = set()
         self.evictions = 0
 
     def find(self, key):
@@ -368,18 +299,6 @@ class LRUModel:
             if entry[0] == key:
                 return i
         return None
-
-    def evict(self, protect=None):
-        evicted = i = 0
-        while len(self.entries) > self.capacity and i < len(self.entries):
-            key, _, fps = self.entries[i]
-            if key == protect or any(fp in self.pinned for fp in fps):
-                i += 1
-                continue
-            del self.entries[i]
-            evicted += 1
-        self.evictions += evicted
-        return evicted
 
     def put(self, key, value, fps):
         i = self.find(key)
@@ -389,7 +308,10 @@ class LRUModel:
             self.entries.append(entry)
             return 0
         self.entries.append([key, value, tuple(fps)])
-        return self.evict(protect=key)
+        evicted = max(0, len(self.entries) - self.capacity)
+        del self.entries[:evicted]
+        self.evictions += evicted
+        return evicted
 
     def get(self, key):
         i = self.find(key)
@@ -399,22 +321,28 @@ class LRUModel:
         self.entries.append(entry)
         return entry[1]
 
-    def unpin(self, fp):
-        self.pinned.discard(fp)
-        return self.evict()
-
     def invalidate(self, fp):
         before = len(self.entries)
         self.entries = [e for e in self.entries if fp not in e[2]]
-        self.pinned.discard(fp)
         return before - len(self.entries)
 
 
+def op_stream(rng, fps, steps=600):
+    """A randomized stream of ``(op, key, fps, fp)`` store operations
+    over pair keys of ``fps``: 45 % put, 40 % get, 15 % invalidate."""
+    for _ in range(steps):
+        op = rng.random()
+        a, b = rng.choice(fps), rng.choice(fps)
+        key = ("consistent", min(a, b), max(a, b))
+        kind = "put" if op < 0.45 else "get" if op < 0.85 else "invalidate"
+        yield kind, key, (key[1], key[2]), a
+
+
 class TestEvictionAgainstModel:
-    """A randomized stream of put/get/pin/unpin/invalidate ops keeps the
-    store equal to :class:`LRUModel` after every op: same entries in the
-    same recency order, same eviction count, same return values, and no
-    reverse-index bookkeeping for dead entries."""
+    """A randomized stream of put/get/invalidate ops keeps the store's
+    hot tier equal to :class:`LRUModel` after every op: same entries in
+    the same recency order, same eviction count, same return values,
+    and no reverse-index bookkeeping for dead entries."""
 
     @pytest.mark.parametrize("capacity", [1, 3, 8])
     @pytest.mark.parametrize("seed", range(4))
@@ -422,30 +350,69 @@ class TestEvictionAgainstModel:
         rng = random.Random(7000 + 97 * capacity + seed)
         store = VerdictStore(capacity)
         model = LRUModel(capacity)
-        for step in range(600):
-            op = rng.random()
-            a, b = rng.randrange(12), rng.randrange(12)
-            key = ("k", min(a, b), max(a, b))
-            fps = (key[1], key[2])
-            if op < 0.45:
+        for step, (op, key, fps, fp) in enumerate(op_stream(rng, range(12))):
+            if op == "put":
                 assert store.put(key, step, fps) == model.put(key, step, fps)
-            elif op < 0.75:
+            elif op == "get":
                 assert store.get(key) == model.get(key)
-            elif op < 0.83:
-                store.pin_fp(a)
-                model.pinned.add(a)
-            elif op < 0.93:
-                assert store.unpin_fp(a) == model.unpin(a)
             else:
-                assert store.invalidate_fp(a) == model.invalidate(a)
+                assert store.invalidate_fp(fp) == model.invalidate(fp)
             assert list(store._cache.items()) == [
                 (k, v) for k, v, _ in model.entries
             ]
             assert store.evictions == model.evictions
-            assert store._pinned_fps == model.pinned
             live_fps = {fp for _, _, fps in model.entries for fp in fps}
             assert set(store._fp_keys) == live_fps
             assert set(store._participants) == set(store._cache)
+
+    @pytest.mark.parametrize("capacity", [1, 3, 8, 20])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_persistent_hot_tier_is_one_lru(self, tmp_path, capacity, seed):
+        """Over eight shards, the hot tier is still one LRU of exactly
+        ``capacity`` entries, and eviction never loses a value: a get
+        the model misses on a key that was put reads through from disk
+        and is promoted like a put."""
+        rng = random.Random(9000 + 97 * capacity + seed)
+        # random top bytes, two per shard residue, so keys reach every
+        # shard
+        fps = [
+            (rng.randrange(32) * 8 + i % 8) << 120 | rng.getrandbits(120)
+            for i in range(16)
+        ]
+        store = PersistentVerdictStore(tmp_path / "s", shards=8,
+                                       capacity=capacity)
+        model = LRUModel(capacity)
+        stored = {}  # key -> value, for every key put and not invalidated
+        routed = set()  # every key put
+
+        def value_of(key):  # entries are functions of their key
+            return key[1] % 1000 + key[2] % 7
+
+        for op, key, key_fps, fp in op_stream(rng, fps):
+            if op == "put":
+                value = value_of(key)
+                stored[key] = value
+                routed.add(key)
+                assert store.put(key, value, key_fps) == model.put(
+                    key, value, key_fps
+                )
+            elif op == "get":
+                expected = model.get(key)
+                if expected is VerdictStore.MISS and key in stored:
+                    expected = stored[key]  # read through, then promoted
+                    model.put(key, expected, key_fps)
+                assert store.get(key) == expected
+            else:
+                store.invalidate_fp(fp)
+                model.invalidate(fp)
+                stored = {k: v for k, v in stored.items() if fp not in k[1:]}
+            assert store.stats_dict()["entries"] == len(model.entries)
+            assert list(store._hot._cache.items()) == [
+                (k, v) for k, v, _ in model.entries
+            ]
+            assert store.evictions == model.evictions
+        assert {shard_of_key(key, 8) for key in routed} == set(range(8))
+        store.close()
 
 
 class TestInvalidation:

@@ -270,7 +270,7 @@ class TestExposition:
             "active_connections", "inflight_batches", "peak_inflight",
             "uptime_seconds",
         ),
-        "repro_store": ("entries", "hit_rate", "pinned"),
+        "repro_store": ("entries", "hit_rate"),
         "repro_store_persistent": (
             "shards", "records", "dead_records", "pending", "segments",
             "disk_bytes",
@@ -357,7 +357,7 @@ class TestExposition:
         for prefix, keys in self.MONOTONE.items():
             assert set(keys) <= set(sections[prefix]), prefix
             monotone += [f"{prefix}_{key}" for key in keys]
-        assert len(monotone) == 32
+        assert len(monotone) == 28
         for family in monotone:
             assert types.get(family) == "counter", family
         for prefix, keys in self.LEVELS.items():

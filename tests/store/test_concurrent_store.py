@@ -2,8 +2,8 @@
 
 Two halves, matching the repro-lint contract:
 
-* invariant hammers — many threads drive put/get/pin/unpin/invalidate/
-  flush against one shared store; values are deterministic functions of
+* invariant hammers — many threads drive put/get/invalidate/flush
+  against one shared store; values are deterministic functions of
   the key and the internal indexes are cross-checked afterwards, so a
   lost update or torn index shows up as a hard failure;
 * mutation-style checks — with the sanitizer armed, swapping any
@@ -97,9 +97,6 @@ def test_verdict_store_hammer(sanitize):
             elif roll < 0.75:
                 value = store.get(key)
                 assert value is store.MISS or value == value_of(key)
-            elif roll < 0.83:
-                store.pin_fp(fps[a])
-                store.unpin_fp(fps[a])
             elif roll < 0.91:
                 store.invalidate_fp(fps[a])
             elif roll < 0.96:
@@ -138,8 +135,6 @@ def test_verdict_store_hammer_catches_lock_removal(sanitize):
                   value_of(("consistent", fps[0], fps[1])),
                   (fps[0], fps[1]))
     with pytest.raises(SanitizerError):
-        store.pin_fp(fps[0])
-    with pytest.raises(SanitizerError):
         store.invalidate_fp(fps[0])
 
 
@@ -159,9 +154,6 @@ def test_persistent_store_flush_hammer(sanitize, tmp_path):
             elif roll < 0.75:
                 value = store.get(key)
                 assert value is store.MISS or value == value_of(key)
-            elif roll < 0.82:
-                store.pin_fp(fps[a])
-                store.unpin_fp(fps[a])
             elif roll < 0.90:
                 store.invalidate_fp(fps[a])
             else:

@@ -9,7 +9,14 @@ import pytest
 from repro.engine.jobs import parse_jobs, run_jobs
 from repro.engine.session import Engine
 from repro.store import PersistentVerdictStore
+from repro.store import shard as shard_module
 from repro.workloads.suites import get_suite, repeated_stream
+
+
+@pytest.fixture(autouse=True)
+def flush_every_op(monkeypatch):
+    """Write each record as it is put, so a cut can land anywhere."""
+    monkeypatch.setattr(shard_module, "FLUSH_EVERY", 1)
 
 
 def workload() -> dict:
@@ -46,7 +53,7 @@ def run(engine: Engine) -> dict:
 
 
 def populate(root) -> dict:
-    store = PersistentVerdictStore(root, shards=4, flush_every=1)
+    store = PersistentVerdictStore(root, shards=4)
     report = run(Engine(store=store))
     store.close()
     return report

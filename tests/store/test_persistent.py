@@ -14,6 +14,7 @@ from repro.store import (
     shard_of_fp,
     shard_of_key,
 )
+from repro.store import shard as shard_module
 from repro.workloads.suites import get_suite
 
 AB = Schema(["A", "B"])
@@ -97,19 +98,20 @@ class TestMeta:
 
 
 class TestTiers:
-    def test_durable_tags_reach_disk_marginals_stay_hot(self, tmp_path):
+    def test_every_put_reaches_disk(self, tmp_path):
         store = PersistentVerdictStore(tmp_path / "s", shards=2)
         store.put(("consistent", 1, 2), True, (1, 2))
-        store.put(("marginal", 1, ("A",)), "bagvalue", (1,))
-        store.put(("join", 1, 2), "joined", (1, 2))
+        store.put(("witness", 1, 2, True), None, (1, 2))
+        store.put(("global", (1, 2), "auto"), "result", (1, 2))
         store.flush()
-        assert store.stats_dict()["persistent"]["records"] == 1
+        assert store.stats_dict()["persistent"]["records"] == 3
         store.close()
 
         reopened = PersistentVerdictStore(tmp_path / "s")
         assert reopened.get(("consistent", 1, 2)) is True
-        assert reopened.get(("marginal", 1, ("A",))) is reopened.MISS
-        assert reopened.get(("join", 1, 2)) is reopened.MISS
+        assert reopened.get(("witness", 1, 2, True)) is None
+        assert reopened.get(("global", (1, 2), "auto")) == "result"
+        assert reopened.disk_hits == 3
         reopened.close()
 
     def test_read_through_promotes_into_the_hot_tier(self, tmp_path):
@@ -126,10 +128,11 @@ class TestTiers:
         assert reopened.hits == 2
         reopened.close()
 
-    def test_eviction_from_hot_tier_never_loses_durable_data(self, tmp_path):
-        store = PersistentVerdictStore(
-            tmp_path / "s", shards=1, capacity=2, flush_every=1
-        )
+    def test_eviction_from_hot_tier_never_loses_durable_data(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(shard_module, "FLUSH_EVERY", 1)
+        store = PersistentVerdictStore(tmp_path / "s", shards=1, capacity=2)
         for i in range(10):
             store.put(("consistent", i, i + 100), i % 2 == 0, (i, i + 100))
         assert store.evictions > 0
@@ -246,21 +249,6 @@ class TestEngineContract:
     def test_plain_engine_flush_is_a_noop(self):
         assert Engine().flush() == 0
 
-    def test_pin_protects_hot_entries_across_shard_split(self, tmp_path):
-        store = PersistentVerdictStore(tmp_path / "s", shards=2, capacity=2)
-        engine = Engine(store=store)
-        r, s = pair()
-        engine.pin(r)
-        engine.are_consistent(r, s)
-        for i in range(20):
-            store.put(("consistent", i, i + 500), True, (i, i + 500))
-        rfp = fingerprint.of_bag(r)
-        key = ("consistent", *sorted((rfp, fingerprint.of_bag(s))))
-        i = shard_of_key(key, 2)
-        assert store._hot[i].contains(key)  # pinned content survived
-        engine.unpin(r)
-        store.close()
-
 
 class TestStats:
     def test_stats_dict_keeps_the_in_memory_keys(self, tmp_path):
@@ -298,7 +286,8 @@ class TestStats:
             fp = i << 120  # the top bits pick the shard: i % 3
             store.put(("consistent", fp, i), True, (fp, i))
 
-        store = PersistentVerdictStore(root, shards=3, flush_every=4)
+        monkeypatch.setattr(shard_module, "FLUSH_EVERY", 4)
+        store = PersistentVerdictStore(root, shards=3)
         put(store, 1)  # buffered: no segment yet
         stats = persisted(store)
         assert stats["shards"] == 3

@@ -1,6 +1,9 @@
 """One shard: append/flush/lookup, tombstones, compaction, recovery."""
 
+import pytest
+
 from repro.store import format as fmt
+from repro.store import shard as shard_module
 from repro.store.shard import Shard
 
 
@@ -42,8 +45,9 @@ class TestWriteReadCycle:
         assert shard.stats_dict()["records"] == 1
         assert shard.stats_dict()["dead_records"] == 0
 
-    def test_auto_flush_every_n_appends(self, tmp_path):
-        shard = Shard(tmp_path / "s", flush_every=4)
+    def test_auto_flush_every_n_appends(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(shard_module, "FLUSH_EVERY", 4)
+        shard = Shard(tmp_path / "s")
         for i in range(4):
             shard.append(key_of(i), True, fps_of(i))
         stats = shard.stats_dict()
@@ -87,9 +91,16 @@ class TestTombstones:
         assert reopened.lookup(key_of(1)) == (False, fps_of(1))
 
 
+@pytest.fixture
+def no_auto_compact(monkeypatch):
+    monkeypatch.setattr(shard_module, "COMPACT_MIN_DEAD", 10**9)
+
+
 class TestCompaction:
-    def test_compact_collapses_to_one_live_snapshot(self, tmp_path):
-        shard = Shard(tmp_path / "s", auto_compact=False)
+    def test_compact_collapses_to_one_live_snapshot(
+        self, tmp_path, no_auto_compact
+    ):
+        shard = Shard(tmp_path / "s")
         for i in range(20):
             shard.append(key_of(i), True, fps_of(i))
         shard.flush()
@@ -103,16 +114,19 @@ class TestCompaction:
         reopened = Shard(tmp_path / "s")
         assert sorted(reopened.keys()) == sorted(key_of(i) for i in range(15, 20))
 
-    def test_compact_of_all_dead_deletes_segments(self, tmp_path):
-        shard = Shard(tmp_path / "s", auto_compact=False)
+    def test_compact_of_all_dead_deletes_segments(
+        self, tmp_path, no_auto_compact
+    ):
+        shard = Shard(tmp_path / "s")
         shard.append(key_of(1), True, fps_of(1))
         shard.flush()
         shard.tombstone(1)
         assert shard.compact() == 0
         assert shard.stats_dict()["segments"] == 0
 
-    def test_auto_compact_reclaims_garbage(self, tmp_path):
-        shard = Shard(tmp_path / "s", flush_every=1, auto_compact=True)
+    def test_auto_compact_reclaims_garbage(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(shard_module, "FLUSH_EVERY", 1)
+        shard = Shard(tmp_path / "s")
         for i in range(80):
             shard.append(key_of(i), True, fps_of(i))
             shard.tombstone(i)

@@ -5,8 +5,11 @@ import random
 
 import pytest
 
+from repro.consistency.witness import is_witness
+from repro.core.bags import Bag
 from repro.core.schema import Schema
-from repro.engine.session import Engine
+from repro.engine import fingerprint
+from repro.engine.session import Engine, witness_key
 from repro.store import PersistentVerdictStore, verify_store
 from repro.store import format as fmt
 from repro.workloads.generators import inconsistent_pair, planted_pair
@@ -118,6 +121,23 @@ class TestVerifyStore:
             fh.write(fmt.encode_put(key, False, (a, b)))
         report = verify_store(tmp_path / "s", sample=256)
         assert report["mismatches"] >= 1 and not report["ok"]
+
+    def test_witness_over_the_theorem5_bound_is_a_mismatch(self, tmp_path):
+        """A valid witness whose support exceeds |R| + |S| is not one
+        the engine built: every engine witness is minimal."""
+        r = Bag.from_pairs(AB, [((a, 1), 3) for a in range(3)])
+        s = Bag.from_pairs(BC, [((1, c), 3) for c in range(3)])
+        product = Bag.from_pairs(
+            Schema(["A", "B", "C"]),
+            [((a, 1, c), 1) for a in range(3) for c in range(3)],
+        )
+        assert is_witness([r, s], product)
+        store = PersistentVerdictStore(tmp_path / "s", shards=2)
+        lfp, rfp = fingerprint.of_bag(r), fingerprint.of_bag(s)
+        store.put(witness_key(lfp, rfp), product, (lfp, rfp))
+        store.close()
+        report = verify_store(tmp_path / "s")
+        assert report["mismatches"] == 1 and not report["ok"]
 
 
 class TestVerifyCli:

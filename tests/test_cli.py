@@ -133,6 +133,41 @@ class TestAuditSchema:
         bags = collection_from_json(out.read_text())
         assert verify_counterexample(bags)
 
+    def test_json_that_is_not_an_object_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        path.write_text("[]")
+        assert main(["audit-schema", str(path)]) == 2
+        assert "malformed hypergraph" in capsys.readouterr().err
+
+
+BAD_FILES = {
+    "truncated": b'{"schema": ["A", "B"], "tuples": [[[1, 2], 1',
+    "not-utf8": b'{"schema": ["A", "\xff"], "tuples": []}',
+}
+PAIR_COMMANDS = ("check-pair", "witness", "analyze")
+
+
+class TestMalformedInputFiles:
+    """A file that is not UTF-8 JSON exits 2 with one error line naming
+    it, never a traceback (``check-pair``'s exit 1 means
+    "inconsistent")."""
+
+    @pytest.mark.parametrize("content", BAD_FILES.values(), ids=BAD_FILES)
+    @pytest.mark.parametrize("command", [
+        *PAIR_COMMANDS, "show", "global-check", "certificate", "repair",
+        "audit-schema",
+    ])
+    def test_exit_two_with_one_error_line(
+        self, tmp_path, pair_files, capsys, command, content
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        files = [pair_files[0], bad] if command in PAIR_COMMANDS else [bad]
+        assert main([command, *map(str, files)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: ")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestShow:
     def test_show_renders_table(self, pair_files, capsys):
@@ -275,9 +310,14 @@ class TestBatch:
 
     def test_batch_invalid_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "jobs.json"
-        # the second is an integer past the 4,300-digit limit
-        for text in ("{definitely not json", '{"pairs": [%s]}' % ("7" * 5000)):
-            path.write_text(text)
+        # an integer past the 4,300-digit limit, then bytes that are
+        # not UTF-8
+        for data in (
+            b"{definitely not json",
+            b'{"pairs": [%s]}' % (b"7" * 5000),
+            b'{"pairs": "\xff"}',
+        ):
+            path.write_bytes(data)
             assert main(["batch", str(path)]) == 2
             err = capsys.readouterr().err
             assert "invalid JSON" in err
