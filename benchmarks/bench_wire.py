@@ -3,8 +3,9 @@
 The claim: **columnar frames beat JSON rows on the serve socket.**
 Replaying a stream of wide two-bag batches against one ``repro serve``
 daemon, a ``wire_format="columnar"`` client — which ships each bag once
-as int64 code arrays plus per-column local dictionaries, and whose
-seeded fingerprints spare the daemon validation and rehashing —
+as int64 code arrays plus per-column local dictionaries, sparing the
+daemon validation, and whose claimed fingerprints spare it rehashing
+on store hits (a miss derives the fingerprint it writes under) —
 completes the stream at least ``MIN_WIRE_SPEEDUP``x faster than a
 ``wire_format="json"`` client sending the same bags as sorted row
 lists.  Reports are asserted bit-identical between the two formats.
@@ -30,7 +31,8 @@ SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
 # Values repeat (domain << rows x width) so the dictionary pays for
 # itself: short value lists in the header, one code gather per column
-# on the daemon, and seeded fingerprints instead of per-row rehashing.
+# on the daemon, and claimed fingerprints that key the store hits of
+# every replayed round without rehashing.
 WIRE_N_PAIRS = 2 if SMOKE else 4
 WIRE_N_ROWS = 512 if SMOKE else 8192
 WIRE_DOMAIN = 1 << 12

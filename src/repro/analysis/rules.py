@@ -24,9 +24,9 @@ Rules (severity in parentheses):
   flagged.
 * **RL04** invalidation-completeness (warning) — a function that
   mutates a ``_mults`` multiplicity map in place without a reachable
-  call to any maintenance hook (``shift_content`` / ``invalidate`` /
-  ``content_sum`` / ``tombstone`` / ``flush`` / ``notify`` ...): the
-  shape of a cache left stale by a direct mutation.
+  call to any maintenance hook (``invalidate`` / ``tombstone`` /
+  ``flush`` / ``validate_update`` ...): the shape of a cache left stale
+  by a direct mutation.
 * **RL05** lock-order (error) — a ``with`` acquiring a lock of an
   *earlier* tier while one of a later tier is held, inverting the
   declared ``engine -> store -> obs`` order.  Only statically-resolvable
@@ -63,9 +63,8 @@ _MUTATORS = frozenset({
 
 # Calls that count as invalidation/maintenance for RL04.
 _RL04_HOOKS = frozenset({
-    "shift_content", "invalidate", "invalidate_fp", "content_sum",
-    "seed", "tombstone", "flush", "_flush_locked", "clear", "notify",
-    "validate_update",
+    "invalidate", "invalidate_fp", "tombstone", "flush", "_flush_locked",
+    "clear", "validate_update",
 })
 
 _RL04_EXEMPT_FUNCS = frozenset({"__init__", "__new__", "_from_clean"})
@@ -252,7 +251,7 @@ class ModuleChecker(ast.NodeVisitor):
                 detail=f"{node.name}._mults",
                 message=(
                     f"{node.name}() mutates a _mults map with no "
-                    "reachable invalidate/shift_content/flush call"
+                    "reachable invalidate/flush call"
                 ),
             ))
 

@@ -77,10 +77,15 @@ from .hypergraphs.obstructions import find_obstruction
 
 
 def _load(path: str, decode):
-    """``decode`` applied to a file's bytes; a file it cannot read as
-    its encoding is a :class:`ReproError` naming the file (exit 2)."""
+    """``decode`` applied to a file's bytes; a path it cannot read (a
+    directory, a missing or unreadable file), or cannot read as its
+    encoding, is a :class:`ReproError` naming the file (exit 2)."""
     try:
-        return decode(Path(path).read_bytes())
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ReproError(f"{path}: {exc.strerror or exc}") from exc
+    try:
+        return decode(data)
     except ReproError as exc:
         raise ReproError(f"{path}: {exc}") from exc
 
@@ -272,7 +277,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     from .engine.session import Engine
 
     _validate_batch_knobs(args)
-    jobs = parse_jobs_text(Path(args.jobs).read_bytes())
+    jobs = _load(args.jobs, parse_jobs_text)
     store = _open_store(args)
     engine = (
         Engine(store=store) if store is not None

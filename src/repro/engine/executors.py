@@ -10,15 +10,16 @@ methods, ``--parallelism`` on ``repro batch`` / ``repro serve``):
   :func:`shutdown_pools` (``ReproServer.shutdown()`` and interpreter
   exit call it).  The engine pre-filters the batch against its store
   and ships the *misses* as fingerprint-ref jobs; each chunk carries a
-  table of its distinct bags as plain pickles (fingerprints are seeded
-  on arrival, so workers never rescan), and each worker runs its chunk
-  through a private engine.  Workers return their store's **verdict
-  deltas** — every ``(key, value, participant_fps)`` they computed —
-  which the parent merges back into the shared store; fingerprint keys
-  are process-independent, so a final local replay of the whole batch
-  is pure hits.  A worker that dies breaks its pool: the pool is
-  dropped, the replay computes the lost chunks in-process, and the next
-  batch starts a fresh pool.  Workers exit when their parent dies.
+  table of its distinct bags as plain pickles, and each worker runs its
+  chunk through a private engine, which derives every fingerprint it
+  writes from the content it received.  Workers return their store's
+  **verdict deltas** — every ``(key, value, participant_fps)`` they
+  computed — which the parent merges back into the shared store;
+  fingerprint keys are process-independent, so a final local replay of
+  the whole batch is pure hits.  A worker that dies breaks its pool:
+  the pool is dropped, the replay computes the lost chunks in-process,
+  and the next batch starts a fresh pool.  Workers exit when their
+  parent dies.
 
 Batches never run on a thread pool: under the interpreter lock one was
 slower than the plain loop on every batch measured, cache-heavy ones
@@ -188,9 +189,8 @@ atexit.register(shutdown_pools)
 
 # -- the process batch --------------------------------------------------
 #
-# Jobs travel as fingerprint references next to a pickled table of the
-# distinct bags their chunk references.  Workers seed every fingerprint
-# on arrival, so they never rescan.
+# Jobs travel as fingerprint references (the parent's read keys) next
+# to a pickled table of the distinct bags their chunk references.
 # Job shapes: "consistent"/"witness" -> (left_fp, right_fp);
 #             "global"               -> (fps...).
 
@@ -213,16 +213,14 @@ def _worker_run(
     method: str,
     trace_id: str | None = None,
 ):
-    """Top-level (picklable) worker body: seed the bag table, run the
-    fingerprint-ref jobs through a private engine, and return the
+    """Top-level (picklable) worker body: run the fingerprint-ref jobs
+    over the bag table through a private engine, and return the
     engine's verdict deltas and the worker's span deltas (``trace_id``
     rides in with the payload; spans ride back and merge like
     verdicts)."""
-    from . import fingerprint
     from .session import Engine
 
     with obs_trace.worker_trace(trace_id) as worker_span_sink:
-        table = {fp: fingerprint.seed(bag, fp) for fp, bag in table.items()}
         engine = Engine(node_budget=node_budget)
         start = time.perf_counter()
         if kind == "global":
@@ -261,7 +259,7 @@ def run_process_batch(
     bags_by_fp: "dict[int, Bag]" = {}
 
     def note(bag: "Bag") -> int:
-        fp = fingerprint.of_bag(bag)
+        fp = fingerprint.read_key(bag)
         bags_by_fp.setdefault(fp, bag)
         return fp
 

@@ -50,11 +50,12 @@ class BagIndex:
     """Lazy, memoized access structures for one immutable :class:`Bag`.
 
     Also the home of the bag's content fingerprint
-    (:mod:`repro.engine.fingerprint`): computed once, cached in the
+    (:mod:`repro.engine.fingerprint`): derived once, cached in the
     ``_fingerprint`` slot, and — because the fingerprint registry lets
     value-equal bags *adopt* each other's index — potentially shared by
     every bag with the same content (hence the ``__weakref__`` slot:
-    the registry holds indexes weakly).
+    the registry holds indexes weakly).  ``_claim`` holds a peer's
+    claimed fingerprint, which keys store reads only.
 
     The ``_export`` slot caches the bag's v2 wire export
     (:mod:`repro.engine.wire`) under the same sharing regime, so a bag
@@ -68,6 +69,7 @@ class BagIndex:
         "_key_sets",
         "_sorted",
         "_fingerprint",
+        "_claim",
         "_export",
         "__weakref__",
     )
@@ -79,6 +81,7 @@ class BagIndex:
         self._key_sets: dict[tuple, set] = {}
         self._sorted: list[tuple] | None = None
         self._fingerprint: int | None = None
+        self._claim: int | None = None
         self._export = None
 
     @staticmethod

@@ -110,8 +110,8 @@ def parse_jobs(payload: object) -> BatchJobs:
 
     def load_bag(encoded: object) -> Bag:
         if isinstance(encoded, Bag):
-            # wire-decoded frames carry live Bag objects (already
-            # fingerprint-seeded); intern them like dict encodings
+            # wire-decoded frames carry live Bag objects (with their
+            # claimed fingerprints); intern them like dict encodings
             return interned.setdefault(encoded, encoded)
         bag = repro_io.bag_from_dict(encoded)  # raises SchemaError
         return interned.setdefault(bag, bag)

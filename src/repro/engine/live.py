@@ -17,17 +17,14 @@ is acyclic.  A :class:`LiveEngine` wires both into the engine cache:
 * heavyweight queries (witnesses, joins, marginals, global checks) run
   against an immutable *snapshot* of the handle, reused until the next
   update, so the inner engine's content-keyed memoization (and the
-  snapshot's own marginal memo) applies unchanged between updates —
-  and because each handle maintains its fingerprint incrementally,
-  snapshots are born pre-fingerprinted and invalidation never rescans
-  a bag;
+  snapshot's own marginal memo) applies unchanged between updates; a
+  snapshot is digested only when a store key needs its fingerprint;
 * over an acyclic schema, :meth:`LiveEngine.global_check` keeps one
   Theorem 6 *witness* per handle set and, after updates, patches it
   with one delta repair over all the bags
   (:func:`repro.engine.live_global.repair_fold_witness`) instead of
-  re-folding, and pushes each maintained result into the engine's
-  verdict store so serve/batch clients sharing the store get it for
-  free.
+  re-folding, and pushes each maintained result into a shared verdict
+  store so serve/batch clients sharing it get it for free.
 
 The consistency-checking-as-serving loop this enables —
 ``update(...); globally_consistent()`` — is the streaming workload of
@@ -81,21 +78,13 @@ class LiveBag:
     Holds the current multiplicities and a lazily-built immutable
     snapshot :class:`Bag`.  The snapshot object is reused until the next
     update, so the content-keyed store sees an unchanged fingerprint
-    exactly while the handle is untouched.  The handle also maintains
-    its **content fingerprint incrementally**: every update shifts the
-    commutative row-term sum by a two-term delta
-    (:func:`repro.engine.fingerprint.shift_content`), so snapshots are
-    born with a seeded fingerprint and invalidation never rescans the
-    bag.  All mutation goes through :meth:`LiveEngine.update` (which
-    also maintains the pair checkers and the store); the handle itself
-    is read-only.
-
-    ``_rows`` maps each stored row to itself: Python-equal rows such as
-    ``(1, "x")`` and ``(True, "x")`` share one entry, and the
-    fingerprint must hash the row as stored, not as an update spells it.
+    exactly while the handle is untouched, and the snapshot's
+    fingerprint is derived at most once.  All mutation goes through
+    :meth:`LiveEngine.update` (which also maintains the pair checkers
+    and the store); the handle itself is read-only.
     """
 
-    __slots__ = ("schema", "name", "_mults", "_rows", "_snapshot", "_content")
+    __slots__ = ("schema", "name", "_mults", "_snapshot")
 
     def __init__(
         self, schema: Schema, mults: Mapping[tuple, int], name: str
@@ -103,28 +92,19 @@ class LiveBag:
         self.schema = schema
         self.name = name
         self._mults: dict[tuple, int] = dict(mults)
-        self._rows: dict[tuple, tuple] = {row: row for row in self._mults}
         self._snapshot: Bag | None = None
-        self._content = fingerprint.content_sum(self._mults)
 
     def fingerprint(self) -> int:
-        """The current content fingerprint, from the incrementally
-        maintained parts — O(1) regardless of bag size."""
-        return fingerprint.bag_fingerprint(
-            fingerprint.of_schema(self.schema),
-            self._content,
-            len(self._mults),
-        )
+        """The current content fingerprint: the snapshot's, derived
+        once per snapshot."""
+        return fingerprint.of_bag(self.bag())
 
     def bag(self) -> Bag:
-        """The current contents as an immutable snapshot (fingerprint
-        pre-seeded from the maintained sum, so engine queries on the
-        snapshot never pay a content scan)."""
+        """The current contents as an immutable snapshot."""
         if self._snapshot is None:
             # _mults holds only validated rows with positive counts, so
             # the validation-free constructor applies.
-            snapshot = Bag._from_clean(self.schema, dict(self._mults))
-            self._snapshot = fingerprint.seed(snapshot, self.fingerprint())
+            self._snapshot = Bag._from_clean(self.schema, dict(self._mults))
         return self._snapshot
 
     def multiplicity(self, row) -> int:
@@ -177,7 +157,9 @@ class LiveEngine:
         # per historical content); over a *shared* store we must not —
         # the entries this handle leaves behind may be serving other
         # engines, and the shared store's own capacity bounds memory.
-        self._invalidate_on_update = store is None
+        # Only a shared store is worth pushing maintained results into:
+        # nothing else reads a private one.
+        self._shared_store = store is not None
         self._handles: list[LiveBag] = []
         self._slots: dict[LiveBag, int] = {}
         # (slot i, slot j) with i < j -> the maintained checker; lazy,
@@ -231,9 +213,7 @@ class LiveEngine:
         handle = LiveBag(
             bag.schema, dict(bag.items()), name or f"bag{len(self._handles)}"
         )
-        # The given bag IS the initial snapshot; its fingerprint is the
-        # handle's maintained one, so seed it rather than rescanning.
-        handle._snapshot = fingerprint.seed(bag, handle.fingerprint())
+        handle._snapshot = bag  # the given bag IS the initial snapshot
         self._slots[handle] = len(self._handles)
         self._handles.append(handle)
         self._acyclic_sets.clear()  # membership changed, row updates don't
@@ -253,31 +233,29 @@ class LiveEngine:
         """Add ``amount`` (possibly negative) copies of ``row`` to the
         handle's bag.
 
-        O(1) per maintained pair checker touching the handle, plus one
-        cache invalidation sweep over the entries the handle's snapshot
-        participates in.  Entries touching only other handles survive.
+        O(1) per maintained pair checker touching the handle, plus, over
+        a private store, one invalidation sweep over the entries the
+        handle's snapshot participates in — only if something derived
+        the snapshot's fingerprint, since nothing else keys an entry on
+        it.  Entries touching only other handles survive.
         """
         handle = self._resolve(handle)
         row, new = validate_update(handle.schema, handle._mults, row, amount)
         if amount == 0:
             return
-        row = handle._rows.setdefault(row, row)
         slot = self._slots[handle]
         for checker, is_left in self._by_slot.get(slot, ()):
             if is_left:
                 checker.update_left(row, amount)
             else:
                 checker.update_right(row, amount)
-        handle._content = fingerprint.shift_content(
-            handle._content, row, new - amount, new
-        )
         if new == 0:
-            del handle._mults[row], handle._rows[row]
+            del handle._mults[row]
         else:
             handle._mults[row] = new
         old = handle._snapshot
         if old is not None:
-            if self._invalidate_on_update:
+            if not self._shared_store and fingerprint.derived(old) is not None:
                 self._engine.invalidate(old)
             handle._snapshot = None
         self.updates += 1
@@ -432,8 +410,8 @@ class LiveEngine:
         ``method`` is ``"auto"`` or ``"acyclic"``), the Theorem 6
         witness is maintained per handle set: after updates a single
         delta repair patches it, and the maintained result is pushed
-        into the engine's verdict store so engines sharing it hit
-        without folding.  Cyclic schemas and ``method="search"`` take
+        into a shared verdict store so engines sharing it hit without
+        folding.  Cyclic schemas and ``method="search"`` take
         the memoized cold path; there the pairwise phase is still
         served from the maintained O(1) checkers, and the cached
         per-handle-set acyclicity is forwarded so a post-update miss
@@ -465,10 +443,10 @@ class LiveEngine:
         cold (``acyclic_global_witness``) on its first check, when the
         repair gives up, or when the patched witness exceeds Theorem 6's
         support bound.  Counts as an external global query on the
-        engine stats (unchanged snapshots are a hit); successful results
-        land in the shared verdict store under the same key the cold
-        path uses, so value-equal collections served elsewhere reuse the
-        maintained witness.
+        engine stats (unchanged snapshots are a hit); over a shared
+        verdict store, successful results land under the same key the
+        cold path uses, so value-equal collections served elsewhere
+        reuse the maintained witness.
         """
         stats = self._engine.stats
         with self._engine._lock:
@@ -490,9 +468,7 @@ class LiveEngine:
         if held is not None:
             old_bags, result = held
             deltas = [
-                {}
-                if fingerprint.of_bag(new) == fingerprint.of_bag(old)
-                else _diff_mults(new._mults, old._mults)
+                {} if new is old else _diff_mults(new._mults, old._mults)
                 for new, old in zip(bags, old_bags)
             ]
             if not any(deltas):
@@ -509,13 +485,14 @@ class LiveEngine:
         self._live_globals[key] = (bags, result)
         while len(self._live_globals) > MAX_WITNESS_SETS:
             self._live_globals.popitem(last=False)
-        store = self._engine.store
-        fps = fingerprint.of_collection(
-            [handle.bag() for handle in resolved]
-        )
-        store_key = global_key(fps, method)
-        if not store.contains(store_key):
-            store.put(store_key, result, fps)
+        if self._shared_store:
+            store = self._engine.store
+            fps = fingerprint.of_collection(
+                [handle.bag() for handle in resolved]
+            )
+            store_key = global_key(fps, method)
+            if not store.contains(store_key):
+                store.put(store_key, result, fps)
         return result
 
     def _repaired(self, witness: Bag, bags: list[Bag], deltas: list[dict]):

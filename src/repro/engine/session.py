@@ -23,9 +23,12 @@ unbounded.  Pass ``store=`` to share one :class:`VerdictStore` between
 several engines — each engine keeps its own :class:`EngineStats`, so
 hit rates still describe each served workload.
 
-:meth:`invalidate` drops every cached result touching one bag's
-content — the primitive behind :class:`repro.engine.live.LiveEngine`,
-whose mutable handles maintain their fingerprints incrementally.
+Every write keys on fingerprints derived from the bags' content
+(:func:`repro.engine.fingerprint.of_bag`); a fingerprint a peer claims
+in a v2 frame keys reads only, so a forged claim misleads only its
+sender.  :meth:`invalidate` drops every cached result touching one
+bag's content — the primitive behind
+:class:`repro.engine.live.LiveEngine`.
 
 Batched entry points (:meth:`are_consistent_many`,
 :meth:`witness_many`, :meth:`global_check_many`) are the unit of the
@@ -381,6 +384,9 @@ class Engine:
         return self.store.get(key)
 
     def _put(self, key: tuple, value, fps: Sequence[int]) -> None:
+        """Store one result.  Callers key it on :func:`fingerprint.of_bag`
+        — a peer's claimed ``fp`` keys reads only — so a forged claim
+        cannot file an answer under another content's key."""
         evicted = self.store.put(key, value, fps)
         if evicted:
             with self._lock:
@@ -418,16 +424,18 @@ class Engine:
                 stats.internal_consistency_queries += 1
             else:
                 stats.consistency_queries += 1
-        a, b = fingerprint.of_bag(left), fingerprint.of_bag(right)
-        key = consistent_key(a, b)
-        value = self._get(key)
+        # an internal probe serves a computation about to be stored, so
+        # it reads under derived keys too
+        key_of = fingerprint.of_bag if internal else fingerprint.read_key
+        value = self._get(consistent_key(key_of(left), key_of(right)))
         if value is _MISS:
             from ..consistency.pairwise import are_consistent
 
             start = time.perf_counter()
             value = are_consistent(left, right)
             _observe_compute("consistent", start)
-            self._put(key, value, (a, b))
+            a, b = fingerprint.of_bag(left), fingerprint.of_bag(right)
+            self._put(consistent_key(a, b), value, (a, b))
         else:
             with self._lock:
                 if internal:
@@ -452,8 +460,9 @@ class Engine:
         would (the refusal is cached too)."""
         with self._lock:
             self.stats.witness_queries += 1
-        lfp, rfp = fingerprint.of_bag(left), fingerprint.of_bag(right)
-        key = witness_key(lfp, rfp)
+        key = witness_key(
+            fingerprint.read_key(left), fingerprint.read_key(right)
+        )
         cached = self._get(key)
         if cached is not _MISS:
             with self._lock:
@@ -467,7 +476,8 @@ class Engine:
             else:
                 cached = consistency_witness(left, right)
             _observe_compute("witness", start)
-            self._put(key, cached, (lfp, rfp))
+            lfp, rfp = fingerprint.of_bag(left), fingerprint.of_bag(right)
+            self._put(witness_key(lfp, rfp), cached, (lfp, rfp))
         if cached is None:
             raise InconsistentError(
                 "bags are not consistent (no saturated flow in N(R, S))"
@@ -500,9 +510,9 @@ class Engine:
         with self._lock:
             self.stats.global_queries += 1
         bags = list(bags)
-        fps = fingerprint.of_collection(bags)
-        key = global_key(fps, method)
-        cached = self._get(key)
+        cached = self._get(
+            global_key(tuple(map(fingerprint.read_key, bags)), method)
+        )
         if cached is _MISS:
             from ..consistency.global_ import global_witness
 
@@ -515,7 +525,8 @@ class Engine:
                 acyclic=_acyclic_hint,
             )
             _observe_compute("global", start)
-            self._put(key, cached, fps)
+            fps = fingerprint.of_collection(bags)
+            self._put(global_key(fps, method), cached, fps)
         else:
             with self._lock:
                 self.stats.global_hits += 1

@@ -7,8 +7,11 @@ every bag from scratch.  This module adds the **v2 frame**: a
 length-prefixed binary message that ships each bag once, as int64
 *code* arrays plus the per-column dictionaries those codes index, with
 the sender's content fingerprint riding along — so the receiver skips
-validation and the content scan, and the first engine query is a pure
-:class:`VerdictStore` probe.
+validation, and a repeat request is a pure :class:`VerdictStore` probe
+with no content scan.  The ``fp`` is the peer's claim and keys store
+reads only (:func:`repro.engine.fingerprint.claim`): a miss computes
+from the content and stores under the fingerprint the daemon derives,
+so a forged ``fp`` misleads only its sender.
 
 Frame layout (all integers little-endian)::
 
@@ -503,7 +506,7 @@ def _bag_from_descriptor(desc: object, blob) -> Bag:
             raise WireError(f"bad inline bag in frame: {exc}") from exc
         fp = desc.get("fp")
         if fp is not None:
-            fingerprint.seed(bag, _check_fp(fp))
+            fingerprint.claim(bag, _check_fp(fp))
         return bag
     try:
         attrs, n, total = desc["schema"], desc["n"], desc["total"]
@@ -539,13 +542,13 @@ def _bag_from_descriptor(desc: object, blob) -> Bag:
         raise WireError("duplicate rows in columnar bag frame")
     if sum(mults) != total:
         raise WireError("multiplicity total mismatch in frame")
-    return fingerprint.seed(Bag._from_clean(schema, table), fp)
+    return fingerprint.claim(Bag._from_clean(schema, table), fp)
 
 
 def decode_jobs_frame(header: dict, blob) -> dict:
     """A jobs frame back into the plain batch payload shape, every
-    ``{"$bag": i}`` reference replaced by a rebuilt, fingerprint-seeded
-    :class:`Bag` — ready for ``parse_jobs``."""
+    ``{"$bag": i}`` reference replaced by a rebuilt :class:`Bag` holding
+    its descriptor's claimed fingerprint — ready for ``parse_jobs``."""
     version = header.get("v")
     if version != VERSION:
         raise WireError(f"unsupported frame header version {version!r}")

@@ -190,7 +190,7 @@ def raw(handle, row):
 
 def maintained(handle, row):
     handle._mults[row] = 2
-    handle.shift_content(row, 1, 2)
+    handle.invalidate(row)
 """)
     assert rules_of(findings) == ["RL04"]
     assert findings[0].scope == "raw"

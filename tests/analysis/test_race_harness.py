@@ -25,7 +25,6 @@ from repro.analysis import sanitizer
 from repro.consistency.pairwise import are_consistent as oracle_consistent
 from repro.core.bags import Bag
 from repro.core.schema import Schema
-from repro.engine import fingerprint
 from repro.engine.live import LiveEngine
 from repro.engine.session import Engine, VerdictStore
 from repro.store.persistent import PersistentVerdictStore
@@ -173,7 +172,7 @@ def test_persistent_store_hammer(sanitize, tmp_path):
     key, so any cross-thread corruption is a visible wrong value."""
     store = PersistentVerdictStore(tmp_path / "store", shards=4,
                                    capacity=128)
-    fps = [fingerprint.MASK & (0x9E3779B97F4A7C15 * (i + 1))
+    fps = [(0x9E3779B97F4A7C15 * (i + 1)) % (1 << 128)
            for i in range(24)]
 
     def value_of(key):

@@ -7,7 +7,9 @@ cross-checks, so instance sizes are kept where the oracles are instant.
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -16,6 +18,19 @@ from repro.core import Bag, Relation, Schema
 from repro.hypergraphs import Hypergraph
 
 ATTR_POOL = ("A", "B", "C", "D", "E")
+
+
+def collision_bags() -> tuple[Bag, Bag]:
+    """Two distinct 64-row bags over (P, Q) whose fingerprint-encoding-2
+    row-term sums agree (found by fixtures/find_encoding2_collision.py)."""
+    path = Path(__file__).parent / "fixtures" / "encoding2_collision.json"
+    data = json.loads(path.read_text())
+    schema = Schema(["P", "Q"])
+    a, b = (
+        Bag.from_pairs(schema, [(tuple(row), m) for row, m in data[side]])
+        for side in ("A", "B")
+    )
+    return a, b
 
 
 @pytest.fixture

@@ -1,11 +1,13 @@
 """Content-fingerprint semantics: order-insensitivity, multiplicity
-awareness, cross-engine sharing, and incremental maintenance."""
+awareness, the record format, cross-engine sharing, and live handles."""
 
+import marshal
 import os
 import random
 import subprocess
 import sys
 from enum import IntEnum
+from hashlib import blake2b
 from pathlib import Path
 
 from repro.core.bags import Bag
@@ -14,12 +16,13 @@ from repro.core.schema import Schema
 from repro.engine import fingerprint
 from repro.engine.live import LiveEngine
 from repro.engine.session import Engine, VerdictStore
+from tests.conftest import collision_bags
 
 AB = Schema(["A", "B"])
 BC = Schema(["B", "C"])
 SRC = Path(__file__).resolve().parents[2] / "src"
-# of_bag of the bag in TestFingerprintValue.test_pinned_value, encoding 2
-PINNED_FP = "1ac7bf1a01f223a21c55fc8b44f3200e"
+# of_bag of the bag in TestFingerprintValue.test_pinned_value, encoding 3
+PINNED_FP = "b69a3efb3f3ce88237f7cafdf8a7ceea"
 
 
 class Color(IntEnum):
@@ -88,20 +91,33 @@ class TestFingerprintValue:
         interned = Bag(AB, {(sys.intern("value"), "value"): 3})
         assert fingerprint.of_bag(interned) == fingerprint.of_bag(same)
 
-    def test_mixed_encodings_sum_their_row_terms(self):
-        mults = {
-            (1, "x"): 2,
-            (2.5, None): 1,
-            (Color.BLUE, "x"): 4,  # IntEnum: the qualified encoding
-            ((1, 2), True): 1,  # nested tuple: the qualified encoding
-            ("y", 10**5000): 3,
+    def test_digest_hashes_the_sorted_records(self):
+        # the documented format: the schema fingerprint's 16 bytes, then
+        # every record in byte order, in one BLAKE2b-128 call
+        scalar = {(1, "x"): 2, (2.5, None): 1, ("y", 10**5000): 3}
+        other = {
+            (Color.BLUE, "x"): 4,  # IntEnum: the qualified text
+            ((1, 2), True): 1,  # nested tuple: the qualified text
         }
-        expected = sum(fingerprint.row_term(r, m) for r, m in mults.items())
-        assert fingerprint.content_sum(mults) == expected & fingerprint.MASK
-        scalar = {(1, "x"): 2, (2.5, None): 1}
-        assert fingerprint.content_sum(scalar) == sum(
-            fingerprint.row_term(r, m) for r, m in scalar.items()
-        ) & fingerprint.MASK
+        records = [marshal.dumps(item, 2) for item in scalar.items()] + [
+            marshal.dumps("row|Color:<Color.BLUE: 2>|str:'x'|#4", 2),
+            marshal.dumps("row|tuple:(1, 2)|bool:True|#1", 2),
+        ]
+        payload = fingerprint.of_schema(AB).to_bytes(16, "big") + b"".join(
+            sorted(records)
+        )
+        expected = blake2b(payload, digest_size=16).digest()
+        bag = Bag(AB, {**scalar, **other})
+        assert fingerprint.of_bag(bag) == int.from_bytes(expected, "big")
+        # a text record is a marshalled str, never a tuple record
+        assert {r[:1] for r in records} == {b"(", b"u"}
+
+    def test_a_subset_sum_collision_of_encoding_2_is_apart(self):
+        # two 64-row bags whose encoding-2 row-term sums agree mod 2**128
+        # (tests/fixtures/find_encoding2_collision.py found them)
+        a, b = collision_bags()
+        assert a != b and len(a) == len(b) == 64
+        assert fingerprint.of_bag(a) != fingerprint.of_bag(b)
 
     def test_pinned_value(self):
         # a drift in either row encoding (or in marshal format 2 across
@@ -231,8 +247,8 @@ class TestIncrementalMaintenance:
 
     def test_stream_fingerprints_match_from_scratch(self):
         """After every update (inserts, deletes, delete-to-zero), the
-        incrementally maintained fingerprint equals one recomputed from
-        a freshly built value-equal bag."""
+        handle's fingerprint equals one computed from a freshly built
+        value-equal bag."""
         rng = random.Random(20260729)
         live = LiveEngine([Bag.empty(schema) for schema in self.SCHEMAS])
         handles = live.handles
@@ -268,8 +284,8 @@ class TestIncrementalMaintenance:
             )
 
     def test_mixed_encoding_stream_ends_on_of_bag(self):
-        """Rows of both encodings in one handle: the O(1) shifts land
-        on exactly what a full scan computes."""
+        """Rows of both record kinds in one handle: the handle's
+        fingerprint is what a freshly built equal bag gets."""
         rng = random.Random(20261018)
         # no two values compare equal: a bag keys 1, True and 1.0 as
         # one row
@@ -287,6 +303,29 @@ class TestIncrementalMaintenance:
         assert {int, str, Color, tuple} <= types
         assert handle.fingerprint() == fingerprint.of_bag(fresh)
 
+    def test_a_session_without_a_shared_store_derives_nothing(
+        self, monkeypatch
+    ):
+        """Updates, pairwise checks and maintained global checks over a
+        private store key nothing, so they never digest a snapshot."""
+        calls = []
+        real = fingerprint.of_bag
+        monkeypatch.setattr(
+            fingerprint, "of_bag", lambda bag: calls.append(bag) or real(bag)
+        )
+        r, s = consistent_pair(seed=6, n=12)
+        live = LiveEngine([r, s])
+        h0, h1 = live.handles
+        for step in range(6):
+            live.update(h0, (9, step), 1)
+            live.update(h1, (step, 9), 1)
+            live.update(h0, (9, 9), 1)
+            live.update(h1, (9, 9), 1)
+            assert live.globally_consistent()
+            assert live.global_check().consistent
+        assert live.live_global_stats()["repairs"] >= 5
+        assert calls == []
+
     def test_return_to_previous_content_restores_fingerprint(self):
         live = LiveEngine([Bag.from_pairs(AB, [((1, 2), 2)])])
         handle = live.handles[0]
@@ -295,10 +334,3 @@ class TestIncrementalMaintenance:
         assert handle.fingerprint() != before
         live.update(handle, (5, 5), -3)  # delete-to-zero
         assert handle.fingerprint() == before
-
-    def test_snapshot_fingerprint_is_seeded(self):
-        live = LiveEngine([Bag.from_pairs(AB, [((1, 2), 2)])])
-        handle = live.handles[0]
-        live.update(handle, (3, 3), 1)
-        snapshot = handle.bag()
-        assert snapshot._index._fingerprint == handle.fingerprint()

@@ -20,7 +20,6 @@ import pytest
 
 from repro.analysis import sanitizer
 from repro.analysis.sanitizer import SanitizerError
-from repro.engine import fingerprint
 from repro.engine.session import VerdictStore
 from repro.store.persistent import PersistentVerdictStore
 
@@ -74,7 +73,7 @@ def run_threads(worker, n=N_THREADS):
 
 
 def make_fps(n=24):
-    return [fingerprint.MASK & (0x9E3779B97F4A7C15 * (i + 1))
+    return [(0x9E3779B97F4A7C15 * (i + 1)) % (1 << 128)
             for i in range(n)]
 
 

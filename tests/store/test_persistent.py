@@ -72,7 +72,7 @@ class TestMeta:
     def test_meta_records_the_fingerprint_encoding(self, tmp_path):
         PersistentVerdictStore(tmp_path / "s", shards=2).close()
         meta = json.loads((tmp_path / "s" / "META.json").read_text())
-        assert meta["fingerprint"] == fingerprint.ENCODING_VERSION == 2
+        assert meta["fingerprint"] == fingerprint.ENCODING_VERSION == 3
 
     def test_store_of_another_fingerprint_encoding_is_refused(
         self, tmp_path
@@ -81,10 +81,11 @@ class TestMeta:
         PersistentVerdictStore(root, shards=2).close()
         # as a build of encoding 1 wrote it: no "fingerprint" key
         (root / "META.json").write_text('{"version": 1, "shards": 2}\n')
-        with pytest.raises(StoreFormatError, match="encoding 1.*encoding 2"):
+        with pytest.raises(StoreFormatError, match="encoding 1.*encoding 3"):
             PersistentVerdictStore(root)
+        # encoding 2 summed row terms, which chosen rows can collide
         (root / "META.json").write_text(
-            '{"version": 1, "fingerprint": 3, "shards": 2}\n'
+            '{"version": 1, "fingerprint": 2, "shards": 2}\n'
         )
         with pytest.raises(StoreFormatError, match="fresh directory"):
             PersistentVerdictStore(root)

@@ -172,17 +172,17 @@ class TestVerifyCli:
         from repro.store import StoreFormatError
 
         build_store(tmp_path / "s")
-        # META.json as a build of encoding 1 wrote it: its witnesses'
+        # META.json as a build of encoding 2 wrote it: its witnesses'
         # keys cannot match a recompute, so no sample is reported
         (tmp_path / "s" / "META.json").write_text(
-            '{"version": 1, "shards": 2}\n'
+            '{"version": 1, "fingerprint": 2, "shards": 2}\n'
         )
-        with pytest.raises(StoreFormatError, match="encoding 1"):
+        with pytest.raises(StoreFormatError, match="encoding 2"):
             verify_store(tmp_path / "s")
         code = main(["store", "verify", "--store-dir", str(tmp_path / "s")])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert "fingerprint encoding 1" in captured.err
+        assert "fingerprint encoding 2" in captured.err
 
     def test_cli_verify_missing_store_is_usage_error(self, tmp_path):
         from repro.cli import main

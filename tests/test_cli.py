@@ -168,6 +168,28 @@ class TestMalformedInputFiles:
         assert captured.err.startswith(f"error: {bad}: ")
         assert len(captured.err.splitlines()) == 1
 
+    # a chmod-000 file stays readable to root, so the unreadable paths
+    # are ones no user can read: a directory, and a path through a file
+    @pytest.mark.parametrize("kind", ["directory", "file/child"])
+    @pytest.mark.parametrize("command", [
+        *PAIR_COMMANDS, "show", "global-check", "certificate", "repair",
+        "audit-schema", "batch",
+    ])
+    def test_unreadable_path_exits_two_with_one_error_line(
+        self, tmp_path, pair_files, capsys, command, kind
+    ):
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_text("{}")
+            bad = bad / "child.json"
+        files = [pair_files[0], bad] if command in PAIR_COMMANDS else [bad]
+        assert main([command, *map(str, files)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: ")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestShow:
     def test_show_renders_table(self, pair_files, capsys):
