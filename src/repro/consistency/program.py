@@ -22,6 +22,7 @@ from typing import Sequence
 from ..core.bags import Bag
 from ..core.relations import join_all
 from ..core.schema import Schema, project_values
+from ..engine.index import BagIndex, row_key
 from ..errors import SchemaError
 from ..lp.integer_feasibility import ZeroOneSystem
 
@@ -31,7 +32,8 @@ class ConsistencyProgram:
     """P(R1, ..., Rm) in sparse form.
 
     ``join_rows`` lists the tuples of ``J = R1' |><| ... |><| Rm'`` (raw
-    value tuples over the union schema, in deterministic order); variable
+    value tuples over the union schema, in the canonical row order of
+    :func:`repro.engine.index.row_key`); variable
     j corresponds to ``join_rows[j]``.  ``constraint_labels[i]`` records
     which (bag index, support row) the i-th constraint encodes, and
     ``system`` is the 0/1 equation system ``Ax = b``.
@@ -52,16 +54,16 @@ class ConsistencyProgram:
         for bag in bags[1:]:
             union = union | bag.schema
         join = join_all([bag.support() for bag in bags])
-        join_rows = tuple(sorted(join.rows, key=repr))
-        # One constraint per (bag, support row).
+        join_rows = tuple(sorted(join.rows, key=row_key))
+        # One constraint per (bag, support row), in canonical row order.
         constraint_index: dict[tuple[int, tuple], int] = {}
         labels: list[tuple[int, tuple]] = []
         rhs: list[int] = []
         for i, bag in enumerate(bags):
-            for row, mult in sorted(bag.items(), key=repr):
+            for row in BagIndex.of(bag).sorted_rows():
                 constraint_index[(i, row)] = len(labels)
                 labels.append((i, row))
-                rhs.append(mult)
+                rhs.append(bag.multiplicity(row))
         var_constraints: list[tuple[int, ...]] = []
         for t in join_rows:
             touched = []

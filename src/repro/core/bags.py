@@ -179,10 +179,10 @@ class Bag:
         return iter(self._mults.items())
 
     def tuples(self) -> Iterator[tuple[Tup, int]]:
-        """Iterate ``(Tup, multiplicity)`` pairs in deterministic order.
-
-        The order is computed once per bag and cached on its index (the
-        seed re-sorted the whole support by ``repr`` on every call).
+        """Iterate ``(Tup, multiplicity)`` pairs in the canonical row
+        order of the bag's content: the byte order of the entries'
+        fingerprint records, computed once per content and cached on
+        its index (:meth:`repro.engine.index.BagIndex.sorted_rows`).
         """
         for row in BagIndex.of(self).sorted_rows():
             yield Tup(self._schema, row), self._mults[row]
@@ -256,7 +256,10 @@ class Bag:
         Routed through the engine kernel and memoized per bag: repeated
         marginals on the same target (the Lemma 2 consistency test, the
         pairwise phase of every global check) are computed once.
+        ``R[X]`` is ``R`` itself.
         """
+        if target == self._schema:
+            return self
         return BagIndex.of(self).marginal(target)
 
     def bag_join(self, other: "Bag") -> "Bag":

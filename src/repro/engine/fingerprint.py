@@ -30,12 +30,16 @@ Each ``(row, multiplicity)`` entry has one record:
   markers (version 3 and up do), so equal values give equal bytes
   whatever their object identity.  It keeps ``1``, ``True``, ``1.0``,
   ``0.0``, ``-0.0``, ``"1"`` and ``None`` apart, and it has no digit
-  limit on integers.  :func:`of_bag` checks a whole bag's types in one
-  bulk scan and then marshals it without a Python frame per row.
+  limit on integers.  A whole bag's types are checked in one bulk
+  scan, after which it is marshalled without a Python frame per row.
 * every other row (``IntEnum`` members, ``str`` subclasses, nested
   tuples, ...) is the marshal of the text
   ``row|<type>:<repr>|...|#<mult>`` — a string record, which cannot
   equal a tuple record.
+
+:class:`~repro.engine.index.BagIndex` computes the records, in one
+pass per content that also fixes the content's canonical row order:
+the sorted records *are* that order (:mod:`repro.engine.index`).
 
 :data:`ENCODING_VERSION` names this scheme; persistent stores record it
 in their ``META.json`` because their keys are fingerprints.  Encoding 2
@@ -43,25 +47,21 @@ summed 128-bit row terms mod 2**128, which a client choosing rows can
 collide (Wagner's generalized birthday attack); encoding 1 hashed every
 row's text.
 
-:func:`of_bag` derives the fingerprint once per content object and
-caches it on the bag's :class:`BagIndex`.  A peer may also *claim* one
-(:func:`claim`, the v2 frame's ``fp``): a claim keys store reads only
-(:func:`read_key`), so a liar misleads only itself, and every store
-write keys on :func:`of_bag`.
+:func:`of_bag` publishes the index's digest once per content object as
+its fingerprint.  A peer may also *claim* one (:func:`claim`, the v2
+frame's ``fp``): a claim keys store reads only (:func:`read_key`), so a
+liar misleads only itself, and every store write keys on
+:func:`of_bag`.
 """
 
 from __future__ import annotations
 
-import marshal
 import threading
 import weakref
-from functools import lru_cache
-from hashlib import blake2b
-from itertools import chain, repeat, starmap
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..analysis.registry import register_lock
-from .index import BagIndex
+from .index import BagIndex, schema_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.bags import Bag
@@ -81,10 +81,6 @@ __all__ = [
 # summed row terms.
 ENCODING_VERSION = 3
 
-_MARSHAL_VERSION = 2  # pinned: later formats depend on object identity
-_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
-_INT_TYPE = frozenset({int})
-
 # fingerprint -> the index already serving a bag with that content;
 # value-equal bags adopt it so marginals, buckets, and sorted orders
 # are computed once per *value*, not once per object.
@@ -97,69 +93,18 @@ _REGISTRY_LOCK = register_lock(
 )
 
 
-def _digest(payload: bytes) -> int:
-    return int.from_bytes(blake2b(payload, digest_size=16).digest(), "big")
-
-
-def _encode_value(value: object) -> str:
-    """A stable, type-qualified encoding of one attribute value.
-
-    ``repr`` distinguishes ``1`` from ``"1"`` already; prefixing the
-    type name also separates values whose reprs collide across types
-    (e.g. ``True`` vs a hypothetical class repr).  Deterministic across
-    processes for every built-in scalar and for any type with a
-    value-based ``repr``.
-    """
-    return f"{type(value).__qualname__}:{value!r}"
-
-
-@lru_cache(maxsize=65536)
-def _attrs_fingerprint(attrs: tuple) -> int:
-    payload = "schema|" + "|".join(_encode_value(a) for a in attrs)
-    return _digest(payload.encode("utf-8", "surrogatepass"))
-
-
 def of_schema(schema: "Schema") -> int:
     """The schema's content fingerprint (canonical attribute order, so
     ``Schema(["A","B"])`` and ``Schema(["B","A"])`` agree)."""
-    return _attrs_fingerprint(schema.attrs)
-
-
-def _record(row: tuple, mult: int) -> bytes:
-    """One entry's record: the marshal of ``(row, mult)`` for exact
-    JSON scalars and an exact ``int`` multiplicity, else the marshal of
-    the qualified text."""
-    if (
-        type(mult) is int
-        and type(row) is tuple
-        and _SCALAR_TYPES.issuperset(map(type, row))
-    ):
-        return marshal.dumps((row, mult), _MARSHAL_VERSION)
-    text = "row|" + "|".join([_encode_value(v) for v in row]) + f"|#{mult}"
-    return marshal.dumps(text, _MARSHAL_VERSION)
-
-
-def _records(mults: Mapping[tuple, int]) -> list[bytes]:
-    """Every entry's record.  When every value and multiplicity has an
-    exact scalar type (one bulk type scan), marshal runs without a
-    Python frame per row."""
-    if _SCALAR_TYPES.issuperset(
-        map(type, chain.from_iterable(mults))
-    ) and _INT_TYPE.issuperset(map(type, mults.values())):
-        try:
-            return list(
-                map(marshal.dumps, mults.items(), repeat(_MARSHAL_VERSION))
-            )
-        except ValueError:
-            pass  # a tuple-subclass row: marshal refuses it
-    return list(starmap(_record, mults.items()))
+    return schema_digest(schema.attrs)
 
 
 def of_bag(bag: "Bag") -> int:
-    """The bag's content fingerprint, derived once and cached on its
-    :class:`BagIndex` — the only fingerprint a store write may use.
+    """The bag's content fingerprint — its index's
+    :meth:`~repro.engine.index.BagIndex.content_digest`, published once
+    per index — the only fingerprint a store write may use.
 
-    First computation also consults the shared-index registry: if a
+    Publication also consults the shared-index registry: if a
     value-equal bag already owns an index, this bag **adopts** it (after
     an equality check), so the two share cached marginals, buckets, and
     row orders from then on.
@@ -168,15 +113,12 @@ def of_bag(bag: "Bag") -> int:
     fp = index._fingerprint
     if fp is not None:
         return fp
-    records = _records(bag._mults)
-    records.sort()
-    records.insert(0, of_schema(bag._schema).to_bytes(16, "big"))
-    fp = _digest(b"".join(records))
+    fp = index.content_digest()
     with _REGISTRY_LOCK:
         index._fingerprint = fp
         shared = _BAG_INDEXES.get(fp)
         if shared is not None and shared is not index:
-            if shared._bag == bag:
+            if shared._schema == bag._schema and shared._mults == bag._mults:
                 bag._index = shared
             return fp
         _BAG_INDEXES[fp] = index

@@ -8,9 +8,11 @@ fold: it hands the held witness and each bag's sparse delta to
 projection index, additions assembled by unifying one needed cell per
 bag on the overlapping attributes) until every need is zero.  The
 patched bag's marginals then equal the new bags *exactly* — by
-construction, not by re-verification.  When the greedy patch cannot
-close the needs, or the delta is too large (``limit``), the repair
-gives up and the engine re-folds cold.
+construction, not by re-verification.  Ties between cells and rows
+break in the canonical row order (:func:`repro.engine.index.row_key`),
+never in dict order.  When the greedy patch cannot close the needs, or
+the delta is too large (``limit``), the repair gives up and the engine
+re-folds cold.
 
 Pure functions over plain dicts: nothing here holds state or locks.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from ..core.schema import projection_plan
+from .index import row_key
 
 __all__ = ["repair_fold_witness"]
 
@@ -102,14 +105,14 @@ def repair_fold_witness(
         for i, need in enumerate(needs):
             negative = [cell for cell, amount in need.items() if amount < 0]
             if negative:
-                deficit_at = (i, min(negative, key=repr))
+                deficit_at = (i, min(negative, key=row_key))
                 break
         if deficit_at is not None:
             i, cell = deficit_at
             deficit = -needs[i][cell]
             candidates = sorted(
                 (row for row in index_for(i).get(cell, ()) if row in work),
-                key=repr,
+                key=row_key,
             )
             if not candidates:
                 return None  # bookkeeping says impossible; re-fold
@@ -179,7 +182,7 @@ def _assemble_row(
             )
         ]
         if compatible:
-            cell = min(compatible, key=repr)
+            cell = min(compatible, key=row_key)
         elif all(values[p] is not _UNSET for p in pos):
             cell = tuple(values[p] for p in pos)
         else:

@@ -35,9 +35,12 @@ bag uses, in first-occurrence order, and its codes are positions in
 that list.  Nothing is shared between bags, peers or processes, so the
 receiver decodes with one gather per column (``values[code]``) and no
 remap; codes are read unsigned, so a negative code indexes past the end
-and the gather bounds-checks itself.  Rows travel in ``repr`` order,
-the order :func:`repro.io.bag_to_dict` writes, so a bag decodes with
-the same row order from a frame as from a JSON line.
+and the gather bounds-checks itself.  Rows travel in the canonical
+row order of the bag's content
+(:meth:`~repro.engine.index.BagIndex.sorted_rows`), the order
+:func:`repro.io.bag_to_dict` writes, so a bag decodes with the same
+row order from a frame as from a JSON line, and the receiver's
+canonical pass finds its records already sorted.
 
 Inline rule: a dictionary keeps one entry per Python-equal value, so a
 bag rides inline whenever that would change a value :mod:`repro.io`
@@ -361,12 +364,11 @@ def _encode_column(col: tuple) -> tuple[bytes, list] | None:
 
 
 def _encode_bag(index: BagIndex) -> tuple | None:
-    # Rows go in ``repr`` order, the order repro.io writes, so a bag
-    # decodes in the same row order from a frame as from a JSON line,
-    # and so do the witnesses built from its buckets.
+    # Rows go in canonical order, the order repro.io writes, so a bag
+    # decodes in the same row order from a frame as from a JSON line.
     rows = index.sorted_rows()
     try:
-        mults = array("q", map(index.bag._mults.__getitem__, rows))
+        mults = array("q", map(index._mults.__getitem__, rows))
     except OverflowError:
         return None  # a multiplicity past int64
     columns = []

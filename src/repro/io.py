@@ -6,7 +6,8 @@ shipped between tools and checked into repositories:
 
 * a bag:      ``{"schema": ["A", "B"], "tuples": [[[1, 2], 3], ...]}``
   (each entry is ``[row, multiplicity]`` with the row in canonical
-  attribute order);
+  attribute order, the entries in the canonical row order of the
+  bag's content);
 * a relation: ``{"schema": ["A", "B"], "rows": [[1, 2], ...]}``;
 * a collection: ``{"bags": [<bag>, ...]}``;
 * a hypergraph: ``{"vertices": [...], "edges": [[...], ...]}``.
@@ -30,6 +31,7 @@ from typing import Any
 from .core.bags import Bag
 from .core.relations import Relation
 from .core.schema import Schema
+from .engine.index import BagIndex
 from .errors import SchemaError
 from .hypergraphs.hypergraph import Hypergraph
 
@@ -44,11 +46,14 @@ def _loads(text: str | bytes) -> Any:
 # -- bags -------------------------------------------------------------------
 
 def bag_to_dict(bag: Bag) -> dict:
+    """The bag's JSON encoding, rows in the canonical order of its
+    content (:meth:`~repro.engine.index.BagIndex.sorted_rows`)."""
+    mults = bag._mults
     return {
         "schema": list(bag.schema.attrs),
         "tuples": [
-            [list(row), mult]
-            for row, mult in sorted(bag.items(), key=repr)
+            [list(row), mults[row]]
+            for row in BagIndex.of(bag).sorted_rows()
         ],
     }
 

@@ -47,7 +47,6 @@ from .trace import (
     current,
     finish_trace,
     set_enabled,
-    span,
     start_trace,
     worker_trace,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "render_json",
     "render_prometheus",
     "set_enabled",
-    "span",
     "start_trace",
     "worker_trace",
 ]

@@ -49,7 +49,6 @@ __all__ = [
     "enabled",
     "finish_trace",
     "set_enabled",
-    "span",
     "start_trace",
     "worker_trace",
 ]
@@ -252,19 +251,3 @@ def worker_trace(trace_id: str | None):
         yield trace
     finally:
         _CURRENT.reset(token)
-
-
-@contextmanager
-def span(name: str, **extra):
-    """Attach one span to the in-flight trace, if any.  Cheap no-op
-    otherwise — safe to wrap cold paths wholesale; hot paths should
-    use the explicit ``current()`` check instead."""
-    trace = _CURRENT.get()
-    if trace is None:
-        yield None
-        return
-    start = time.perf_counter()
-    try:
-        yield trace
-    finally:
-        trace.add_span(name, start, time.perf_counter() - start, **extra)

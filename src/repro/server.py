@@ -30,8 +30,11 @@ on disk and a restarted daemon reopens them warm.
   let alone the daemon);
 * ``stats`` exposes the engine counters summed over every batch, the
   verdict store's hit rate and size — including the persistent tier
-  (shard count, disk bytes, hot hits vs read-through disk hits) when
-  one is attached — and daemon-level request totals.
+  (shard count, disk bytes, hot hits vs read-throughs from segments
+  and from write-behind buffers) when one is attached — and
+  daemon-level request totals;
+* ``shutdown`` answers ``{"bye": true}``; the daemon stops accepting
+  once that reply is written and flushed.
 
 Concurrency model (the multi-client upgrade):
 
@@ -94,8 +97,8 @@ _LEVELS = (
 # section) that only ever grow: exported as counters.
 _STORE_COUNTERS = frozenset({
     "hits", "misses", "evictions", "invalidations", "merged",
-    "hot_hits", "disk_hits", "skipped_segments", "appends", "flushes",
-    "tombstones", "compactions", "torn_tails",
+    "hot_hits", "disk_hits", "buffer_hits", "skipped_segments", "appends",
+    "flushes", "tombstones", "compactions", "torn_tails",
 })
 
 
@@ -372,10 +375,8 @@ class ReproServer:
             if op == "metrics":
                 return {"ok": True, "op": "metrics", **self.metrics_payload()}
             if op == "shutdown":
-                # Stop accepting from a helper thread: shutdown() blocks
-                # until serve_forever exits, which must not wait on the
-                # handler thread that is writing this response.
-                threading.Thread(target=self.shutdown, daemon=True).start()
+                # The socket handler stops the daemon once this reply is
+                # written and flushed (_Handler._said_bye).
                 return {"ok": True, "op": "shutdown", "bye": True}
             jobs = parse_jobs(
                 {k: v for k, v in payload.items() if k != "op"}
@@ -558,7 +559,7 @@ class _Handler(socketserver.StreamRequestHandler):
             wire.count_json_request(len(line))
             response = owner.handle_payload(payload, engine=engine)
         self._respond_line(response)
-        return bool(response.get("bye"))
+        return self._said_bye(owner, response)
 
     def _handle_frame(self, owner: ReproServer, engine, first: bytes) -> bool:
         try:
@@ -590,7 +591,20 @@ class _Handler(socketserver.StreamRequestHandler):
             return False
         response = owner.handle_payload(payload, engine=engine)
         self._respond_frame(response)
-        return bool(response.get("bye"))
+        return self._said_bye(owner, response)
+
+    @staticmethod
+    def _said_bye(owner: ReproServer, response: dict) -> bool:
+        """After a written and flushed reply: True for a ``shutdown``
+        op's ``bye``, which then stops the daemon from a helper thread.
+        Starting it only now keeps ``repro serve`` from exiting before
+        the client holds the reply, and shutdown() blocks until
+        serve_forever exits, which must not wait on this handler
+        thread."""
+        if not response.get("bye"):
+            return False
+        threading.Thread(target=owner.shutdown, daemon=True).start()
+        return True
 
 
 class _ThreadingTCPServer(socketserver.ThreadingTCPServer):

@@ -14,9 +14,10 @@ under the hot tier:
   (:func:`shard_of_fp`), so disk reads and appends take only their
   shard's lock, and a multi-process deployment could split shards
   between daemons;
-* **read-through**: a hot-tier miss consults the shard's segment index;
-  a disk hit promotes the entry into the hot tier and is counted
-  separately (``disk_hits``) so warmth is observable;
+* **read-through**: a hot-tier miss consults the shard's write-behind
+  buffer, then its segment index; either hit promotes the entry into
+  the hot tier.  Segment reads are counted as ``disk_hits`` (so warmth
+  is observable) and buffer reads apart, as ``buffer_hits``;
 * **write-behind**: every put lands in the hot tier immediately and is
   buffered in its shard, flushed every
   :data:`~repro.store.shard.FLUSH_EVERY` operations and on explicit
@@ -143,7 +144,9 @@ def shard_of_key(key: tuple, n_shards: int) -> int:
 
 # `_closed` is deliberately unregistered: it is a close()-time latch
 # written by the owning thread only, and reads never need freshness.
-@shared_state("_lock", "disk_hits", "misses", "merged", tier="store")
+@shared_state(
+    "_lock", "disk_hits", "buffer_hits", "misses", "merged", tier="store"
+)
 class PersistentVerdictStore:
     """A sharded disk tier under one in-memory LRU hot tier.
 
@@ -169,7 +172,8 @@ class PersistentVerdictStore:
             Shard(self.root / f"shard-{i:02d}") for i in range(self.n_shards)
         ]
         self._lock = threading.Lock()  # store-level counters only
-        self.disk_hits = 0
+        self.disk_hits = 0  # read-throughs served by a segment
+        self.buffer_hits = 0  # ... by a write-behind buffer
         self.misses = 0  # lookups neither tier could answer
         self.merged = 0
         self._closed = False
@@ -204,16 +208,24 @@ class PersistentVerdictStore:
         value = self._hot.get(key)
         if value is not self.MISS:
             return value
-        found = self._shard(key).lookup(key)
-        if found is None:
-            with self._lock:
-                self.misses += 1
-            return self.MISS
+        shard = self._shard(key)
+        found = shard.buffered(key)
+        buffered = found is not None
+        if not buffered:
+            found = shard.lookup(key)
+            if found is None:
+                with self._lock:
+                    self.misses += 1
+                return self.MISS
         value, fps = found
-        # Promote without re-appending: the record is already on disk.
+        # Promote without re-appending: the record is already in the
+        # shard's log.
         self._hot.put(key, value, fps)
         with self._lock:
-            self.disk_hits += 1
+            if buffered:
+                self.buffer_hits += 1
+            else:
+                self.disk_hits += 1
         return value
 
     def contains(self, key: tuple) -> bool:
@@ -293,9 +305,9 @@ class PersistentVerdictStore:
 
     @property
     def hits(self) -> int:
-        """Served-from-store lookups, either tier (the serve tests and
+        """Served-from-store lookups, every tier (the serve tests and
         stats read this like the in-memory store's counter)."""
-        return self._hot.hits + self.disk_hits
+        return self._hot.hits + self.disk_hits + self.buffer_hits
 
     @property
     def evictions(self) -> int:
@@ -307,14 +319,15 @@ class PersistentVerdictStore:
 
     def stats_dict(self) -> dict:
         """The hot tier's stats keys (``hits`` including read-throughs,
-        ``misses`` only lookups neither tier answered) plus a
+        ``misses`` only lookups no tier answered) plus a
         ``persistent`` sub-dict describing the disk tier: the shards'
         stats summed, read from their in-memory state (no directory
         scan)."""
         hot = self._hot.stats_dict()
         with self._lock:
-            disk_hits, misses, merged = self.disk_hits, self.misses, self.merged
-        hits = hot["hits"] + disk_hits
+            disk_hits, buffer_hits = self.disk_hits, self.buffer_hits
+            misses, merged = self.misses, self.merged
+        hits = hot["hits"] + disk_hits + buffer_hits
         shards = self.shard_stats()
         disk = {key: sum(s[key] for s in shards) for key in shards[0]}
         return {
@@ -328,6 +341,7 @@ class PersistentVerdictStore:
                 "shards": self.n_shards,
                 "hot_hits": hot["hits"],
                 "disk_hits": disk_hits,
+                "buffer_hits": buffer_hits,
                 **disk,
             },
         }

@@ -192,9 +192,16 @@ class Shard:
         with self._lock:
             return key in self._pending_index or key in self._index
 
+    def buffered(self, key: tuple):
+        """``(value, fps)`` for a key still in the write-behind buffer,
+        or ``None`` — no disk read."""
+        with self._lock:
+            return self._pending_index.get(key)
+
     def lookup(self, key: tuple):
         """``(value, fps)`` for a stored key, or ``None`` — the
-        read-through miss path (one seek + one value unpickle)."""
+        read-through miss path (one seek + one value unpickle, unless
+        the key is still buffered)."""
         with self._lock:
             pending = self._pending_index.get(key)
             if pending is not None:

@@ -1,11 +1,15 @@
 """Per-instance index caches: memoization identity and correctness."""
 
+import gc
+import marshal
 import random
+import weakref
 
 import pytest
 
 from repro.core.bags import Bag
 from repro.core.schema import Schema
+from repro.engine import fingerprint
 from repro.engine.index import BagIndex, RelationIndex
 from repro.errors import SchemaError
 from repro.workloads.generators import random_bag
@@ -63,8 +67,27 @@ class TestBagIndex:
         index = BagIndex.of(bag)
         first = index.sorted_rows()
         assert index.sorted_rows() is first
-        assert first == sorted(bag.support_rows(), key=repr)
+        # the canonical order: rows by their fingerprint records' bytes
+        assert first == sorted(
+            bag.support_rows(),
+            key=lambda row: marshal.dumps((row, bag.multiplicity(row)), 2),
+        )
         assert [tup.values for tup, _ in bag.tuples()] == first
+
+    def test_a_bag_and_its_index_are_freed_without_the_collector(self):
+        # the index holds the bag's table, not the bag: no reference
+        # cycle, so dropping the last bag frees both at once
+        bag = random_bag(ABC, random.Random(5), n_tuples=8)
+        index = weakref.ref(BagIndex.of(bag))
+        fingerprint.of_bag(bag)
+        bag.marginal(AB)
+        BagIndex.of(bag).buckets(B)
+        gc.disable()
+        try:
+            del bag
+            assert index() is None
+        finally:
+            gc.enable()
 
     def test_marginal_validates_target(self):
         bag = Bag.from_pairs(AB, [((1, 2), 1)])

@@ -1,6 +1,9 @@
 """The serve daemon: wire protocol, cross-connection sharing, shutdown."""
 
 import json
+import select
+import socket
+import time
 
 import pytest
 
@@ -135,6 +138,41 @@ class TestLifecycle:
         server.shutdown()  # idempotent
         with pytest.raises(OSError):
             ServeClient(address, timeout=0.5).request({"op": "ping"})
+
+    def test_shutdown_starts_only_after_the_reply_is_flushed(
+        self, tmp_path, monkeypatch
+    ):
+        """`repro serve` exits once shutdown() returns, killing the
+        daemon's handler threads: the client must already hold the
+        `bye` reply when shutdown() begins."""
+        path = str(tmp_path / "repro.sock")
+        server = ReproServer()
+        server.bind_unix(path)
+        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        raw.settimeout(30)
+        held: list[bool] = []
+        real_shutdown = ReproServer.shutdown
+
+        def checked_shutdown(self):
+            if not held:  # can the client read its reply right now?
+                held.append(bool(select.select([raw], [], [], 0)[0]))
+            real_shutdown(self)
+
+        monkeypatch.setattr(ReproServer, "shutdown", checked_shutdown)
+        server.serve_in_background()
+        try:
+            raw.connect(path)
+            raw.sendall(b'{"op": "shutdown"}\n')
+            # read nothing before shutdown() has looked
+            deadline = time.monotonic() + 10
+            while not held and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert held == [True]
+            reply = json.loads(raw.makefile("rb").readline())
+            assert reply == {"ok": True, "op": "shutdown", "bye": True}
+        finally:
+            raw.close()
+            server.shutdown()
 
     def test_unix_socket_round_trip(self, tmp_path):
         path = str(tmp_path / "repro.sock")

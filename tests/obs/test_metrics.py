@@ -261,8 +261,8 @@ class TestExposition:
             "hits", "misses", "evictions", "invalidations", "merged",
         ),
         "repro_store_persistent": (
-            "hot_hits", "disk_hits", "skipped_segments", "appends",
-            "flushes", "tombstones", "compactions", "torn_tails",
+            "hot_hits", "disk_hits", "buffer_hits", "skipped_segments",
+            "appends", "flushes", "tombstones", "compactions", "torn_tails",
         ),
     }
     LEVELS = {
@@ -357,7 +357,7 @@ class TestExposition:
         for prefix, keys in self.MONOTONE.items():
             assert set(keys) <= set(sections[prefix]), prefix
             monotone += [f"{prefix}_{key}" for key in keys]
-        assert len(monotone) == 28
+        assert len(monotone) == 29
         for family in monotone:
             assert types.get(family) == "counter", family
         for prefix, keys in self.LEVELS.items():

@@ -18,7 +18,6 @@ from repro.obs.trace import (
     TraceBuffer,
     current,
     finish_trace,
-    span,
     start_trace,
     worker_trace,
 )
@@ -108,8 +107,7 @@ class TestContextManagers:
         obs_trace.RECENT.clear()
         with start_trace("serve.test") as trace:
             assert current() is trace
-            with span("inner", n=2):
-                pass
+            current().add_span("inner", trace.origin, 0.0, n=2)
         assert current() is None
         (entry,) = obs_trace.RECENT.snapshot()
         assert entry["op"] == "serve.test"
@@ -122,9 +120,11 @@ class TestContextManagers:
         obs_trace.RECENT.clear()
         with start_trace("serve.test") as trace:
             assert trace is None
-            assert current() is None
-            with span("inner") as inner:
-                assert inner is None
+            # the hot-path contract: no trace in flight, nothing recorded
+            tr = current()
+            assert tr is None
+            if tr is not None:
+                tr.add_span("inner", tr.origin, 0.0)
         assert len(obs_trace.RECENT) == 0
 
     def test_worker_trace_carries_parent_id(self):

@@ -129,6 +129,33 @@ class TestTiers:
         assert reopened.hits == 2
         reopened.close()
 
+    def test_a_read_from_the_write_behind_buffer_is_no_disk_hit(
+        self, tmp_path
+    ):
+        # fewer writes than FLUSH_EVERY: nothing reaches a segment, so
+        # a hot-tier miss reads the shard's buffer, not the disk
+        store = PersistentVerdictStore(tmp_path / "s", shards=2, capacity=1)
+        keys = [("consistent", i, i + 1) for i in range(3)]
+        assert len(keys) < shard_module.FLUSH_EVERY
+        for i, key in enumerate(keys):
+            store.put(key, i % 2 == 0, key[1:])
+        assert store.stats_dict()["persistent"]["segments"] == 0
+        # the 1-entry hot tier holds one key, so each read in turn
+        # misses it and promotes its key from the buffer
+        assert [store.get(key) for key in keys] == [True, False, True]
+        assert store.get(keys[2]) is True  # a hot hit
+        stats = store.stats_dict()
+        persisted = stats["persistent"]
+        assert persisted["disk_hits"] == 0
+        assert persisted["buffer_hits"] == 3
+        assert persisted["hot_hits"] == 1
+        assert stats["hits"] == store.hits == 4  # every tier
+        store.flush()
+        # flushed: the same miss is a segment read now
+        assert store.get(keys[0]) is True
+        assert store.disk_hits == 1 and store.buffer_hits == 3
+        store.close()
+
     def test_eviction_from_hot_tier_never_loses_durable_data(
         self, tmp_path, monkeypatch
     ):
