@@ -12,7 +12,10 @@ Two claims:
    the median per-round ratio, so neither the fork nor one noisy batch
    decides it.  Gated only on multi-core machines (on one core there is
    nothing to win; the bench then still asserts verdict parity and
-   skips the timing gate).
+   skips the timing gate).  Each process round also records every
+   worker's CPU time and the vCPU it last ran on
+   (``/proc/<pid>/stat`` fields 14-15 and 39), which shows whether the
+   workers really ran side by side.
 
 2. **A warm daemon beats cold batch re-runs.**  Replaying the same job
    stream against one long-running ``repro serve`` engine over a
@@ -30,9 +33,11 @@ from __future__ import annotations
 
 import gc
 import json
+import multiprocessing
 import os
 import statistics
 import time
+from pathlib import Path
 
 import pytest
 
@@ -78,6 +83,24 @@ def cpu_collections() -> list[list]:
     ]
 
 
+CLOCK_TICKS = os.sysconf("SC_CLK_TCK")
+
+
+def worker_stats() -> dict[int, tuple[float, int]]:
+    """Each live pool worker's CPU seconds and the vCPU it last ran on
+    (``/proc/<pid>/stat`` fields 14-15 and 39)."""
+    stats = {}
+    for child in multiprocessing.active_children():
+        try:
+            stat = Path(f"/proc/{child.pid}/stat").read_text()
+        except FileNotFoundError:
+            continue
+        fields = stat.rpartition(")")[2].split()
+        cpu = (int(fields[11]) + int(fields[12])) / CLOCK_TICKS
+        stats[child.pid] = (cpu, int(fields[36]))
+    return stats
+
+
 def run_batch(collections, parallelism: int) -> tuple[float, list]:
     engine = Engine()
     start = time.perf_counter()
@@ -100,14 +123,28 @@ def test_process_pool_beats_serial_on_cpu_bound_checks():
     # Untimed: the first process batch also pays the pool's fork.
     _, process_verdicts = run_batch(collections, workers)
     assert process_verdicts == serial_verdicts
-    serial_times, process_times = [], []
+    serial_times, process_times, process_workers = [], [], []
     for _ in range(CPU_ROUNDS):
         for parallelism, times in (
             (1, serial_times), (workers, process_times)
         ):
+            before = worker_stats()
             elapsed, verdicts = run_batch(collections, parallelism)
             assert verdicts == serial_verdicts, parallelism
             times.append(elapsed)
+            if parallelism != 1:
+                process_workers.append([
+                    {
+                        "pid": pid,
+                        "cpu_ms": (cpu - before.get(pid, (0.0,))[0]) * 1000,
+                        "vcpu": vcpu,
+                    }
+                    for pid, (cpu, vcpu) in worker_stats().items()
+                ])
+    one_vcpu = sum(
+        len({worker["vcpu"] for worker in round_workers}) == 1
+        for round_workers in process_workers
+    )
     ratios = [t / p for t, p in zip(serial_times, process_times)]
     speedup = statistics.median(ratios)
     serial_elapsed = statistics.median(serial_times)
@@ -119,7 +156,8 @@ def test_process_pool_beats_serial_on_cpu_bound_checks():
         f"serial {serial_elapsed * 1000:.0f} ms, "
         f"process {process_elapsed * 1000:.0f} ms, "
         f"process/serial speedup {speedup:.2f}x "
-        f"(rounds {', '.join(f'{r:.2f}' for r in ratios)})"
+        f"(rounds {', '.join(f'{r:.2f}' for r in ratios)}; all workers "
+        f"last on one vCPU in {one_vcpu} of {CPU_ROUNDS} process rounds)"
     )
     skip_reason = (
         None
@@ -137,6 +175,8 @@ def test_process_pool_beats_serial_on_cpu_bound_checks():
         "process_seconds": process_elapsed,
         "serial_round_seconds": serial_times,
         "process_round_seconds": process_times,
+        "process_round_workers": process_workers,
+        "process_rounds_on_one_vcpu": one_vcpu,
         "round_ratios": ratios,
         "process_over_serial": speedup,
         "min_speedup": MIN_PROCESS_SPEEDUP,

@@ -23,10 +23,11 @@ Usage (all inputs are the JSON encodings of :mod:`repro.io`):
   [--parallelism N] [--backend B] [--capacity N]`` — run many pair
   checks, global checks, and named workload suites through one
   memoizing :class:`repro.engine.Engine` (with a bounded LRU result
-  store; ``--parallelism N`` above 1 fans CPU-bound batches over N
-  worker processes, and ``--backend serial``/``process`` stand for 1
-  and every core); emits a JSON report with per-job results plus the
-  engine's cache statistics.
+  store; ``--parallelism N`` above 1 fans the global checks that take
+  the Theorem 4 search over N worker processes, while pair checks,
+  witnesses and acyclic folds stay in this process, and ``--backend
+  serial``/``process`` stand for 1 and every core); emits a JSON
+  report with per-job results plus the engine's cache statistics.
 * ``python -m repro serve (--socket PATH | --port N) [--capacity N]
   [--parallelism N] [--backend B] [--store-dir DIR] [--max-inflight N]``
   — a long-running daemon speaking the batch JSON protocol over a
@@ -681,8 +682,11 @@ def _add_engine_knobs(p: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="fan each batch over N worker processes when N > 1 "
-        "(default: one process, or every core with --backend process)",
+        help="run the global checks that take the Theorem 4 search "
+        "(cyclic schemas, or --method search) on N worker processes "
+        "when N > 1; pair checks, witnesses and acyclic folds always "
+        "run in this process (default: one process, or every core with "
+        "--backend process)",
     )
     p.add_argument(
         "--backend",
@@ -690,7 +694,7 @@ def _add_engine_knobs(p: argparse.ArgumentParser) -> None:
         default=None,
         help="shorthand for --parallelism: serial runs every batch in "
         "this process whatever --parallelism says; process defaults "
-        "--parallelism to every core",
+        "--parallelism to every core (only search work ever ships)",
     )
     p.add_argument(
         "--capacity",

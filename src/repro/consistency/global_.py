@@ -167,6 +167,25 @@ class GlobalConsistencyResult:
     method: str
 
 
+def takes_search(
+    bags: Sequence[Bag], method: Method = "auto", acyclic: bool | None = None
+) -> bool:
+    """Whether :func:`global_witness` decides a pairwise-consistent
+    ``bags`` by the exact Theorem 4 search rather than the polynomial
+    Theorem 6 fold: under ``method="auto"`` exactly when the schema
+    hypergraph is cyclic (``acyclic``, when given, is a caller's
+    already-validated answer), never under ``"acyclic"``, always under
+    ``"search"``.  The process executor ships exactly these
+    collections."""
+    if method == "acyclic":
+        return False
+    if method != "auto":
+        return True
+    if acyclic is None:
+        acyclic = is_acyclic(hypergraph_of_bags(bags))
+    return not acyclic
+
+
 def global_witness(
     bags: Sequence[Bag],
     method: Method = "auto",
@@ -190,10 +209,7 @@ def global_witness(
         raise InconsistentError("empty collection")
     if not pairwise_consistent(bags, pair_checker):
         return GlobalConsistencyResult(False, None, "pairwise")
-    if acyclic is None and method == "auto":
-        acyclic = is_acyclic(hypergraph_of_bags(bags))
-    use_acyclic = method == "acyclic" or (method == "auto" and acyclic)
-    if use_acyclic:
+    if not takes_search(bags, method, acyclic):
         # method="acyclic" on a cyclic schema raises CyclicSchemaError
         # from the running-intersection construction inside.
         witness = acyclic_global_witness(bags, pair_checker=pair_checker)

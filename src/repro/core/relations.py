@@ -154,7 +154,9 @@ class Relation:
 
     def project(self, target: Schema) -> "Relation":
         """The projection R[Z] under set semantics, memoized per
-        relation via the engine index."""
+        relation via the engine index.  ``R[X]`` is ``R`` itself."""
+        if target == self._schema:
+            return self
         return RelationIndex.of(self).project(target)
 
     def join(self, other: "Relation") -> "Relation":

@@ -1,29 +1,44 @@
 """How the batched engine entry points run a batch.
 
-``parallelism`` alone picks (``parallelism=`` on the ``*_many``
-methods, ``--parallelism`` on ``repro batch`` / ``repro serve``):
+The paper's dichotomy decides where the work goes.  Pair verdicts
+(Lemma 2), Corollary 1 witnesses and Theorem 6 folds are polynomial
+and close to linear in their input, so shipping one costs more CPU
+than running it (the parent fingerprints and pickles each bag, the
+worker unpickles it and derives its fingerprint again); only the
+exponential Theorem 4 search over a cyclic schema is worth a core of
+its own.  So ``parallelism`` (``parallelism=`` on the ``*_many``
+methods, ``--parallelism`` on ``repro batch`` / ``repro serve``) only
+ever moves search work:
 
-* ``None`` or 1 — a plain loop in this process.
-* N > 1 — the N-worker process pool, one long-lived
-  :class:`~concurrent.futures.ProcessPoolExecutor` per worker count,
-  created by the first such batch and kept until
-  :func:`shutdown_pools` (``ReproServer.shutdown()`` and interpreter
-  exit call it).  The engine pre-filters the batch against its store
-  and ships the *misses* as fingerprint-ref jobs; each chunk carries a
-  table of its distinct bags as plain pickles, and each worker runs its
-  chunk through a private engine, which derives every fingerprint it
-  writes from the content it received.  Workers return their store's
-  **verdict deltas** — every ``(key, value, participant_fps)`` they
-  computed — which the parent merges back into the shared store;
-  fingerprint keys are process-independent, so a final local replay of
-  the whole batch is pure hits.  A worker that dies breaks its pool:
-  the pool is dropped, the replay computes the lost chunks in-process,
-  and the next batch starts a fresh pool.  Workers exit when their
-  parent dies.
+* pair checks and witnesses, and every batch at ``parallelism``
+  ``None`` or 1, run as a plain loop in the calling thread;
+* a global batch at N > 1 ships the misses that take the search route
+  (``method="search"``, or ``"auto"`` over a cyclic schema) to the
+  N-worker process pool and runs every other miss (Theorem 6 folds,
+  ``method="acyclic"``) in its local replay.
 
-Batches never run on a thread pool: under the interpreter lock one was
-slower than the plain loop on every batch measured, cache-heavy ones
-included.
+The pool is one long-lived
+:class:`~concurrent.futures.ProcessPoolExecutor` per worker count,
+created by the first batch that ships and kept until
+:func:`shutdown_pools` (``ReproServer.shutdown()`` and interpreter
+exit call it).  The engine pre-filters the batch against its store and
+ships the search misses as fingerprint-ref jobs; each chunk carries a
+table of its distinct bags as plain pickles, and each worker runs its
+chunk through a private engine, which derives every fingerprint it
+writes from the content it received.  Workers return their store's
+**verdict deltas** — every ``(key, value, participant_fps)`` they
+computed — which the parent merges back into the shared store;
+fingerprint keys are process-independent, so the final local replay
+of the whole batch answers the shipped misses from the store.  A
+worker that dies breaks its pool: the pool is dropped, the replay
+computes the lost chunks in-process, and the next batch that ships
+starts a fresh pool.  Workers exit when their parent dies.
+
+``benchmarks/bench_dispatch.py`` measures the rule (serial against
+``parallelism=2`` per kind, batch size and row count;
+``BENCH_dispatch.json``).  Batches never run on a thread pool: under
+the interpreter lock one was slower than the plain loop on every batch
+measured, cache-heavy ones included.
 """
 
 from __future__ import annotations
@@ -36,13 +51,14 @@ import time
 from typing import TYPE_CHECKING
 
 from ..analysis.registry import register_lock
+from ..consistency.global_ import takes_search
 from ..errors import InconsistentError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from .session import consistent_key, global_key, witness_key
+from .session import global_key
 
 # Process fan-out latency: the whole ship-misses/merge-deltas phase
-# (zero-sample when every job is a hit — the pre-filter skipped it).
+# (zero-sample when no job is a search miss — nothing shipped).
 _PROCESS_HISTOGRAM = obs_metrics.REGISTRY.histogram(
     "repro_executor_process_seconds"
 )
@@ -62,13 +78,14 @@ def run_batch(
     method: str = "auto",
 ) -> list:
     """Run one batch of ``kind`` jobs (``"consistent"``, ``"witness"``
-    or ``"global"``): in this process for ``parallelism`` ``None`` or 1,
-    on the ``parallelism``-worker pool above that."""
-    if parallelism is None or parallelism == 1:
-        return _run_here(engine, kind, items, method)
-    if parallelism < 1:
+    or ``"global"``).  Only a global batch at ``parallelism`` above 1
+    reaches the pool (:func:`run_process_batch`, which ships its search
+    misses); every other batch is the plain loop in this thread."""
+    if parallelism is not None and parallelism < 1:
         raise ValueError(f"parallelism must be positive, got {parallelism}")
-    return run_process_batch(engine, kind, items, parallelism, method)
+    if kind != "global" or parallelism is None or parallelism == 1:
+        return _run_here(engine, kind, items, method)
+    return run_process_batch(engine, items, parallelism, method)
 
 
 def _run_here(engine: "Engine", kind: str, items: list, method: str) -> list:
@@ -189,49 +206,34 @@ atexit.register(shutdown_pools)
 
 # -- the process batch --------------------------------------------------
 #
-# Jobs travel as fingerprint references (the parent's read keys) next
-# to a pickled table of the distinct bags their chunk references.
-# Job shapes: "consistent"/"witness" -> (left_fp, right_fp);
-#             "global"               -> (fps...).
-
-
-def _job_key(kind: str, frozen, method: str) -> tuple:
-    """The store key a local replay of this job will probe — the
-    pre-filter that keeps already-answered jobs off the wire."""
-    if kind == "consistent":
-        return consistent_key(*frozen)
-    if kind == "witness":
-        return witness_key(*frozen)
-    return global_key(frozen, method)
+# Jobs travel as fingerprint references (the parent's read keys, one
+# tuple per collection) next to a pickled table of the distinct bags
+# their chunk references.
 
 
 def _worker_run(
-    kind: str,
     jobs: list,
     table: dict,
     node_budget: int | None,
     method: str,
     trace_id: str | None = None,
 ):
-    """Top-level (picklable) worker body: run the fingerprint-ref jobs
-    over the bag table through a private engine, and return the
-    engine's verdict deltas and the worker's span deltas (``trace_id``
-    rides in with the payload; spans ride back and merge like
-    verdicts)."""
+    """Top-level (picklable) worker body: run the fingerprint-ref
+    global checks over the bag table through a private engine, and
+    return the engine's verdict deltas and the worker's span deltas
+    (``trace_id`` rides in with the payload; spans ride back and merge
+    like verdicts)."""
     from .session import Engine
 
     with obs_trace.worker_trace(trace_id) as worker_span_sink:
         engine = Engine(node_budget=node_budget)
         start = time.perf_counter()
-        if kind == "global":
-            items = [[table[fp] for fp in fps] for fps in jobs]
-        else:
-            items = [(table[lfp], table[rfp]) for lfp, rfp in jobs]
-        _run_here(engine, kind, items, method)
+        for fps in jobs:
+            engine.global_check([table[fp] for fp in fps], method=method)
         if worker_span_sink is not None:
             worker_span_sink.add_span(
                 "worker.chunk", start, time.perf_counter() - start,
-                kind=kind, jobs=len(jobs),
+                jobs=len(jobs),
             )
     spans = (
         worker_span_sink.export_spans()
@@ -242,39 +244,33 @@ def _worker_run(
 
 def run_process_batch(
     engine: "Engine",
-    kind: str,
-    items: list,
+    collections: list,
     workers: int,
     method: str = "auto",
 ) -> list:
-    """Fan a batch's cache misses over the ``workers``-worker pool,
-    merge their verdict deltas into ``engine``'s store, then replay the
-    whole batch locally (hits all the way down, preserving order,
-    ``None`` refusals, and exception behaviour; chunks lost to a dead
-    worker are computed here)."""
+    """Fan a global batch's search misses over the ``workers``-worker
+    pool, merge their verdict deltas into ``engine``'s store, then
+    replay the whole batch locally: the shipped misses are hits, and
+    every other miss (a Theorem 6 fold, or a chunk lost to a dead
+    worker) is computed here, preserving order and exception
+    behaviour."""
     from concurrent.futures.process import BrokenProcessPool
 
     from . import fingerprint
 
     bags_by_fp: "dict[int, Bag]" = {}
-
-    def note(bag: "Bag") -> int:
-        fp = fingerprint.read_key(bag)
-        bags_by_fp.setdefault(fp, bag)
-        return fp
-
-    if kind == "global":
-        frozen = [tuple(note(bag) for bag in item) for item in items]
-    else:
-        frozen = [(note(left), note(right)) for left, right in items]
     missing: list = []
     seen_keys: set[tuple] = set()
-    for entry in frozen:
-        key = _job_key(kind, entry, method)
+    for collection in collections:
+        fps = tuple(map(fingerprint.read_key, collection))
+        key = global_key(fps, method)
         if key in seen_keys or engine.store.contains(key):
             continue  # answered already, or a duplicate: ship it once
         seen_keys.add(key)
-        missing.append(entry)
+        if takes_search(collection, method):  # type: ignore[arg-type]
+            missing.append(fps)
+            for fp, bag in zip(fps, collection):
+                bags_by_fp.setdefault(fp, bag)
     if missing:
         trace = obs_trace.current()
         trace_id = trace.trace_id if trace is not None else None
@@ -283,8 +279,8 @@ def run_process_batch(
         payloads = []
         for chunk in (missing[i::n_chunks] for i in range(n_chunks)):
             table = {}
-            for entry in chunk:
-                for fp in entry:
+            for fps in chunk:
+                for fp in fps:
                     table[fp] = bags_by_fp[fp]
             payloads.append((chunk, table))
         pool = _pool(workers)
@@ -292,8 +288,8 @@ def run_process_batch(
         try:
             for chunk, table in payloads:
                 futures.append(pool.submit(
-                    _worker_run, kind, chunk, table, engine.node_budget,
-                    method, trace_id,
+                    _worker_run, chunk, table, engine.node_budget, method,
+                    trace_id,
                 ))
         except RuntimeError:
             # broken (a worker died since the last batch) or shut down
@@ -313,12 +309,13 @@ def run_process_batch(
         if trace is not None:
             trace.add_span(
                 "executor.process_batch", batch_start, elapsed,
-                kind=kind, misses=len(missing), workers=n_chunks,
+                misses=len(missing), workers=n_chunks,
             )
         # A persistent store makes merged worker deltas durable at the
         # batch boundary (no-op 0 for the in-memory store): a daemon
         # killed right after a process batch keeps those verdicts.
         engine.flush()
-    # Replay locally: merged misses are hits; anything left (a dead
-    # worker's chunk, or a racing invalidation) is computed here.
-    return _run_here(engine, kind, items, method)
+    # Replay locally: merged misses are hits; anything left (an acyclic
+    # miss, a dead worker's chunk, or a racing invalidation) is
+    # computed here.
+    return _run_here(engine, "global", collections, method)

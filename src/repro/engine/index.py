@@ -15,6 +15,9 @@ Invariants:
 * an index lives as long as some bag holds it, and an instance has at
   most one index (:meth:`BagIndex.of` is the only constructor call
   site);
+* an index holds its instance's schema and table, never the instance,
+  so the two form no reference cycle and reference counting frees
+  both;
 * everything cached here is a pure function of the instance's content —
   marginals, buckets, key sets, the canonical row order, the wire
   export — never of the order its rows arrived in;
@@ -272,17 +275,23 @@ class BagIndex:
 class RelationIndex:
     """Lazy, memoized access structures for one immutable
     :class:`Relation` — the set-semantics sibling of :class:`BagIndex`,
-    shared by the full-reducer and Yannakakis passes."""
+    shared by the full-reducer and Yannakakis passes.  Like
+    :class:`BagIndex` it holds the relation's schema and rows, never the
+    relation, so the two form no reference cycle."""
 
     __slots__ = (
-        "_relation",
+        "_schema",
+        "_rows",
+        "_relation_type",
         "_projections",
         "_buckets",
         "_key_sets",
     )
 
     def __init__(self, relation: "Relation") -> None:
-        self._relation = relation
+        self._schema = relation._schema
+        self._rows = relation._rows
+        self._relation_type = type(relation)
         self._projections: dict[tuple, "Relation"] = {}
         self._buckets: dict[tuple, dict] = {}
         self._key_sets: dict[tuple, frozenset] = {}
@@ -298,14 +307,13 @@ class RelationIndex:
         return index
 
     def project(self, target: Schema) -> "Relation":
-        """The cached projection R[Z]; ``R[X] is R``."""
-        relation = self._relation
-        if target == relation._schema:
-            return relation
+        """The cached projection R[Z] onto a schema other than the
+        relation's own (:meth:`Relation.project` answers ``R[X] is
+        R``)."""
         key = target.attrs
         cached = self._projections.get(key)
         if cached is None:
-            cached = type(relation)._from_clean(
+            cached = self._relation_type._from_clean(
                 target, frozenset(self.key_set(target))
             )
             self._projections[key] = cached
@@ -315,8 +323,8 @@ class RelationIndex:
         key = target.attrs
         cached = self._buckets.get(key)
         if cached is None:
-            plan = projection_plan(self._relation._schema.attrs, key)
-            cached = kernels.group_rows(self._relation._rows, plan)
+            plan = projection_plan(self._schema.attrs, key)
+            cached = kernels.group_rows(self._rows, plan)
             self._buckets[key] = cached
         return cached
 
@@ -324,9 +332,7 @@ class RelationIndex:
         key = target.attrs
         cached = self._key_sets.get(key)
         if cached is None:
-            plan = projection_plan(self._relation._schema.attrs, key)
-            cached = frozenset(
-                kernels.project_key_set(self._relation._rows, plan)
-            )
+            plan = projection_plan(self._schema.attrs, key)
+            cached = frozenset(kernels.project_key_set(self._rows, plan))
             self._key_sets[key] = cached
         return cached

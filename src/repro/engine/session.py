@@ -34,10 +34,12 @@ Batched entry points (:meth:`are_consistent_many`,
 :meth:`witness_many`, :meth:`global_check_many`) are the unit of the
 high-throughput workloads in :mod:`repro.workloads.suites`, the
 ``repro batch`` / ``repro serve`` surfaces, and the benchmarks.  Each
-accepts ``parallelism=N`` (:mod:`repro.engine.executors`): ``None`` or
-1 runs a plain loop, and N > 1 ships fingerprinted payloads to an
+accepts ``parallelism=N`` (:mod:`repro.engine.executors`), but only
+the exponential work moves: pair checks, witnesses and Theorem 6
+folds always run as a plain loop in the calling thread, and at N > 1
+:meth:`global_check_many` ships its Theorem 4 search misses to an
 N-worker process pool whose verdict deltas merge back into the shared
-store — what scales the CPU-bound global checks past the GIL.
+store — what scales the CPU-bound cyclic checks past the GIL.
 
 The memoization contract: plain :class:`repro.core.bags.Bag` objects
 are immutable and entries are pure functions of their fingerprints, so
@@ -322,6 +324,11 @@ class Engine:
     unbounded).  ``store`` shares an existing :class:`VerdictStore`
     between engines (``capacity`` must then be left unset — the store
     already owns the bound).
+
+    Every query runs in the calling thread, except the Theorem 4
+    search misses of a :meth:`global_check_many` batch at
+    ``parallelism`` above 1, which run on the process pool
+    (:mod:`repro.engine.executors`).
     """
 
     def __init__(
@@ -539,7 +546,9 @@ class Engine:
         pairs: Iterable[tuple[Bag, Bag]],
         parallelism: int | None = None,
     ) -> list[bool]:
-        """Lemma 2(2) over a batch of pairs; one verdict per pair."""
+        """Lemma 2(2) over a batch of pairs; one verdict per pair.
+        Runs in the calling thread whatever ``parallelism`` says (it is
+        still validated): a pair check costs less than shipping it."""
         from .executors import run_batch
 
         return run_batch(self, "consistent", list(pairs), parallelism)
@@ -551,7 +560,8 @@ class Engine:
     ) -> list[Bag | None]:
         """Witnesses for a batch of pairs: a witness bag per consistent
         pair, ``None`` per inconsistent one (a batch must not abort on
-        the first inconsistent entry)."""
+        the first inconsistent entry).  Runs in the calling thread
+        whatever ``parallelism`` says, like :meth:`are_consistent_many`."""
         from .executors import run_batch
 
         return run_batch(self, "witness", list(pairs), parallelism)
@@ -565,8 +575,12 @@ class Engine:
         """GCPB over a batch of collections, sharing the pairwise store
         (ledger audits re-use the same reference bags across many
         collections).  ``parallelism > 1`` is the CPU-bound scaling
-        path: misses fan out over worker processes and their verdict
-        deltas merge back before a local (all-hit) replay."""
+        path for the exponential part only: misses that take the
+        Theorem 4 search (``method="search"``, or ``"auto"`` over a
+        cyclic schema) fan out over worker processes and their verdict
+        deltas merge back; the local replay then answers those from the
+        store and folds the acyclic misses (Theorem 6) in this
+        thread."""
         from .executors import run_batch
 
         collections = [list(collection) for collection in collections]

@@ -384,8 +384,10 @@ class ReproServer:
             # Admission control: overlapping connections run batches
             # concurrently up to max_inflight; beyond that, callers wait
             # briefly and are then refused with a one-line error rather
-            # than queueing without bound (each batch already fans out
-            # over worker processes when parallelism > 1).
+            # than queueing without bound.  A batch holds its slot for
+            # its whole run: pair checks, witnesses and acyclic folds
+            # compute in this handler thread, and only Theorem 4 search
+            # misses fan out over worker processes (parallelism > 1).
             if not self._admission.acquire(timeout=self.admission_timeout):
                 self._refusals.inc()
                 self._errors.inc()

@@ -256,9 +256,11 @@ def run_suites(
     This is the batched-serving entry point for workload replay: all
     specs share the engine's marginal/pairwise caches, so sweeping a
     suite across seeds or re-running a spec costs one decision, not
-    many.  ``parallelism`` > 1 fans the decisions over that many worker
-    processes (:mod:`repro.engine.executors`; for CPU-bound sweeps) and
-    ``None`` or 1 runs them in a plain loop.  The engine keeps its
+    many.  ``parallelism`` > 1 fans the decisions that take the Theorem
+    4 search over that many worker processes
+    (:mod:`repro.engine.executors`; for CPU-bound sweeps of cyclic
+    suites) and runs the rest in this thread; ``None`` or 1 runs them
+    all in a plain loop.  The engine keeps its
     recent specs built (:meth:`Engine.instance`), so a duplicate or
     replayed spec rebuilds nothing and shares one cache entry.
     ``ok`` records agreement with the suite's expected answer (always

@@ -1,6 +1,8 @@
-"""Batch execution: the plain loop and the process pool agree, the
-CLI's ``--backend`` shorthand, and the process merge-back path."""
+"""Batch execution: the plain loop and the process pool agree, only
+Theorem 4 search misses ship, the CLI's ``--backend`` shorthand, and
+the process merge-back path."""
 
+import multiprocessing
 import os
 import random
 
@@ -10,8 +12,14 @@ from repro.cli import _batch_parallelism, build_parser
 from repro.core.schema import Schema
 from repro.engine import executors, fingerprint
 from repro.engine.session import Engine
+from repro.hypergraphs.families import path_hypergraph, triangle_hypergraph
 from repro.server import ReproServer
-from repro.workloads.generators import inconsistent_pair, planted_pair
+from repro.workloads.generators import (
+    inconsistent_pair,
+    perturb_bag,
+    planted_pair,
+    random_collection_over,
+)
 
 AB = Schema(["A", "B"])
 BC = Schema(["B", "C"])
@@ -27,6 +35,61 @@ def pairs_workload(n=5):
     return out
 
 
+def triangles_workload(n=4, seed=0):
+    """``n`` small planted triangles (cyclic: each takes the Theorem 4
+    search) plus one perturbed, pairwise-inconsistent triangle."""
+    rng = random.Random(500 + seed)
+    out = [
+        random_collection_over(
+            triangle_hypergraph(), rng, domain_size=3, n_tuples=6
+        )
+        for _ in range(n + 1)
+    ]
+    out[-1][0] = perturb_bag(out[-1][0], rng)
+    return out
+
+
+def paths_workload(n=4, seed=0):
+    """``n`` planted paths of three bags: acyclic, so Theorem 6 folds
+    them."""
+    rng = random.Random(900 + seed)
+    return [
+        random_collection_over(path_hypergraph(4), rng, n_tuples=8)
+        for _ in range(n)
+    ]
+
+
+def verdicts(results):
+    return [result.consistent for result in results]
+
+
+@pytest.fixture
+def shipped(monkeypatch):
+    """Every job the process batches submit, chunk by chunk, with
+    the pool reaped before and after the test."""
+    executors.shutdown_pools()
+    chunks = []
+    real_pool = executors._pool
+
+    class Spy:
+        def __init__(self, pool):
+            self.pool = pool
+
+        def submit(self, fn, chunk, *rest):
+            chunks.append(list(chunk))
+            return self.pool.submit(fn, chunk, *rest)
+
+    monkeypatch.setattr(
+        executors, "_pool", lambda workers: Spy(real_pool(workers))
+    )
+    yield chunks
+    executors.shutdown_pools()
+
+
+def fps_of(collection):
+    return tuple(map(fingerprint.of_bag, collection))
+
+
 def cli_parallelism(*argv):
     return _batch_parallelism(
         build_parser().parse_args(["batch", "jobs.json", *argv])
@@ -36,23 +99,26 @@ def cli_parallelism(*argv):
 class TestResolution:
     def test_legacy_contract(self, monkeypatch):
         """``parallelism`` alone picks: ``None`` or 1 runs the plain
-        loop, N > 1 the N-worker pool (``run_process_batch`` is looked
-        up at call time, so wrapping it sees every process batch)."""
+        loop, N > 1 the N-worker pool for a global batch
+        (``run_process_batch`` is looked up at call time, so wrapping it
+        sees every process batch)."""
         calls = []
 
-        def recording(engine, kind, items, workers, method="auto"):
-            calls.append((kind, workers))
+        def recording(engine, collections, workers, method="auto"):
+            calls.append((len(collections), workers, method))
             return []
 
         monkeypatch.setattr(executors, "run_process_batch", recording)
-        workload = pairs_workload(1)
-        assert Engine().are_consistent_many(workload) == [True, False]
-        assert Engine().are_consistent_many(workload, parallelism=1) == [
+        workload = triangles_workload(1)
+        assert verdicts(Engine().global_check_many(workload)) == [
             True, False,
         ]
+        assert verdicts(
+            Engine().global_check_many(workload, parallelism=1)
+        ) == [True, False]
         assert calls == []
-        Engine().witness_many(workload, parallelism=3)
-        assert calls == [("witness", 3)]
+        Engine().global_check_many(workload, method="search", parallelism=3)
+        assert calls == [(2, 3, "search")]
 
     def test_explicit_backends(self):
         """``--backend`` stands for a parallelism: serial pins 1,
@@ -77,8 +143,15 @@ class TestResolution:
             ReproServer(backend="process")
 
     def test_bad_parallelism_rejected(self):
-        with pytest.raises(ValueError, match="parallelism"):
-            Engine().global_check_many([], parallelism=-1)
+        # refused by every batch, also by those that never ship
+        engine = Engine()
+        for batch in (
+            engine.are_consistent_many,
+            engine.witness_many,
+            engine.global_check_many,
+        ):
+            with pytest.raises(ValueError, match="parallelism"):
+                batch([], parallelism=-1)
 
     def test_backends_tuple_is_the_cli_contract(self):
         """``batch`` and ``serve`` keep the two choices scripts pass."""
@@ -128,58 +201,124 @@ class TestBackendParity:
 
 class TestProcessMerge:
     def test_worker_deltas_land_in_the_parent_store(self):
-        workload = pairs_workload(4)
+        workload = triangles_workload(4)
         engine = Engine()
-        engine.are_consistent_many(workload, parallelism=2)
+        engine.global_check_many(workload, parallelism=2)
         assert engine.store.merged >= len(workload)
         # the replay after the merge must be pure hits
         before = engine.store.hits
-        engine.are_consistent_many(workload)
+        engine.global_check_many(workload)
         assert engine.store.hits >= before + len(workload)
 
-    def test_cached_jobs_are_not_reshipped(self):
-        workload = pairs_workload(3)
+    def test_cached_jobs_are_not_reshipped(self, shipped):
+        workload = triangles_workload(3)
         engine = Engine()
-        engine.are_consistent_many(workload)  # warm locally
+        engine.global_check_many(workload)  # warm locally
         merged_before = engine.store.merged
-        engine.are_consistent_many(workload, parallelism=2)
+        engine.global_check_many(workload, parallelism=2)
         assert engine.store.merged == merged_before  # nothing shipped
+        assert shipped == []
 
-    def test_duplicate_jobs_shipped_once(self):
-        pair = pairs_workload(1)[0]
+    def test_duplicate_jobs_shipped_once(self, shipped):
+        collection = triangles_workload(1)[0]
         engine = Engine()
-        verdicts = engine.are_consistent_many(
-            [pair] * 6, parallelism=2
-        )
-        assert verdicts == [True] * 6
-        assert len(engine) == 1
+        results = engine.global_check_many([collection] * 6, parallelism=2)
+        assert verdicts(results) == [True] * 6
+        assert shipped == [[fps_of(collection)]]
 
-    def test_global_results_survive_the_pickle_round_trip(self):
+    def test_global_results_survive_the_pickle_round_trip(self, shipped):
         from repro.consistency.witness import is_witness
 
-        _, r, s = planted_pair(AB, BC, random.Random(7), n_tuples=5)
+        collection = triangles_workload(1)[0]
         engine = Engine()
-        (result,) = engine.global_check_many(
-            [[r, s]], parallelism=2
-        )
-        assert result.consistent
+        (result,) = engine.global_check_many([collection], parallelism=2)
+        assert shipped == [[fps_of(collection)]]
+        assert result.consistent and result.method == "search"
         assert result.witness is not None
-        assert is_witness([r, s], result.witness)
+        assert is_witness(collection, result.witness)
 
-    @pytest.mark.parametrize("kind", ["consistent", "witness", "global"])
-    def test_prefilter_probes_the_keys_a_local_replay_fills(self, kind):
+    @pytest.mark.parametrize("method", ["auto", "search"])
+    def test_prefilter_probes_the_keys_a_local_replay_fills(
+        self, method, shipped
+    ):
         """The pre-filter keeps a job off the wire only if its key is the
         one the session stores the answer under."""
-        r, s = pairs_workload(1)[0]
+        collection = triangles_workload(1)[0]
         engine = Engine()
-        if kind == "consistent":
-            engine.are_consistent(s, r)  # either orientation answers it
-        elif kind == "witness":
-            engine.witness(r, s)
-        else:
-            engine.global_check([r, s])
-        fps = (fingerprint.of_bag(r), fingerprint.of_bag(s))
-        jobs = [fps, fps[::-1]] if kind == "consistent" else [fps]
-        for frozen in jobs:
-            key = executors._job_key(kind, frozen, "auto")
-            assert engine.store.contains(key)
+        engine.global_check(collection, method=method)
+        engine.global_check_many([collection], method=method, parallelism=2)
+        assert shipped == []
+
+
+class TestDispatch:
+    """Only the exponential part ships: at ``parallelism=2`` pair
+    checks, witnesses and Theorem 6 folds run in the calling thread;
+    collections that take the Theorem 4 search go to the pool."""
+
+    def test_pair_witness_and_acyclic_batches_start_no_worker(self, shipped):
+        pairs = pairs_workload(4)
+        paths = paths_workload(4)
+        serial = Engine()
+        expected = (
+            serial.are_consistent_many(pairs),
+            serial.witness_many(pairs),
+            serial.global_check_many(paths),
+        )
+        engine = Engine()
+        got = (
+            engine.are_consistent_many(pairs, parallelism=2),
+            engine.witness_many(pairs, parallelism=2),
+            engine.global_check_many(paths, parallelism=2),
+        )
+        assert got == expected
+        assert {result.method for result in got[2]} == {"acyclic"}
+        assert got[1][-1] is None  # the inconsistent pair
+        assert shipped == []
+        assert multiprocessing.active_children() == []
+        assert engine.store.merged == 0
+
+    def test_method_acyclic_starts_no_worker(self, shipped):
+        paths = paths_workload(3, seed=2)
+        got = Engine().global_check_many(
+            paths, method="acyclic", parallelism=2
+        )
+        assert got == Engine().global_check_many(paths, method="acyclic")
+        assert shipped == []
+        assert multiprocessing.active_children() == []
+
+    def test_a_cyclic_batch_ships(self, shipped):
+        triangles = triangles_workload(3, seed=3)
+        got = Engine().global_check_many(triangles, parallelism=2)
+        assert got == Engine().global_check_many(triangles)
+        assert sorted(fps for chunk in shipped for fps in chunk) == sorted(
+            map(fps_of, triangles)
+        )
+        assert len(multiprocessing.active_children()) == 2
+
+    def test_search_over_an_acyclic_schema_ships(self, shipped):
+        paths = paths_workload(3, seed=4)
+        got = Engine().global_check_many(
+            paths, method="search", parallelism=2
+        )
+        assert got == Engine().global_check_many(paths, method="search")
+        assert {result.method for result in got} == {"search"}
+        assert sorted(fps for chunk in shipped for fps in chunk) == sorted(
+            map(fps_of, paths)
+        )
+
+    def test_a_mixed_batch_ships_only_its_search_misses(self, shipped):
+        triangles = triangles_workload(2, seed=5)
+        paths = paths_workload(3, seed=5)
+        mixed = [
+            paths[0], triangles[0], paths[1], triangles[1], paths[2],
+            triangles[2],
+        ]
+        engine = Engine()
+        got = engine.global_check_many(mixed, parallelism=2)
+        assert got == Engine().global_check_many(mixed)
+        assert [result.method for result in got] == [
+            "acyclic", "search", "acyclic", "search", "acyclic", "pairwise",
+        ]
+        assert sorted(fps for chunk in shipped for fps in chunk) == sorted(
+            map(fps_of, triangles)
+        )

@@ -1,6 +1,7 @@
 """The persistent process pool: lifecycle, the single pickle
 transport, and recovery from killed workers (in-process and through
-the serve socket)."""
+the serve socket).  Only Theorem 4 search misses reach the pool, so
+every batch here is a batch of small cyclic (triangle) collections."""
 
 import json
 import multiprocessing
@@ -18,19 +19,17 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.core.schema import Schema
 from repro.engine import executors
 from repro.engine.session import Engine
+from repro.hypergraphs.families import triangle_hypergraph
 from repro.io import bag_to_dict
 from repro.server import ReproServer, ServeClient
 from repro.workloads.generators import (
-    inconsistent_pair,
-    planted_pair,
+    perturb_bag,
+    random_collection_over,
     wide_planted_pair,
 )
 
-AB = Schema(["A", "B"])
-BC = Schema(["B", "C"])
 SRC = Path(__file__).resolve().parents[2] / "src"
 WORKERS = 2
 
@@ -40,29 +39,53 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def fresh_pairs(seed: int, n: int = 4) -> list:
-    """``n`` consistent pairs plus one inconsistent pair, all distinct
-    from every other seed's, so each batch ships real misses."""
+def triangle(rng: random.Random) -> list:
+    """A small planted triangle: consistent, on a cyclic schema, so its
+    check takes the Theorem 4 search and ships."""
+    return random_collection_over(
+        triangle_hypergraph(), rng, domain_size=3, n_tuples=6
+    )
+
+
+def fresh_collections(seed: int, n: int = 4) -> list:
+    """``n`` planted triangles plus one perturbed (inconsistent) one,
+    all distinct from every other seed's, so each batch ships real
+    misses."""
     rng = random.Random(7_000 + seed)
-    pairs = [planted_pair(AB, BC, rng, n_tuples=6)[1:] for _ in range(n)]
-    pairs.append(inconsistent_pair(AB, BC, rng))
-    return pairs
+    collections = [triangle(rng) for _ in range(n)]
+    broken = triangle(rng)
+    broken[0] = perturb_bag(broken[0], rng)
+    collections.append(broken)
+    return collections
 
 
-def serial_verdicts(pairs: list) -> list:
-    return Engine().are_consistent_many(pairs)
+def serial_results(collections: list) -> list:
+    return Engine().global_check_many(collections)
 
 
-def process_batch(engine: Engine, pairs: list) -> list:
-    return engine.are_consistent_many(pairs, parallelism=WORKERS)
+def serial_verdicts(collections: list) -> list:
+    return [result.consistent for result in serial_results(collections)]
 
 
-def jobs_payload(pairs: list) -> dict:
-    return {"pairs": [[bag_to_dict(r), bag_to_dict(s)] for r, s in pairs]}
+def process_batch(engine: Engine, collections: list, **kwargs) -> list:
+    return engine.global_check_many(
+        collections, parallelism=WORKERS, **kwargs
+    )
+
+
+def jobs_payload(collections: list) -> dict:
+    return {
+        "collections": [
+            {"bags": [bag_to_dict(bag) for bag in collection]}
+            for collection in collections
+        ]
+    }
 
 
 def verdicts_of(response: dict) -> list:
-    return [entry["consistent"] for entry in response["report"]["pairs"]]
+    return [
+        entry["consistent"] for entry in response["report"]["collections"]
+    ]
 
 
 def socket_ready(path: str) -> bool:
@@ -151,9 +174,11 @@ class TestPoolLifecycle:
         engine = Engine()
         shipped = 0
         for seed in range(10):
-            pairs = fresh_pairs(seed)
-            assert process_batch(engine, pairs) == serial_verdicts(pairs)
-            shipped += len(pairs)
+            collections = fresh_collections(seed)
+            assert process_batch(engine, collections) == (
+                serial_results(collections)
+            )
+            shipped += len(collections)
         assert len(process_starts) == WORKERS
         # every batch really ran on the workers
         assert engine.store.merged >= shipped
@@ -163,9 +188,11 @@ class TestPoolLifecycle:
     ):
         """No backend is named: ``parallelism=2`` forks exactly two
         workers."""
-        pairs = fresh_pairs(50)
-        verdicts = Engine().are_consistent_many(pairs, parallelism=WORKERS)
-        assert verdicts == serial_verdicts(pairs)
+        collections = fresh_collections(50)
+        results = Engine().global_check_many(
+            collections, parallelism=WORKERS
+        )
+        assert results == serial_results(collections)
         assert len(process_starts) == WORKERS
 
     def test_serial_flag_starts_no_worker(
@@ -173,9 +200,9 @@ class TestPoolLifecycle:
     ):
         """``--backend serial`` runs in-process whatever
         ``--parallelism`` says."""
-        pairs = fresh_pairs(60)
+        collections = fresh_collections(60)
         jobs = tmp_path / "jobs.json"
-        jobs.write_text(json.dumps(jobs_payload(pairs)))
+        jobs.write_text(json.dumps(jobs_payload(collections)))
         out = tmp_path / "report.json"
         assert main([
             "batch", str(jobs), "--backend", "serial", "--parallelism", "4",
@@ -183,7 +210,7 @@ class TestPoolLifecycle:
         ]) == 0
         assert process_starts == []
         assert verdicts_of({"report": json.loads(out.read_text())}) == (
-            serial_verdicts(pairs)
+            serial_verdicts(collections)
         )
 
     def test_concurrent_batches_share_one_pool(
@@ -196,9 +223,10 @@ class TestPoolLifecycle:
             engine = Engine()
             barrier.wait()
             for i in range(4):
-                pairs = fresh_pairs(100 + 10 * tid + i)
+                collections = fresh_collections(100 + 10 * tid + i)
                 outcomes.append(
-                    process_batch(engine, pairs) == serial_verdicts(pairs)
+                    process_batch(engine, collections)
+                    == serial_results(collections)
                 )
 
         threads = [
@@ -223,7 +251,9 @@ class TestPoolLifecycle:
         server.serve_in_background()
         try:
             with ServeClient(address) as client:
-                response = client.request(jobs_payload(fresh_pairs(200)))
+                response = client.request(
+                    jobs_payload(fresh_collections(200))
+                )
                 assert response["ok"], response
             assert len(multiprocessing.active_children()) == WORKERS
         finally:
@@ -246,8 +276,11 @@ class TestPoolLifecycle:
         try:
             wait_until(lambda: socket_ready(path) or proc.poll() is not None)
             with ServeClient(path) as client:
-                response = client.request(jobs_payload(fresh_pairs(300)))
+                response = client.request(
+                    jobs_payload(fresh_collections(300))
+                )
                 assert response["ok"], response
+                assert client.request({"op": "stats"})["store"]["merged"] > 0
                 assert client.request({"op": "shutdown"})["ok"]
             out, err = proc.communicate(timeout=30)
         finally:
@@ -262,18 +295,22 @@ class TestPoolLifecycle:
 
 class TestPickleTransport:
     def test_wide_round_trip_matches_serial(self, fresh_pool):
+        # wide pairs ship only under the search: method="search"
         pairs = []
         for seed in range(3):
             _, r, s = wide_planted_pair(random.Random(900 + seed), n_rows=64)
-            pairs.append((r, s))
-        pairs.append((pairs[0][0], pairs[1][1]))  # cross pair: False
-        verdicts = process_batch(Engine(), pairs)
-        assert verdicts == serial_verdicts(pairs) == [True, True, True, False]
+            pairs.append([r, s])
+        pairs.append([pairs[0][0], pairs[1][1]])  # cross pair: False
+        results = process_batch(Engine(), pairs, method="search")
+        assert results == Engine().global_check_many(pairs, method="search")
+        assert [result.consistent for result in results] == [
+            True, True, True, False,
+        ]
 
     def test_shared_bag_ships_once_per_chunk(self, monkeypatch, fresh_pool):
         rng = random.Random(950)
-        shared = planted_pair(AB, BC, rng, n_tuples=6)[1]
-        partners = [planted_pair(AB, BC, rng, n_tuples=6)[2] for _ in range(4)]
+        shared = triangle(rng)[0]
+        collections = [[shared, *triangle(rng)[1:]] for _ in range(4)]
         shipped = []
         real_pool = executors._pool
 
@@ -281,46 +318,56 @@ class TestPickleTransport:
             def __init__(self, pool):
                 self.pool = pool
 
-            def submit(self, fn, kind, chunk, table, *rest):
+            def submit(self, fn, chunk, table, *rest):
                 shipped.append(len(table))
-                return self.pool.submit(fn, kind, chunk, table, *rest)
+                return self.pool.submit(fn, chunk, table, *rest)
 
         monkeypatch.setattr(
             executors, "_pool", lambda workers: Spy(real_pool(workers))
         )
-        pairs = [(shared, partner) for partner in partners]
-        assert process_batch(Engine(), pairs) == serial_verdicts(pairs)
-        # two chunks of two pairs: the shared bag plus two partners each
-        assert shipped == [3, 3]
+        assert process_batch(Engine(), collections) == (
+            serial_results(collections)
+        )
+        # two chunks of two triangles: the shared bag plus two other
+        # bags per triangle
+        assert shipped == [5, 5]
 
 
 class TestKilledWorker:
     def test_kill_between_batches(self, fresh_pool):
         engine = Engine()
-        pairs = fresh_pairs(400)
-        assert process_batch(engine, pairs) == serial_verdicts(pairs)
+        collections = fresh_collections(400)
+        assert process_batch(engine, collections) == (
+            serial_results(collections)
+        )
         kill_idle_worker()
         merged = engine.store.merged
-        pairs = fresh_pairs(401)
-        assert process_batch(engine, pairs) == serial_verdicts(pairs)
+        collections = fresh_collections(401)
+        assert process_batch(engine, collections) == (
+            serial_results(collections)
+        )
         assert engine.store.merged == merged  # replayed locally
         # the next batch builds a fresh pool and ships again
-        pairs = fresh_pairs(402)
-        assert process_batch(engine, pairs) == serial_verdicts(pairs)
+        collections = fresh_collections(402)
+        assert process_batch(engine, collections) == (
+            serial_results(collections)
+        )
         assert engine.store.merged > merged
         assert len(multiprocessing.active_children()) == WORKERS
 
     def test_kill_mid_batch(self, stalled_workers):
-        pairs = fresh_pairs(500)
+        collections = fresh_collections(500)
         results = []
         batch = threading.Thread(
-            target=lambda: results.append(process_batch(Engine(), pairs))
+            target=lambda: results.append(
+                process_batch(Engine(), collections)
+            )
         )
         batch.start()
         stalled_workers()
         batch.join(timeout=30)
         assert not batch.is_alive()
-        assert results == [serial_verdicts(pairs)]
+        assert results == [serial_results(collections)]
 
     def test_kill_between_batches_over_the_socket(self, fresh_pool):
         server = ReproServer(parallelism=WORKERS)
@@ -329,10 +376,12 @@ class TestKilledWorker:
         try:
             with ServeClient(address) as client:
                 for seed in (600, 601):
-                    pairs = fresh_pairs(seed)
-                    response = client.request(jobs_payload(pairs))
+                    collections = fresh_collections(seed)
+                    response = client.request(jobs_payload(collections))
                     assert response["ok"], response
-                    assert verdicts_of(response) == serial_verdicts(pairs)
+                    assert verdicts_of(response) == (
+                        serial_verdicts(collections)
+                    )
                     if seed == 600:
                         kill_idle_worker()
         finally:
@@ -342,13 +391,13 @@ class TestKilledWorker:
         server = ReproServer(parallelism=WORKERS)
         address = server.bind_tcp()
         server.serve_in_background()
-        pairs = fresh_pairs(700)
+        collections = fresh_collections(700)
         responses = []
         try:
             with ServeClient(address) as client:
                 request = threading.Thread(
                     target=lambda: responses.append(
-                        client.request(jobs_payload(pairs))
+                        client.request(jobs_payload(collections))
                     )
                 )
                 request.start()
@@ -357,10 +406,9 @@ class TestKilledWorker:
                 assert not request.is_alive()
                 (response,) = responses
                 assert response["ok"], response
-                assert verdicts_of(response) == serial_verdicts(pairs)
+                assert verdicts_of(response) == serial_verdicts(collections)
         finally:
             server.shutdown()
-
 
 
 def child_pids(pid: int) -> list[int]:
@@ -424,7 +472,9 @@ class TestKilledDaemon:
         listener = os.fstat(server._server.socket.fileno()).st_ino
         try:
             with ServeClient(address) as client:
-                response = client.request(jobs_payload(fresh_pairs(800)))
+                response = client.request(
+                    jobs_payload(fresh_collections(800))
+                )
                 assert response["ok"], response
             workers = multiprocessing.active_children()
             assert len(workers) == WORKERS
@@ -454,9 +504,9 @@ class TestKilledDaemon:
                 flags = ["--port", port]
             else:
                 address = path
-            pairs = fresh_pairs(900)
+            collections = fresh_collections(900)
             with ServeClient(address) as client:
-                response = client.request(jobs_payload(pairs))
+                response = client.request(jobs_payload(collections))
                 assert response["ok"], response
             # when the handler thread that forked the workers exits they
             # move to another thread's children list, and a read in
@@ -471,11 +521,11 @@ class TestKilledDaemon:
             # at once on the same address: no orphan may still listen
             restarted, banner = start_daemon(flags)
             assert banner.startswith("serving on"), restarted.stderr.read()
-            pairs = fresh_pairs(901)
+            collections = fresh_collections(901)
             with ServeClient(address) as client:
-                response = client.request(jobs_payload(pairs))
+                response = client.request(jobs_payload(collections))
                 assert response["ok"], response
-                assert verdicts_of(response) == serial_verdicts(pairs)
+                assert verdicts_of(response) == serial_verdicts(collections)
                 assert client.request({"op": "shutdown"})["ok"]
             _, err = restarted.communicate(timeout=30)
             assert restarted.returncode == 0, err

@@ -6,16 +6,39 @@ that crosses connection → engine → process worker → store.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.bags import Bag
 from repro.core.schema import Schema
+from repro.hypergraphs.families import triangle_hypergraph
 from repro.io import bag_to_dict
 from repro.obs import trace as obs_trace
 from repro.server import ReproServer, ServeClient
+from repro.workloads.generators import random_collection_over
 
 AB = Schema(["A", "B"])
 BC = Schema(["B", "C"])
+
+
+def triangle_payload(n_collections: int = 4, seed: int = 0) -> dict:
+    """Small planted triangles: cyclic, so each check takes the Theorem 4
+    search, the one job kind the process pool runs."""
+    rng = random.Random(seed)
+    collections = [
+        random_collection_over(
+            triangle_hypergraph(), rng, domain_size=3, n_tuples=6
+        )
+        for _ in range(n_collections)
+    ]
+    return {
+        "op": "batch",
+        "collections": [
+            {"bags": [bag_to_dict(bag) for bag in collection]}
+            for collection in collections
+        ],
+    }
 
 
 def pair_payload(n_pairs: int = 1, seed: int = 0) -> dict:
@@ -152,7 +175,7 @@ class TestCrossLayerTrace:
         server.serve_in_background()
         try:
             with ServeClient(address) as client:
-                assert client.request(pair_payload(n_pairs=4, seed=1))["ok"]
+                assert client.request(triangle_payload(seed=1))["ok"]
         finally:
             server.shutdown()
 
