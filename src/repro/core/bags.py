@@ -80,10 +80,10 @@ class Bag:
 
     @classmethod
     def _from_clean(cls, schema: Schema, mults: dict[tuple, int]) -> "Bag":
-        """Internal fast path: wrap a kernel-produced table without
-        re-validating rows.  The caller guarantees every row has the
-        schema's arity and every multiplicity is a positive int (kernel
-        outputs are sums/products of validated inputs)."""
+        """Internal fast path: wrap a table without re-validating rows.
+        The caller guarantees every row has the schema's arity and every
+        multiplicity is a positive int (kernel outputs are sums/products
+        of validated inputs; :meth:`from_pairs` validates its own)."""
         bag = object.__new__(cls)
         bag._schema = schema
         bag._mults = mults
@@ -94,18 +94,44 @@ class Bag:
     def from_pairs(
         cls, schema: Schema, pairs: Iterable[tuple[Sequence, int]]
     ) -> "Bag":
-        """Build from ``(row, multiplicity)`` pairs; repeated rows add up.
+        """Build from ``(row, multiplicity)`` pairs; repeated rows add up
+        and rows summing to zero are dropped.
 
-        Each pair's multiplicity is checked before it is added, so a
-        bool or a negative count cannot hide inside a valid-looking sum.
+        One pass reads the input once and builds the table, which is
+        wrapped without a second validation (:meth:`_from_clean`).  Each
+        multiplicity is checked before it is added, so a bool or a
+        negative count cannot hide inside a valid-looking sum.  An input
+        with several faults always names the same one: a malformed entry
+        (``TypeError``/``ValueError`` from unpacking it or its row)
+        before anything else, then the first multiplicity that is not a
+        non-negative ``int`` (:class:`MultiplicityError`) or row that is
+        not hashable (``TypeError``), in input order, then the first row
+        of the wrong arity (:class:`SchemaError`).
         """
-        mults: dict[tuple, int] = {}
+        arity = len(schema)
+        table: dict[tuple, int] = {}
+        fault = misfit = None
         for row, mult in pairs:
             row = tuple(row)
-            if type(mult) is not int or mult < 0:
-                _check_multiplicity(row, mult)
-            mults[row] = mults.get(row, 0) + mult
-        return cls(schema, mults)
+            if fault is None:
+                try:
+                    if type(mult) is not int or mult < 0:
+                        _check_multiplicity(row, mult)
+                    table[row] = table.get(row, 0) + mult
+                except (MultiplicityError, TypeError) as exc:
+                    fault = exc  # raised once every entry is unpacked
+            if len(row) != arity and misfit is None:
+                misfit = row
+        if fault is not None:
+            raise fault
+        if misfit is not None:
+            raise SchemaError(
+                f"row {misfit!r} has arity {len(misfit)}, schema "
+                f"{schema!r} has arity {arity}"
+            )
+        if 0 in table.values():
+            table = {row: mult for row, mult in table.items() if mult}
+        return cls._from_clean(schema, table)
 
     @classmethod
     def from_mappings(

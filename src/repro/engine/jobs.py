@@ -14,10 +14,12 @@ One job payload — the JSON object ``repro batch`` reads from a file and
 :func:`parse_jobs` validates the whole payload up front and raises
 :class:`JobError` — a one-line, structured message (``bad pair entry:
 ...``), never a traceback — so both surfaces can map malformed input to
-exit code 2 / an ``{"ok": false}`` response uniformly.  Value-equal
-bags are interned at parse time; with the content-addressed store this
-is an object-count optimization, not a correctness requirement — the
-store would collapse their entries anyway.
+exit code 2 / an ``{"ok": false}`` response uniformly.  Every bag slot
+decodes to its own :class:`~repro.core.bags.Bag`, so a job keeps exactly
+the values it was sent (``1``, ``true`` and ``1.0`` stay apart, though
+Python finds them equal); once fingerprinted, bags with the same
+content share one index (marginals, buckets, row order) through the
+fingerprint registry (:func:`repro.engine.fingerprint.of_bag`).
 
 :func:`run_jobs` executes a parsed payload against one engine and
 returns the report dict (per-job results + the engine's cache
@@ -73,7 +75,8 @@ def _section(name: str, count: int):
 
 @dataclass
 class BatchJobs:
-    """A validated batch payload, bags decoded and interned."""
+    """A validated batch payload, every bag slot decoded to its own
+    :class:`Bag`."""
 
     pairs: list[tuple[Bag, Bag]] = field(default_factory=list)
     collections: list[list[Bag]] = field(default_factory=list)
@@ -106,15 +109,12 @@ def parse_jobs(payload: object) -> BatchJobs:
     if unknown:
         raise JobError(f"unknown batch job keys: {sorted(unknown)}")
 
-    interned: dict[Bag, Bag] = {}
-
     def load_bag(encoded: object) -> Bag:
         if isinstance(encoded, Bag):
             # wire-decoded frames carry live Bag objects (with their
-            # claimed fingerprints); intern them like dict encodings
-            return interned.setdefault(encoded, encoded)
-        bag = repro_io.bag_from_dict(encoded)  # raises SchemaError
-        return interned.setdefault(bag, bag)
+            # claimed fingerprints)
+            return encoded
+        return repro_io.bag_from_dict(encoded)  # raises SchemaError
 
     jobs = BatchJobs()
     for i, entry in enumerate(payload.get("pairs") or []):

@@ -12,8 +12,9 @@ shipped between tools and checked into repositories:
 * a collection: ``{"bags": [<bag>, ...]}``;
 * a hypergraph: ``{"vertices": [...], "edges": [[...], ...]}``.
 
-Values must be JSON scalars (strings, numbers, booleans, null); tuples
-with other Python values can still be used in memory, they just will not
+Values must be JSON scalars (strings, numbers, booleans, null), and a
+row holding a JSON array or object does not decode; tuples with other
+Python values can still be used in memory, they just will not
 round-trip through JSON.  Multiplicities of arbitrary size are fine —
 JSON integers are unbounded and Python reads them exactly.
 
@@ -59,12 +60,16 @@ def bag_to_dict(bag: Bag) -> dict:
 
 
 def bag_from_dict(data: dict) -> Bag:
+    """The bag a JSON encoding describes, built by
+    :meth:`Bag.from_pairs` straight from its ``tuples`` list.  Every
+    malformed shape — a missing key, an entry that is not a ``[row,
+    multiplicity]`` pair, a row holding an array or object (unhashable)
+    or of the wrong arity — raises :class:`SchemaError`; a bad
+    multiplicity raises :class:`~repro.errors.MultiplicityError`."""
     try:
-        schema = Schema(data["schema"])
-        pairs = [(tuple(row), mult) for row, mult in data["tuples"]]
+        return Bag.from_pairs(Schema(data["schema"]), data["tuples"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed bag encoding: {exc}") from exc
-    return Bag.from_pairs(schema, pairs)
 
 
 def bag_to_json(bag: Bag, indent: int | None = None) -> str:
@@ -86,11 +91,9 @@ def relation_to_dict(relation: Relation) -> dict:
 
 def relation_from_dict(data: dict) -> Relation:
     try:
-        schema = Schema(data["schema"])
-        rows = [tuple(row) for row in data["rows"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        return Relation.from_pairs(Schema(data["schema"]), data["rows"])
+    except (KeyError, TypeError, ValueError) as exc:  # also unhashable rows
         raise SchemaError(f"malformed relation encoding: {exc}") from exc
-    return Relation.from_pairs(schema, rows)
 
 
 def relation_to_json(relation: Relation, indent: int | None = None) -> str:
@@ -109,10 +112,9 @@ def collection_to_dict(bags: list[Bag]) -> dict:
 
 def collection_from_dict(data: dict) -> list[Bag]:
     try:
-        entries = data["bags"]
-    except (KeyError, TypeError) as exc:
+        return [bag_from_dict(entry) for entry in data["bags"]]
+    except (KeyError, TypeError) as exc:  # no "bags" list to read
         raise SchemaError(f"malformed collection encoding: {exc}") from exc
-    return [bag_from_dict(entry) for entry in entries]
 
 
 def collection_to_json(bags: list[Bag], indent: int | None = None) -> str:

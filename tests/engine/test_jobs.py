@@ -33,9 +33,29 @@ class TestParsing:
         assert jobs.pairs[0][0] == R
         assert jobs.suites == [("planted-path", 3, 0)]
 
-    def test_interning_collapses_value_equal_bags(self):
-        jobs = parse_jobs(payload())
-        assert jobs.pairs[0][0] is jobs.collections[0][0]
+    @pytest.mark.parametrize("twin", [True, 1.0], ids=["true", "1.0"])
+    def test_each_job_keeps_its_own_values(self, twin):
+        # 1, true and 1.0 are equal in Python and apart in JSON: the
+        # second pair's witness holds the values its own bag was sent
+        # with, exactly as when that pair is sent alone
+        one = bag_to_dict(Bag.from_pairs(AB, [((1, "x"), 1)]))
+        other = bag_to_dict(Bag.from_pairs(AB, [((twin, "x"), 1)]))
+        side = bag_to_dict(Bag.from_pairs(BC, [(("x", 5), 1)]))
+
+        def witnesses(pairs):
+            report = run_jobs(
+                parse_jobs({"pairs": pairs}), Engine(), witnesses=True
+            )
+            return [json.dumps(entry["witness"]) for entry in report["pairs"]]
+
+        both = witnesses([[one, side], [other, side]])
+        alone = witnesses([[other, side]])
+        assert both[1] == alone[0] == json.dumps({
+            "schema": ["A", "B", "C"], "tuples": [[[twin, "x", 5], 1]],
+        })
+        assert both[0] == json.dumps({
+            "schema": ["A", "B", "C"], "tuples": [[[1, "x", 5], 1]],
+        })
 
     def test_text_entry_point_rejects_invalid_json(self):
         # past the interpreter's 4,300-digit limit json.loads raises a

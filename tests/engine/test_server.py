@@ -127,6 +127,67 @@ class TestSharedEngine:
         assert stats["uptime_seconds"] >= 0.0
 
 
+class TestValuesAtTheBoundary:
+    @pytest.mark.parametrize("wire_format", ["json", "columnar"])
+    @pytest.mark.parametrize("twin", [True, 1.0], ids=["true", "1.0"])
+    def test_python_equal_bags_keep_their_own_values(self, wire_format, twin):
+        """Bags that differ only in ``1`` against ``true`` or ``1.0``
+        are equal in Python; in one request each pair's witness still
+        holds its own values, as when that pair is sent alone."""
+        one = Bag.from_pairs(AB, [((1, "x"), 1)])
+        other = Bag.from_pairs(AB, [((twin, "x"), 1)])
+        side = Bag.from_pairs(BC, [(("x", 5), 1)])
+        answers = []
+        for pairs in ([[one, side], [other, side]], [[other, side]]):
+            server = ReproServer(witnesses=True)
+            address = server.bind_tcp()
+            server.serve_in_background()
+            try:
+                with ServeClient(address, wire_format=wire_format) as client:
+                    response = client.request({"pairs": pairs})
+            finally:
+                server.shutdown()
+            assert response["ok"], response
+            answers.append([
+                json.dumps(entry["witness"])
+                for entry in response["report"]["pairs"]
+            ])
+        both, alone = answers
+        assert both[1] == alone[0] == json.dumps({
+            "schema": ["A", "B", "C"], "tuples": [[[twin, "x", 5], 1]],
+        })
+
+    @pytest.mark.parametrize("value", [[1, 2], {"k": 1}], ids=["array", "object"])
+    def test_frame_with_a_nested_value_gets_an_error_reply(
+        self, tcp_server, value
+    ):
+        """An inline frame bag whose row holds a JSON array or object
+        gets ``{"ok": false}``, and the connection keeps answering."""
+        from repro.engine import wire
+
+        _, address = tcp_server
+        bag = {"schema": ["A", "B"], "tuples": [[[1, value], 1]]}
+        frame = wire.pack_frame({
+            "v": wire.VERSION,
+            "payload": {"pairs": [[{"$bag": 0}, {"$bag": 0}]]},
+            "bags": [{"json": bag}],
+        })
+        with socket.create_connection(address, timeout=10) as raw:
+            rfile = raw.makefile("rb")
+            raw.sendall(frame)
+            header, _ = wire.read_frame(rfile)
+            response = wire.response_from_frame(header)
+            assert response["ok"] is False
+            assert "unhashable" in response["error"], response
+            raw.sendall(wire.pack_frame({
+                "v": wire.VERSION, "payload": pair_jobs(),
+            }))
+            header, _ = wire.read_frame(rfile)
+            assert wire.response_from_frame(header)["ok"]
+            raw.sendall(b'{"op": "ping"}\n')
+            assert json.loads(rfile.readline())["ok"]
+
+
 class TestLifecycle:
     def test_shutdown_op_stops_the_server(self):
         server = ReproServer()

@@ -143,14 +143,15 @@ class TestAuditSchema:
 BAD_FILES = {
     "truncated": b'{"schema": ["A", "B"], "tuples": [[[1, 2], 1',
     "not-utf8": b'{"schema": ["A", "\xff"], "tuples": []}',
+    "bags-not-a-list": b'{"bags": 5}',
 }
 PAIR_COMMANDS = ("check-pair", "witness", "analyze")
 
 
 class TestMalformedInputFiles:
-    """A file that is not UTF-8 JSON exits 2 with one error line naming
-    it, never a traceback (``check-pair``'s exit 1 means
-    "inconsistent")."""
+    """A file that is not UTF-8 JSON, or not the shape its command
+    reads, exits 2 with one error line naming it, never a traceback
+    (``check-pair``'s exit 1 means "inconsistent")."""
 
     @pytest.mark.parametrize("content", BAD_FILES.values(), ids=BAD_FILES)
     @pytest.mark.parametrize("command", [
@@ -166,6 +167,30 @@ class TestMalformedInputFiles:
         assert main([command, *map(str, files)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {bad}: ")
+        assert len(captured.err.splitlines()) == 1
+
+    # JSON arrays and objects decode to unhashable lists and dicts,
+    # which no row may hold
+    @pytest.mark.parametrize(
+        "value", [[1, 2], {"k": 1}], ids=["array", "object"]
+    )
+    @pytest.mark.parametrize("command", [
+        *PAIR_COMMANDS, "show", "global-check", "certificate", "repair",
+    ])
+    def test_nested_value_exits_two_with_one_error_line(
+        self, tmp_path, pair_files, capsys, command, value
+    ):
+        bag = {"schema": ["A", "B"], "tuples": [[[1, value], 1]]}
+        bad = tmp_path / "bad.json"
+        if command in (*PAIR_COMMANDS, "show"):
+            bad.write_text(json.dumps(bag))
+        else:
+            bad.write_text(json.dumps({"bags": [bag]}))
+        files = [pair_files[0], bad] if command in PAIR_COMMANDS else [bad]
+        assert main([command, *map(str, files)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {bad}: ")
+        assert "unhashable" in captured.err
         assert len(captured.err.splitlines()) == 1
 
     # a chmod-000 file stays readable to root, so the unreadable paths

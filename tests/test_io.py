@@ -53,6 +53,9 @@ class TestBagJson:
             bag_from_dict({"schema": ["A"]})
         with pytest.raises(SchemaError):
             bag_from_dict({"schema": ["A"], "tuples": [[1, 2]]})
+        for value in ([1, 2], {"k": 1}):  # unhashable once decoded
+            with pytest.raises(SchemaError, match="unhashable"):
+                bag_from_dict({"schema": ["A"], "tuples": [[[value], 1]]})
 
     @given(bags())
     def test_random_roundtrip(self, bag):
@@ -68,6 +71,13 @@ class TestRelationJson:
     def test_random_roundtrip(self, rel):
         assert relation_from_json(relation_to_json(rel)) == rel
 
+    @pytest.mark.parametrize("rows", [
+        "[[[1, 2]]]", '[[{"k": 1}]]', "[1]", "5",
+    ], ids=["array-value", "object-value", "scalar-row", "not-a-list"])
+    def test_malformed_rejected(self, rows):
+        with pytest.raises(SchemaError, match="malformed relation"):
+            relation_from_json('{"schema": ["A"], "rows": %s}' % rows)
+
 
 class TestCollectionJson:
     def test_roundtrip(self):
@@ -78,8 +88,9 @@ class TestCollectionJson:
         assert collection_from_json(collection_to_json(bags_list)) == bags_list
 
     def test_malformed_rejected(self):
-        with pytest.raises(SchemaError):
-            collection_from_json("{}")
+        for text in ("{}", '{"bags": 5}'):
+            with pytest.raises(SchemaError, match="malformed collection"):
+                collection_from_json(text)
 
 
 class TestHypergraphJson:
