@@ -14,12 +14,15 @@ One job payload — the JSON object ``repro batch`` reads from a file and
 :func:`parse_jobs` validates the whole payload up front and raises
 :class:`JobError` — a one-line, structured message (``bad pair entry:
 ...``), never a traceback — so both surfaces can map malformed input to
-exit code 2 / an ``{"ok": false}`` response uniformly.  Every bag slot
-decodes to its own :class:`~repro.core.bags.Bag`, so a job keeps exactly
-the values it was sent (``1``, ``true`` and ``1.0`` stay apart, though
-Python finds them equal); once fingerprinted, bags with the same
-content share one index (marginals, buckets, row order) through the
-fingerprint registry (:func:`repro.engine.fingerprint.of_bag`).
+exit code 2 / an ``{"ok": false}`` response uniformly.  A job keeps
+exactly the values it was sent (``1``, ``true`` and ``1.0`` stay apart,
+though Python finds them equal).  Without an :class:`IngestMemo` every
+bag slot decodes to its own :class:`~repro.core.bags.Bag`; with one,
+slots whose encodings are identical, in this payload or an earlier one,
+share the bag the memo built and fingerprinted from those exact bytes.
+Once fingerprinted, bags with the same content share one index
+(marginals, buckets, row order) through the fingerprint registry
+(:func:`repro.engine.fingerprint.of_bag`).
 
 :func:`run_jobs` executes a parsed payload against one engine and
 returns the report dict (per-job results + the engine's cache
@@ -29,16 +32,20 @@ statistics + the store's hit-rate/size stats + the wire counters under
 
 from __future__ import annotations
 
+import marshal
+import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .. import io as repro_io
+from ..analysis.registry import shared_state
 from ..core.bags import Bag
 from ..errors import ReproError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from . import wire
+from . import fingerprint, wire
 
 # Per-section latency (pairs / collections / suites): how a mixed batch
 # splits its time across job kinds.
@@ -49,13 +56,90 @@ _SECTION_HISTOGRAMS = {
     for section in ("pairs", "collections", "suites")
 }
 
-__all__ = ["BatchJobs", "JobError", "parse_jobs", "parse_jobs_text", "run_jobs"]
+__all__ = [
+    "BatchJobs", "IngestMemo", "JobError", "parse_jobs", "parse_jobs_text",
+    "run_jobs",
+]
 
 JOB_KEYS = ("pairs", "collections", "suites")
+
+# What an ingest memo holds at most: support rows (perfbench's
+# warm-hits working set, 6,959 rows, added about 1.7 MiB of PSS), and
+# bytes of the encodings it keys them on, which bounds bags of few rows
+# and long values too.
+MEMO_ROWS = 8192
+MEMO_BYTES = 1 << 20
 
 
 class JobError(ReproError):
     """A malformed batch job payload (one structured line, no traceback)."""
+
+
+@shared_state("_lock", "_bags", "_rows", "_bytes", tier="engine")
+class IngestMemo:
+    """An LRU from a JSON bag encoding to the :class:`Bag` built from it.
+
+    The key is ``marshal.dumps(encoded, 2)`` of the decoded
+    ``{"schema", "tuples"}`` object, whose bytes keep ``1``, ``true``,
+    ``1.0``, ``-0.0`` and ``"1"`` apart, as the fingerprint records do;
+    a hit compares them whole, so it needs no digest to be exact.  The
+    value is the bag :func:`repro.io.bag_from_dict` built from those
+    bytes, already fingerprinted by
+    :func:`~repro.engine.fingerprint.of_bag`: a hit runs neither, and
+    the store still keys on a fingerprint derived from content.  An
+    encoding that fails to decode is never held, so a miss raises
+    exactly what :func:`~repro.io.bag_from_dict` raises.
+
+    At most :data:`MEMO_ROWS` support rows and :data:`MEMO_BYTES` key
+    bytes are held; the least recently used bags go first, and a bag
+    larger than either budget is never admitted.  The bags form
+    no reference cycle, so an evicted bag nothing else holds is freed
+    at once.  Hits, misses and rows held are counters and a gauge in
+    ``registry``.
+    """
+
+    def __init__(self, registry: obs_metrics.MetricsRegistry) -> None:
+        self._lock = threading.Lock()
+        self._bags: OrderedDict[bytes, Bag] = OrderedDict()
+        self._rows = 0
+        self._bytes = 0
+        self.hits = registry.counter("repro_ingest_memo_hits")
+        self.misses = registry.counter("repro_ingest_memo_misses")
+        self.held_rows = registry.gauge("repro_ingest_memo_rows")
+
+    def load(self, encoded: dict) -> Bag:
+        """The bag ``encoded`` describes: the held one when these exact
+        bytes were seen, else a fresh one, fingerprinted and admitted."""
+        try:
+            key = marshal.dumps(encoded, 2)
+        except ValueError:  # a value marshal cannot write: build plainly
+            return repro_io.bag_from_dict(encoded)
+        with self._lock:
+            held = self._bags.get(key)
+            if held is not None:
+                self._bags.move_to_end(key)
+        if held is not None:
+            self.hits.inc()
+            return held
+        self.misses.inc()
+        bag = repro_io.bag_from_dict(encoded)
+        fingerprint.of_bag(bag)
+        if len(bag._mults) <= MEMO_ROWS and len(key) <= MEMO_BYTES:
+            self._admit(key, bag)
+        return bag
+
+    def _admit(self, key: bytes, bag: Bag) -> None:
+        with self._lock:
+            if key in self._bags:
+                return  # a racing miss admitted the same bytes
+            self._bags[key] = bag
+            self._rows += len(bag._mults)
+            self._bytes += len(key)
+            while self._rows > MEMO_ROWS or self._bytes > MEMO_BYTES:
+                old_key, old = self._bags.popitem(last=False)
+                self._rows -= len(old._mults)
+                self._bytes -= len(old_key)
+            self.held_rows.set(self._rows)
 
 
 @contextmanager
@@ -75,8 +159,10 @@ def _section(name: str, count: int):
 
 @dataclass
 class BatchJobs:
-    """A validated batch payload, every bag slot decoded to its own
-    :class:`Bag`."""
+    """A validated batch payload.  Each bag slot holds a :class:`Bag`
+    with exactly the values its encoding was sent with; slots share one
+    only when :func:`parse_jobs` read them through an
+    :class:`IngestMemo` from identical encodings."""
 
     pairs: list[tuple[Bag, Bag]] = field(default_factory=list)
     collections: list[list[Bag]] = field(default_factory=list)
@@ -87,22 +173,43 @@ class BatchJobs:
         return len(self.pairs) + len(self.collections) + len(self.suites)
 
 
-def parse_jobs_text(text: str | bytes) -> BatchJobs:
+def parse_jobs_text(
+    text: str | bytes, memo: IngestMemo | None = None
+) -> BatchJobs:
     """Parse a raw JSON document (file contents as UTF-8 bytes, a socket
     line) into a validated :class:`BatchJobs`; raises :class:`JobError`
-    on any malformation, including invalid JSON and invalid UTF-8."""
+    on any malformation, including invalid JSON, invalid UTF-8 and
+    nesting deeper than the decoder's recursion limit."""
     import json
 
     try:
         payload = json.loads(text)
-    except ValueError as exc:  # also integers past the digit limit
+    except (ValueError, RecursionError) as exc:  # also the digit limit
         raise JobError(f"invalid JSON in jobs payload: {exc}") from exc
-    return parse_jobs(payload)
+    return parse_jobs(payload, memo)
 
 
-def parse_jobs(payload: object) -> BatchJobs:
+def _job_list(payload: dict, key: str) -> list:
+    entries = payload.get(key)
+    if entries is None:
+        return []
+    if not isinstance(entries, (list, tuple)):
+        raise JobError(
+            f"batch job key {key!r} must be a list, "
+            f"got {type(entries).__name__}"
+        )
+    return entries
+
+
+# What a bad entry raises: its shape (unpacking, subscripting), a bag
+# that does not decode, or a value nested too deeply to name.
+_ENTRY_ERRORS = (KeyError, TypeError, ValueError, RecursionError, ReproError)
+
+
+def parse_jobs(payload: object, memo: IngestMemo | None = None) -> BatchJobs:
     """Validate a decoded jobs object; raises :class:`JobError` with a
-    structured one-line message naming the offending entry."""
+    structured one-line message naming the offending entry.  With a
+    ``memo``, a bag encoding already seen is not decoded again."""
     if not isinstance(payload, dict):
         raise JobError("batch file must be a JSON object")
     unknown = set(payload) - set(JOB_KEYS)
@@ -114,39 +221,50 @@ def parse_jobs(payload: object) -> BatchJobs:
             # wire-decoded frames carry live Bag objects (with their
             # claimed fingerprints)
             return encoded
+        if memo is not None and type(encoded) is dict:
+            return memo.load(encoded)
         return repro_io.bag_from_dict(encoded)  # raises SchemaError
 
     jobs = BatchJobs()
-    for i, entry in enumerate(payload.get("pairs") or []):
+    for i, entry in enumerate(_job_list(payload, "pairs")):
         try:
             left, right = entry
             jobs.pairs.append((load_bag(left), load_bag(right)))
-        except (KeyError, TypeError, ValueError, ReproError) as exc:
+        except _ENTRY_ERRORS as exc:
             raise JobError(f"bad pair entry: #{i}: {exc}") from exc
-    for i, entry in enumerate(payload.get("collections") or []):
+    for i, entry in enumerate(_job_list(payload, "collections")):
         try:
             jobs.collections.append(
                 [load_bag(encoded) for encoded in entry["bags"]]
             )
-        except (KeyError, TypeError, ValueError, ReproError) as exc:
+        except _ENTRY_ERRORS as exc:
             raise JobError(f"bad collection entry: #{i}: {exc}") from exc
-    for i, spec in enumerate(payload.get("suites") or []):
+    for i, spec in enumerate(_job_list(payload, "suites")):
         try:
             name, size, seed = spec
         except (TypeError, ValueError) as exc:
             raise JobError(
                 f"bad suite spec: #{i}: expected [name, size, seed], "
-                f"got {spec!r}"
+                f"got {_brief(spec)}"
             ) from exc
         if not isinstance(name, str) or isinstance(size, bool) \
                 or isinstance(seed, bool) or not isinstance(size, int) \
                 or not isinstance(seed, int):
             raise JobError(
                 f"bad suite spec: #{i}: expected [name, size, seed] with a "
-                f"string name and integer size/seed, got {spec!r}"
+                f"string name and integer size/seed, got {_brief(spec)}"
             )
         jobs.suites.append((name, size, seed))
     return jobs
+
+
+def _brief(value: object) -> str:
+    """``repr(value)``, or a type name where the repr would recurse
+    past the interpreter's limit."""
+    try:
+        return repr(value)
+    except RecursionError:
+        return f"a {type(value).__name__} nested too deeply to show"
 
 
 def run_jobs(

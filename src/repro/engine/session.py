@@ -143,6 +143,14 @@ class EngineStats:
         """Every counter, in field order."""
         return dict(vars(self))
 
+    @property
+    def hits(self) -> int:
+        """Every query the store answered, internal probes included."""
+        return (
+            self.consistency_hits + self.internal_consistency_hits
+            + self.witness_hits + self.global_hits
+        )
+
 
 @shared_state(
     "_lock",

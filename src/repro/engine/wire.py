@@ -48,7 +48,9 @@ keeps apart — a column holding a non-JSON scalar, mixing ``bool``,
 ``int`` and ``float`` (``True == 1 == 1.0``), or holding both ``0.0``
 and ``-0.0`` — and so does a bag under :data:`MIN_ROWS` rows or with a
 multiplicity past int64.  Either way the receiver rebuilds exactly the
-sender's values, so reports are byte-equal over both formats.  The
+sender's values, so reports are byte-equal over both formats.  A value
+JSON cannot carry (a tuple would arrive as an array) is refused with
+:class:`~repro.errors.SchemaError` before anything is sent.  The
 sender caches each bag's export on its
 :class:`~repro.engine.index.BagIndex`, so a bag sent in many frames is
 encoded once.  Response frames carry ``{"v": 2, "response": {...}}``
@@ -69,6 +71,7 @@ import math
 import struct
 import sys
 from array import array
+from itertools import chain
 from typing import Callable
 
 from .. import io as repro_io
@@ -222,7 +225,8 @@ def _check_prefix(prefix: bytes) -> tuple[int, int]:
 def _parse_header(header_bytes: bytes) -> dict:
     try:
         header = json.loads(header_bytes)
-    except ValueError as exc:  # also invalid UTF-8, over-long integers
+    except (ValueError, RecursionError) as exc:
+        # also invalid UTF-8, over-long integers, over-deep nesting
         raise WireError(f"invalid JSON in frame header: {exc}") from exc
     if not isinstance(header, dict):
         raise WireError("frame header must be a JSON object")
@@ -324,14 +328,31 @@ def payload_has_bags(payload: object) -> bool:
 
 def jsonify_payload(payload: object) -> object:
     """``payload`` with every :class:`Bag` object replaced by its JSON
-    row encoding — the v1 newline protocol ships dicts only."""
+    row encoding — the v1 newline protocol ships dicts only.  Raises
+    :class:`SchemaError` for a bag value JSON cannot carry."""
     if not isinstance(payload, dict):
         return payload
 
     def convert(obj):
-        return repro_io.bag_to_dict(obj) if isinstance(obj, Bag) else obj
+        return _bag_json(obj) if isinstance(obj, Bag) else obj
 
     return _walk_payload(payload, convert)
+
+
+def _bag_json(bag: Bag) -> dict:
+    """The bag's JSON row encoding, refusing a value that JSON cannot
+    carry: a tuple would arrive as an array, which the receiver must
+    refuse as a value the sender never wrote."""
+    values = chain.from_iterable(bag._mults)
+    if not _JSON_SCALARS.issuperset(map(type, values)):
+        for value in chain.from_iterable(bag._mults):
+            if not isinstance(value, (str, int, float, type(None))):
+                raise SchemaError(
+                    f"bag value {value!r} ({type(value).__name__}) cannot "
+                    "travel as JSON; row values must be strings, numbers, "
+                    "booleans or null"
+                )
+    return repro_io.bag_to_dict(bag)
 
 
 # -- bag export ---------------------------------------------------------
@@ -396,7 +417,7 @@ def _export(bag: Bag) -> tuple | None:
 def _export_bag(bag: Bag, fp: int, writer: _BlobWriter) -> dict:
     export = _export(bag)
     if export is None:
-        return {"json": repro_io.bag_to_dict(bag), "fp": fp}
+        return {"json": _bag_json(bag), "fp": fp}
     n, total, mults, columns = export
     return {
         "schema": list(bag._schema.attrs),

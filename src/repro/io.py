@@ -40,7 +40,9 @@ from .hypergraphs.hypergraph import Hypergraph
 def _loads(text: str | bytes) -> Any:
     try:
         return json.loads(text)
-    except ValueError as exc:  # also bad UTF-8 and the digit limit
+    except (ValueError, RecursionError) as exc:
+        # also bad UTF-8, the digit limit and nesting past the
+        # recursion limit
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
@@ -64,11 +66,12 @@ def bag_from_dict(data: dict) -> Bag:
     :meth:`Bag.from_pairs` straight from its ``tuples`` list.  Every
     malformed shape — a missing key, an entry that is not a ``[row,
     multiplicity]`` pair, a row holding an array or object (unhashable)
-    or of the wrong arity — raises :class:`SchemaError`; a bad
-    multiplicity raises :class:`~repro.errors.MultiplicityError`."""
+    or of the wrong arity, or a value nested too deeply to name —
+    raises :class:`SchemaError`; a bad multiplicity raises
+    :class:`~repro.errors.MultiplicityError`."""
     try:
         return Bag.from_pairs(Schema(data["schema"]), data["tuples"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise SchemaError(f"malformed bag encoding: {exc}") from exc
 
 

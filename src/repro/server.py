@@ -44,6 +44,14 @@ Concurrency model (the multi-client upgrade):
   per-connection reports still describe that client's workload; the
   verdicts themselves flow through the one shared store (per-shard
   locks when it is persistent, one lock when in-memory);
+* **one ingest memo over the shared connections** — an
+  :class:`~repro.engine.jobs.IngestMemo` (one lock, held only to look
+  up or admit a bag) maps each JSON bag encoding's exact bytes to the
+  bag the daemon built and fingerprinted from them, so repeat traffic
+  skips decoding and digesting its bags.  A connection reads through it
+  only once its engine has read a result back from the store: traffic
+  that never hits the store pays nothing for it.  v2 frames carry
+  decoded bags and never reach it;
 * **batch admission cap** — at most ``max_inflight`` batches execute
   at once; further batches wait up to ``admission_timeout`` seconds
   and are then refused with a one-line error instead of queueing
@@ -75,7 +83,7 @@ from typing import Iterable
 
 from .analysis.registry import shared_state
 from .engine import executors, wire
-from .engine.jobs import JobError, parse_jobs, run_jobs
+from .engine.jobs import IngestMemo, JobError, parse_jobs, run_jobs
 from .engine.session import Engine, EngineStats
 from .errors import ReproError
 from .lp.integer_feasibility import DEFAULT_NODE_BUDGET
@@ -228,6 +236,8 @@ class ReproServer:
             name: counter(f"repro_engine_{name}")
             for name in EngineStats().as_dict()
         }
+        # shared by every connection; counts into this registry
+        self._ingest_memo = IngestMemo(self.metrics)
         self._admission = threading.BoundedSemaphore(self.max_inflight)
         self.started = time.monotonic()
         # handler threads race on the levels below (a batch moves
@@ -378,8 +388,12 @@ class ReproServer:
                 # The socket handler stops the daemon once this reply is
                 # written and flushed (_Handler._said_bye).
                 return {"ok": True, "op": "shutdown", "bye": True}
+            # Only a connection whose engine has read a result back
+            # from the store reads through the memo: on traffic that
+            # never hits it, keying every bag would be pure cost.
             jobs = parse_jobs(
-                {k: v for k, v in payload.items() if k != "op"}
+                {k: v for k, v in payload.items() if k != "op"},
+                self._ingest_memo if engine.stats.hits else None,
             )
             # Admission control: overlapping connections run batches
             # concurrently up to max_inflight; beyond that, callers wait
@@ -552,9 +566,10 @@ class _Handler(socketserver.StreamRequestHandler):
             return False
         try:
             payload = json.loads(line)
-        except ValueError as exc:
-            # JSONDecodeError, invalid UTF-8, or an integer past the
-            # interpreter's digit limit
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, invalid UTF-8, an integer past the
+            # interpreter's digit limit, or nesting past its recursion
+            # limit
             owner.count_request(error=True)
             response = {"ok": False, "error": f"invalid JSON: {exc}"}
         else:
@@ -633,7 +648,10 @@ class ServeClient:
     once a payload actually carries live :class:`~repro.core.bags.Bag`
     objects, the case frames accelerate.  Payloads may mix ``Bag``
     objects and plain JSON bag dicts in either format; on the JSON path
-    bags are serialized to their row encodings transparently.
+    bags are serialized to their row encodings transparently.  A
+    ``Bag`` holding a value JSON cannot carry (a tuple, say) raises
+    :class:`~repro.errors.SchemaError` before the request is written,
+    and the connection stays usable.
     """
 
     def __init__(
@@ -705,7 +723,7 @@ class ServeClient:
         line = first + self._file.readline()
         try:
             return json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ReproError(
                 f"malformed response from server: {exc}"
             ) from exc

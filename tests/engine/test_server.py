@@ -92,6 +92,69 @@ class TestProtocol:
             stats = json.loads(rfile.readline())
         assert stats["ok"] and stats["request_errors"] == len(lines)
 
+    @pytest.mark.parametrize("line, error", [
+        # nested past the decoder's recursion limit: 200 KB, far under
+        # MAX_LINE
+        (b'{"pairs": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+         "invalid JSON"),
+        (b'{"pairs": 5}', "must be a list"),
+    ], ids=["deeply-nested", "pairs-not-a-list"])
+    def test_line_that_killed_the_handler_gets_an_error_reply(
+        self, tcp_server, line, error
+    ):
+        """Each line raised past the handler and closed the connection
+        without a reply; now it gets ``{"ok": false}``, and the same
+        socket still answers a ping."""
+        _, address = tcp_server
+        with socket.create_connection(address, timeout=10) as raw:
+            rfile = raw.makefile("rb")
+            raw.sendall(line + b"\n")
+            response = json.loads(rfile.readline())
+            assert response["ok"] is False
+            assert error in response["error"]
+            raw.sendall(b'{"op": "ping"}\n')
+            assert json.loads(rfile.readline())["ok"]
+
+    def test_nesting_just_inside_the_decoder_limit_gets_replies(
+        self, tcp_server
+    ):
+        """Values the decoder still accepts but an error message could
+        not name without recursing past the limit: every line and every
+        frame gets an error reply."""
+        from repro.engine import wire
+
+        _, address = tcp_server
+        bags = []
+        for depth in range(960, 1001, 8):
+            deep = "[" * depth + "]" * depth
+            bags += [
+                '{"schema": ["A"], "tuples": [[[1], %s]]}' % deep,
+                '{"schema": %s, "tuples": []}' % deep,
+                '{"schema": ["A"], "tuples": [[%s, 1]]}' % deep,
+            ]
+            with socket.create_connection(address, timeout=10) as raw:
+                rfile = raw.makefile("rb")
+                raw.sendall(b'{"suites": [%s]}\n' % deep.encode())
+                assert json.loads(rfile.readline())["ok"] is False
+        for bag in bags:
+            header = (
+                '{"v": 2, "payload": {"pairs": [[{"$bag": 0}, {"$bag": 0}]]},'
+                ' "bags": [{"json": %s}]}' % bag
+            ).encode()
+            with socket.create_connection(address, timeout=10) as raw:
+                rfile = raw.makefile("rb")
+                raw.sendall(b'{"pairs": [[%s, %s]]}\n' % (
+                    bag.encode(), bag.encode()
+                ))
+                assert json.loads(rfile.readline())["ok"] is False
+                raw.sendall(b"".join((
+                    wire.MAGIC,
+                    wire._PREFIX.pack(wire.VERSION, len(header), 0),
+                    header,
+                )))
+                reply, _ = wire.read_frame(rfile)
+                assert wire.response_from_frame(reply)["ok"] is False
+
     def test_unknown_op_rejected(self, tcp_server):
         _, address = tcp_server
         with ServeClient(address) as client:
@@ -186,6 +249,30 @@ class TestValuesAtTheBoundary:
             assert wire.response_from_frame(header)["ok"]
             raw.sendall(b'{"op": "ping"}\n')
             assert json.loads(rfile.readline())["ok"]
+
+
+    @pytest.mark.parametrize("wire_format", ["json", "columnar"])
+    @pytest.mark.parametrize("n_rows", [4, 40], ids=["inline", "fallback"])
+    def test_client_refuses_a_value_json_cannot_carry(
+        self, tcp_server, wire_format, n_rows
+    ):
+        """A tuple value would travel as an array the daemon must
+        refuse, naming a list the caller never sent: the client raises
+        :class:`SchemaError` naming the value before the request is
+        written.  Under ``MIN_ROWS`` the bag rides inline; at 40 rows
+        its columnar export falls back to inline on the tuple."""
+        from repro.errors import SchemaError
+
+        _, address = tcp_server
+        rows = [((i, "x"), 1) for i in range(n_rows - 1)]
+        bad = Bag.from_pairs(AB, rows + [(((1, 2), "x"), 1)])
+        with ServeClient(address, wire_format=wire_format) as client:
+            with pytest.raises(SchemaError, match=r"\(1, 2\)"):
+                client.request({"pairs": [[bad, bad]]})
+            assert client.request(pair_jobs())["ok"]
+            stats = client.request({"op": "stats"})
+        assert stats["request_errors"] == 0
+        assert stats["batches"] == 1
 
 
 class TestLifecycle:

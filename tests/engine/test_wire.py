@@ -233,6 +233,8 @@ class TestFrameCodec:
         for header in (
             b'{"v": 2, "payload": {"pairs": [\xc3]}}',  # invalid UTF-8
             b'{"v": 2, "payload": {"n": ' + b"7" * 5000 + b"}}",
+            # past the decoder's recursion limit
+            b'{"v": 2, "payload": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
         ):
             frame = b"".join((
                 wire.MAGIC,
@@ -523,6 +525,50 @@ class TestServeFailurePaths:
                 raw.close()
         finally:
             server.shutdown()
+
+    def test_deeply_nested_header_gets_error_reply(self, tcp_server):
+        """A frame header nested past the decoder's recursion limit gets
+        an error frame, not a dead handler thread; the stream is then
+        unsynchronized, so the daemon closes it and serves the next
+        connection."""
+        _, address = tcp_server
+        header = b'{"v": 2, "payload": {"pairs": ' + b"[" * 100_000 \
+            + b"]" * 100_000 + b"}}"
+        frame = b"".join((
+            wire.MAGIC,
+            wire._PREFIX.pack(wire.VERSION, len(header), 0),
+            header,
+        ))
+        with socket.create_connection(address, timeout=10) as raw:
+            raw.sendall(frame)
+            reply, _ = wire.read_frame(raw.makefile("rb"))
+        response = wire.response_from_frame(reply)
+        assert response["ok"] is False
+        assert "invalid JSON in frame header" in response["error"]
+        with ServeClient(address) as client:
+            assert client.request({"op": "ping"})["ok"]
+
+    def test_deeply_nested_response_line_raises(self):
+        class _Deep(socketserver.BaseRequestHandler):
+            def handle(self):
+                self.request.recv(4096)
+                self.request.sendall(b"[" * 100_000 + b"\n")
+
+        listener = socketserver.ThreadingTCPServer(
+            ("127.0.0.1", 0), _Deep
+        )
+        listener.daemon_threads = True
+        threading.Thread(
+            target=listener.serve_forever, daemon=True
+        ).start()
+        try:
+            client = ServeClient(listener.server_address[:2])
+            with pytest.raises(ReproError, match="malformed response"):
+                client.request({"op": "ping"})
+            client.close()
+        finally:
+            listener.shutdown()
+            listener.server_close()
 
     def test_server_closing_before_response_raises(self):
         class _Closer(socketserver.BaseRequestHandler):

@@ -336,7 +336,11 @@ class TestExposition:
         try:
             assert server.handle_payload(payload)["ok"]
             first = server.handle_payload({"op": "metrics"})
-            assert server.handle_payload(payload)["ok"]
+            # the first batch's suite reads verdicts back from the
+            # store, so the later two read their bags through the
+            # ingest memo: two misses, then two hits
+            for _ in range(2):
+                assert server.handle_payload(payload)["ok"]
             second = server.handle_payload({"op": "metrics"})
             stats = server.stats()
         finally:
@@ -357,12 +361,15 @@ class TestExposition:
         for prefix, keys in self.MONOTONE.items():
             assert set(keys) <= set(sections[prefix]), prefix
             monotone += [f"{prefix}_{key}" for key in keys]
-        assert len(monotone) == 29
+        # the ingest memo counts into the server's registry only
+        monotone += ["repro_ingest_memo_hits", "repro_ingest_memo_misses"]
+        assert len(monotone) == 31
         for family in monotone:
             assert types.get(family) == "counter", family
         for prefix, keys in self.LEVELS.items():
             for key in keys:
                 assert types.get(f"{prefix}_{key}") == "gauge", key
+        assert types.get("repro_ingest_memo_rows") == "gauge"
         assert "repro_store_disk_hits" not in types
 
         # no counter reads lower on a later scrape
@@ -371,7 +378,10 @@ class TestExposition:
         assert set(before) <= set(after)
         for key, value in before.items():
             assert after[key] >= value, key
-        assert after["repro_server_batches"] == 2
+        assert after["repro_server_batches"] == 3
+        assert after["repro_ingest_memo_misses"] == 2
+        assert after["repro_ingest_memo_hits"] == 2
+        assert second["json"]["gauges"]["repro_ingest_memo_rows"] == 2
 
     def test_json_is_one_line_and_round_trips(self):
         import json

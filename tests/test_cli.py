@@ -144,6 +144,8 @@ BAD_FILES = {
     "truncated": b'{"schema": ["A", "B"], "tuples": [[[1, 2], 1',
     "not-utf8": b'{"schema": ["A", "\xff"], "tuples": []}',
     "bags-not-a-list": b'{"bags": 5}',
+    # past the decoder's recursion limit, far under any size limit
+    "deeply-nested": b'{"bags": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
 }
 PAIR_COMMANDS = ("check-pair", "witness", "analyze")
 
@@ -357,12 +359,13 @@ class TestBatch:
 
     def test_batch_invalid_json_exit_two(self, tmp_path, capsys):
         path = tmp_path / "jobs.json"
-        # an integer past the 4,300-digit limit, then bytes that are
-        # not UTF-8
+        # an integer past the 4,300-digit limit, bytes that are not
+        # UTF-8, then nesting past the decoder's recursion limit
         for data in (
             b"{definitely not json",
             b'{"pairs": [%s]}' % (b"7" * 5000),
             b'{"pairs": "\xff"}',
+            b'{"pairs": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
         ):
             path.write_bytes(data)
             assert main(["batch", str(path)]) == 2
