@@ -123,7 +123,12 @@ class Bag:
             if len(row) != arity and misfit is None:
                 misfit = row
         if fault is not None:
-            raise fault
+            try:
+                raise fault
+            finally:
+                # the traceback holds this frame: a frame that still
+                # held its own exception would be a reference cycle
+                fault = None
         if misfit is not None:
             raise SchemaError(
                 f"row {misfit!r} has arity {len(misfit)}, schema "

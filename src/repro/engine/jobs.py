@@ -16,13 +16,12 @@ One job payload — the JSON object ``repro batch`` reads from a file and
 ...``), never a traceback — so both surfaces can map malformed input to
 exit code 2 / an ``{"ok": false}`` response uniformly.  A job keeps
 exactly the values it was sent (``1``, ``true`` and ``1.0`` stay apart,
-though Python finds them equal).  Without an :class:`IngestMemo` every
-bag slot decodes to its own :class:`~repro.core.bags.Bag`; with one,
-slots whose encodings are identical, in this payload or an earlier one,
-share the bag the memo built and fingerprinted from those exact bytes.
-Once fingerprinted, bags with the same content share one index
-(marginals, buckets, row order) through the fingerprint registry
-(:func:`repro.engine.fingerprint.of_bag`).
+though Python finds them equal), and every bag slot decodes to its own
+:class:`~repro.core.bags.Bag` unless the slot already holds one: a v2
+frame's, or one the daemon's :class:`IngestMemo` put there while
+reading a JSON line by its bytes.  Once fingerprinted, bags with the
+same content share one index (marginals, buckets, row order) through
+the fingerprint registry (:func:`repro.engine.fingerprint.of_bag`).
 
 :func:`run_jobs` executes a parsed payload against one engine and
 returns the report dict (per-job results + the engine's cache
@@ -32,7 +31,7 @@ statistics + the store's hit-rate/size stats + the wire counters under
 
 from __future__ import annotations
 
-import marshal
+import json
 import threading
 import time
 from collections import OrderedDict
@@ -65,10 +64,14 @@ JOB_KEYS = ("pairs", "collections", "suites")
 
 # What an ingest memo holds at most: support rows (perfbench's
 # warm-hits working set, 6,959 rows, added about 1.7 MiB of PSS), and
-# bytes of the encodings it keys them on, which bounds bags of few rows
-# and long values too.
+# bytes of the spans it keys them on, which bounds bags of few rows and
+# long values too.
 MEMO_ROWS = 8192
 MEMO_BYTES = 1 << 20
+
+# A bag span of a JSON line: from this opening to the first ``]}``.
+_SPAN_OPEN = b'{"schema"'
+_SPAN_CLOSE = b"]}"
 
 
 class JobError(ReproError):
@@ -77,24 +80,28 @@ class JobError(ReproError):
 
 @shared_state("_lock", "_bags", "_rows", "_bytes", tier="engine")
 class IngestMemo:
-    """An LRU from a JSON bag encoding to the :class:`Bag` built from it.
+    """An LRU from the bytes of a JSON bag encoding to the :class:`Bag`
+    built from them, read a whole line at a time by :meth:`read`.
 
-    The key is ``marshal.dumps(encoded, 2)`` of the decoded
-    ``{"schema", "tuples"}`` object, whose bytes keep ``1``, ``true``,
-    ``1.0``, ``-0.0`` and ``"1"`` apart, as the fingerprint records do;
-    a hit compares them whole, so it needs no digest to be exact.  The
-    value is the bag :func:`repro.io.bag_from_dict` built from those
-    bytes, already fingerprinted by
-    :func:`~repro.engine.fingerprint.of_bag`: a hit runs neither, and
-    the store still keys on a fingerprint derived from content.  An
-    encoding that fails to decode is never held, so a miss raises
-    exactly what :func:`~repro.io.bag_from_dict` raises.
+    A key is a *span* of a request line: from a ``{"schema"`` to the
+    first ``]}`` after it, admitted only once ``json.loads`` accepted
+    it on its own as one complete value.  A JSON value ends where its
+    brackets balance, so wherever a line holds a key's bytes, the value
+    there is that key; a hit compares the bytes whole, so ``1``,
+    ``true``, ``1.0``, ``-0.0`` and ``"1"`` stay apart with no digest.
+    The value is the bag :func:`repro.io.bag_from_dict` built from the
+    span, already fingerprinted by
+    :func:`~repro.engine.fingerprint.of_bag`: a hit runs neither, nor
+    any JSON decode, and the store still keys on a fingerprint derived
+    from content.  Only a line :meth:`read` serves whole admits its
+    spans, so an encoding that fails to build is never held.
 
     At most :data:`MEMO_ROWS` support rows and :data:`MEMO_BYTES` key
     bytes are held; the least recently used bags go first, and a bag
     larger than either budget is never admitted.  The bags form
     no reference cycle, so an evicted bag nothing else holds is freed
-    at once.  Hits, misses and rows held are counters and a gauge in
+    at once.  Hits and misses (per bag span of a line served), lines
+    that fell back, and rows held are counters and a gauge in
     ``registry``.
     """
 
@@ -105,33 +112,97 @@ class IngestMemo:
         self._bytes = 0
         self.hits = registry.counter("repro_ingest_memo_hits")
         self.misses = registry.counter("repro_ingest_memo_misses")
+        self.fallbacks = registry.counter("repro_ingest_line_fallbacks")
         self.held_rows = registry.gauge("repro_ingest_memo_rows")
 
-    def load(self, encoded: dict) -> Bag:
-        """The bag ``encoded`` describes: the held one when these exact
-        bytes were seen, else a fresh one, fingerprinted and admitted."""
+    def read(self, line: bytes) -> dict | None:
+        """The request object a JSON line decodes to, with each bag span
+        it holds already a :class:`Bag` in its slot; ``None`` when the
+        line must take the plain path (``json.loads``, then
+        :func:`parse_jobs` building every bag), which then answers
+        exactly as if this had never run.
+
+        Held spans become placeholder strings ``"\\u0000<n>"`` and are
+        never decoded; each missed span is decoded on its own (a span
+        cut at a ``]}`` inside a string, or before its brackets
+        balance, fails there), then built and fingerprinted; the
+        skeleton left over is decoded once, and
+        :func:`~repro.engine.wire._walk_payload` puts each bag into its
+        slot.  The line falls back when it holds a ``\\u0000`` of its
+        own (so no other string can equal a placeholder), when a span
+        or the skeleton does not decode or a span does not build, and
+        when a placeholder is not taken exactly once by a bag slot (an
+        object key, a suite spec, a discarded duplicate key, a pair of
+        three)."""
         try:
-            key = marshal.dumps(encoded, 2)
-        except ValueError:  # a value marshal cannot write: build plainly
-            return repro_io.bag_from_dict(encoded)
+            payload = self._read(line)
+        except (ValueError, RecursionError, ReproError):
+            payload = None  # JSON that does not decode, a bag that does not build
+        if payload is None:
+            self.fallbacks.inc()
+        return payload
+
+    def _read(self, line: bytes) -> dict | None:
+        if b"\\u0000" in line:
+            return None
+        keys: list[bytes] = []
+        parts: list[bytes] = []
+        done = 0
+        start = line.find(_SPAN_OPEN)
+        while start >= 0:
+            end = line.find(_SPAN_CLOSE, start)
+            if end < 0:
+                return None
+            end += len(_SPAN_CLOSE)
+            parts += (line[done:start], b'"\\u0000%d"' % len(keys))
+            keys.append(line[start:end])
+            done = end
+            start = line.find(_SPAN_OPEN, end)
+        parts.append(line[done:])
+        skeleton = json.loads(b"".join(parts).decode("utf-8", "surrogatepass"))
+        if type(skeleton) is not dict:
+            return None
+        if not keys:
+            return skeleton
         with self._lock:
-            held = self._bags.get(key)
-            if held is not None:
-                self._bags.move_to_end(key)
-        if held is not None:
-            self.hits.inc()
-            return held
-        self.misses.inc()
-        bag = repro_io.bag_from_dict(encoded)
-        fingerprint.of_bag(bag)
-        if len(bag._mults) <= MEMO_ROWS and len(key) <= MEMO_BYTES:
-            self._admit(key, bag)
-        return bag
+            bags = list(map(self._bags.get, keys))
+            for key, bag in zip(keys, bags):
+                if bag is not None:
+                    self._bags.move_to_end(key)
+        built: dict[bytes, Bag] = {}
+        for i, key in enumerate(keys):
+            if bags[i] is None:
+                bag = built.get(key)
+                if bag is None:
+                    bag = repro_io.bag_from_dict(json.loads(key))
+                    fingerprint.of_bag(bag)
+                    built[key] = bag
+                bags[i] = bag
+        marks = {"\x00%d" % i: i for i in range(len(keys))}
+        taken: list[int] = []
+
+        def convert(obj: object) -> object:
+            if type(obj) is str:
+                i = marks.get(obj)
+                if i is not None:
+                    taken.append(i)
+                    return bags[i]
+            return obj
+
+        payload = wire._walk_payload(skeleton, convert)
+        if len(taken) != len(keys) or len(set(taken)) != len(keys):
+            return None
+        for key, bag in built.items():
+            if len(bag._mults) <= MEMO_ROWS and len(key) <= MEMO_BYTES:
+                self._admit(key, bag)
+        self.misses.inc(len(built))
+        self.hits.inc(len(keys) - len(built))
+        return payload
 
     def _admit(self, key: bytes, bag: Bag) -> None:
         with self._lock:
             if key in self._bags:
-                return  # a racing miss admitted the same bytes
+                return  # a racing line admitted the same bytes
             self._bags[key] = bag
             self._rows += len(bag._mults)
             self._bytes += len(key)
@@ -161,8 +232,8 @@ def _section(name: str, count: int):
 class BatchJobs:
     """A validated batch payload.  Each bag slot holds a :class:`Bag`
     with exactly the values its encoding was sent with; slots share one
-    only when :func:`parse_jobs` read them through an
-    :class:`IngestMemo` from identical encodings."""
+    only when they held one already, as a frame's repeated bag or an
+    :class:`IngestMemo`'s held span does."""
 
     pairs: list[tuple[Bag, Bag]] = field(default_factory=list)
     collections: list[list[Bag]] = field(default_factory=list)
@@ -173,20 +244,16 @@ class BatchJobs:
         return len(self.pairs) + len(self.collections) + len(self.suites)
 
 
-def parse_jobs_text(
-    text: str | bytes, memo: IngestMemo | None = None
-) -> BatchJobs:
+def parse_jobs_text(text: str | bytes) -> BatchJobs:
     """Parse a raw JSON document (file contents as UTF-8 bytes, a socket
     line) into a validated :class:`BatchJobs`; raises :class:`JobError`
     on any malformation, including invalid JSON, invalid UTF-8 and
     nesting deeper than the decoder's recursion limit."""
-    import json
-
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also the digit limit
         raise JobError(f"invalid JSON in jobs payload: {exc}") from exc
-    return parse_jobs(payload, memo)
+    return parse_jobs(payload)
 
 
 def _job_list(payload: dict, key: str) -> list:
@@ -206,10 +273,10 @@ def _job_list(payload: dict, key: str) -> list:
 _ENTRY_ERRORS = (KeyError, TypeError, ValueError, RecursionError, ReproError)
 
 
-def parse_jobs(payload: object, memo: IngestMemo | None = None) -> BatchJobs:
+def parse_jobs(payload: object) -> BatchJobs:
     """Validate a decoded jobs object; raises :class:`JobError` with a
-    structured one-line message naming the offending entry.  With a
-    ``memo``, a bag encoding already seen is not decoded again."""
+    structured one-line message naming the offending entry.  A slot
+    that already holds a :class:`Bag` keeps it."""
     if not isinstance(payload, dict):
         raise JobError("batch file must be a JSON object")
     unknown = set(payload) - set(JOB_KEYS)
@@ -219,10 +286,8 @@ def parse_jobs(payload: object, memo: IngestMemo | None = None) -> BatchJobs:
     def load_bag(encoded: object) -> Bag:
         if isinstance(encoded, Bag):
             # wire-decoded frames carry live Bag objects (with their
-            # claimed fingerprints)
+            # claimed fingerprints), and so do lines the memo read
             return encoded
-        if memo is not None and type(encoded) is dict:
-            return memo.load(encoded)
         return repro_io.bag_from_dict(encoded)  # raises SchemaError
 
     jobs = BatchJobs()

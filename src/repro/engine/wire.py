@@ -83,6 +83,7 @@ from . import fingerprint
 from .index import BagIndex
 
 __all__ = [
+    "HeaderError",
     "MAGIC",
     "MAX_FRAME_BYTES",
     "MAX_HEADER_BYTES",
@@ -123,6 +124,11 @@ _NUMBERS = frozenset((bool, int, float))
 
 class WireError(ReproError):
     """A malformed, truncated, or oversized wire frame."""
+
+
+class HeaderError(WireError):
+    """A frame read whole whose header does not decode; the stream it
+    came from is still in sync."""
 
 
 # -- observability ------------------------------------------------------
@@ -227,21 +233,26 @@ def _parse_header(header_bytes: bytes) -> dict:
         header = json.loads(header_bytes)
     except (ValueError, RecursionError) as exc:
         # also invalid UTF-8, over-long integers, over-deep nesting
-        raise WireError(f"invalid JSON in frame header: {exc}") from exc
+        raise HeaderError(f"invalid JSON in frame header: {exc}") from exc
     if not isinstance(header, dict):
-        raise WireError("frame header must be a JSON object")
+        raise HeaderError("frame header must be a JSON object")
     return header
 
 
 def read_frame(stream, first: bytes = b"") -> tuple[dict, bytes]:
     """Read one complete frame off a blocking binary stream; ``first``
     is any already-consumed prefix (protocol sniffing reads one byte).
-    Raises :class:`WireError` on truncation or malformation — after
-    which the stream is unsynchronized and must be closed."""
+    Raises :class:`WireError` on truncation or malformation.  The
+    header is decoded only once the whole frame is read, so a header
+    that does not decode raises :class:`HeaderError` with the stream
+    still in sync; after any other error (a bad prefix, an oversized
+    length, a truncated frame) it is unsynchronized and must be
+    closed."""
     prefix = _read_exact(stream, _PREFIX_LEN - len(first), first)
     header_len, blob_len = _check_prefix(prefix)
-    header = _parse_header(_read_exact(stream, header_len))
+    header_bytes = _read_exact(stream, header_len)
     blob = _read_exact(stream, blob_len)
+    header = _parse_header(header_bytes)
     _COUNTERS["wire_frames_decoded"].inc()
     _COUNTERS["wire_frame_bytes_decoded"].inc(_PREFIX_LEN + header_len + blob_len)
     return header, blob

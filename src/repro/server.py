@@ -46,12 +46,16 @@ Concurrency model (the multi-client upgrade):
   locks when it is persistent, one lock when in-memory);
 * **one ingest memo over the shared connections** — an
   :class:`~repro.engine.jobs.IngestMemo` (one lock, held only to look
-  up or admit a bag) maps each JSON bag encoding's exact bytes to the
-  bag the daemon built and fingerprinted from them, so repeat traffic
-  skips decoding and digesting its bags.  A connection reads through it
-  only once its engine has read a result back from the store: traffic
-  that never hits the store pays nothing for it.  v2 frames carry
-  decoded bags and never reach it;
+  up or admit bags) maps the raw bytes of each bag span of a JSON line
+  to the bag the daemon built and fingerprinted from them, so repeat
+  traffic neither decodes, builds nor digests its bags: the line is
+  read by its bytes, and only what the memo does not hold is decoded.
+  A connection hands it its lines only once its engine has read a
+  result back from the store: traffic that never hits the store pays
+  nothing for it.  A line it cannot read exactly takes the plain path
+  (counted as ``repro_ingest_line_fallbacks``), so every answer and
+  error is what that path gives.  v2 frames carry decoded bags and
+  never reach it;
 * **batch admission cap** — at most ``max_inflight`` batches execute
   at once; further batches wait up to ``admission_timeout`` seconds
   and are then refused with a one-line error instead of queueing
@@ -388,13 +392,7 @@ class ReproServer:
                 # The socket handler stops the daemon once this reply is
                 # written and flushed (_Handler._said_bye).
                 return {"ok": True, "op": "shutdown", "bye": True}
-            # Only a connection whose engine has read a result back
-            # from the store reads through the memo: on traffic that
-            # never hits it, keying every bag would be pure cost.
-            jobs = parse_jobs(
-                {k: v for k, v in payload.items() if k != "op"},
-                self._ingest_memo if engine.stats.hits else None,
-            )
+            jobs = parse_jobs({k: v for k, v in payload.items() if k != "op"})
             # Admission control: overlapping connections run batches
             # concurrently up to max_inflight; beyond that, callers wait
             # briefly and are then refused with a one-line error rather
@@ -564,8 +562,13 @@ class _Handler(socketserver.StreamRequestHandler):
         line = line.strip()
         if not line:
             return False
+        # Only a connection whose engine has read a result back from the
+        # store reads its lines through the memo: on traffic that never
+        # hits it, admitting every bag would be pure cost.
+        payload = owner._ingest_memo.read(line) if engine.stats.hits else None
         try:
-            payload = json.loads(line)
+            if payload is None:
+                payload = json.loads(line)
         except (ValueError, RecursionError) as exc:
             # JSONDecodeError, invalid UTF-8, an integer past the
             # interpreter's digit limit, or nesting past its recursion
@@ -581,6 +584,11 @@ class _Handler(socketserver.StreamRequestHandler):
     def _handle_frame(self, owner: ReproServer, engine, first: bytes) -> bool:
         try:
             header, blob = wire.read_frame(self.rfile, first=first)
+        except wire.HeaderError as exc:
+            # read whole: the stream is still in sync
+            owner.count_request(error=True)
+            self._respond_frame({"ok": False, "error": str(exc)})
+            return False
         except wire.WireError as exc:
             # truncated/oversized: the stream is unsynchronized past
             # this point — answer best-effort and close

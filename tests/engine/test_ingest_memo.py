@@ -1,5 +1,6 @@
-"""The ingest memo: one bag per exact JSON encoding, bounded, and read
-only by connections that repeat themselves."""
+"""The ingest memo: one bag per exact bag span of a JSON line, bounded,
+read only by connections that repeat themselves, and a plain-path
+fallback for every line it cannot read exactly."""
 
 import gc
 import json
@@ -7,6 +8,7 @@ import random
 import socket
 import sys
 import threading
+import types
 import weakref
 
 import pytest
@@ -17,8 +19,7 @@ from repro.core.schema import Schema
 from repro.engine import fingerprint
 from repro.engine import jobs
 from repro.engine.index import BagIndex
-from repro.engine.jobs import IngestMemo, parse_jobs
-from repro.errors import MultiplicityError, SchemaError
+from repro.engine.jobs import IngestMemo
 from repro.io import bag_to_dict
 from repro.obs.metrics import MetricsRegistry
 from repro.server import ReproServer
@@ -30,8 +31,22 @@ def encoding(values, schema=("A",)):
     return {"schema": list(schema), "tuples": [[[v], 1] for v in values]}
 
 
+def as_line(payload) -> bytes:
+    return json.dumps(payload).encode()
+
+
 def new_memo() -> IngestMemo:
     return IngestMemo(MetricsRegistry())
+
+
+def load(memo, encoded) -> Bag:
+    """The bag a one-bag line reads to through ``memo``."""
+    payload = memo.read(as_line({"collections": [{"bags": [encoded]}]}))
+    return payload["collections"][0]["bags"][0]
+
+
+def counts(memo) -> tuple:
+    return memo.hits.value, memo.misses.value, memo.fallbacks.value
 
 
 @pytest.fixture
@@ -62,26 +77,54 @@ def calls(monkeypatch):
     return counts
 
 
-class TestLoad:
-    def test_a_repeat_is_the_held_bag_with_no_decode_or_digest(self, calls):
+@pytest.fixture
+def decoded(monkeypatch):
+    """Every text the memo hands ``json.loads``."""
+    texts = []
+
+    def loads(text):
+        texts.append(text)
+        return json.loads(text)
+
+    monkeypatch.setattr(jobs, "json", types.SimpleNamespace(loads=loads))
+    return texts
+
+
+R = encoding([1, 2, 3])
+S = encoding([4])
+
+
+class TestRead:
+    def test_a_repeat_is_the_held_bag_with_no_decode_or_digest(
+        self, calls, decoded
+    ):
         memo = new_memo()
-        first = memo.load(encoding([1, 2, 3]))
-        assert calls == {"bag_from_dict": 1, "of_bag": 1}
-        assert fingerprint.derived(first) == fingerprint.of_bag(first)
+        line = as_line({"pairs": [[R, S]]})
+        first = memo.read(line)["pairs"][0]
+        assert calls == {"bag_from_dict": 2, "of_bag": 2}
+        assert [fingerprint.derived(bag) for bag in first] == [
+            fingerprint.of_bag(repro_io.bag_from_dict(e)) for e in (R, S)
+        ]
         calls.update(bag_from_dict=0, of_bag=0)
-        assert memo.load(encoding([1, 2, 3])) is first
+        decoded.clear()
+        again = memo.read(line)
+        assert again == {"pairs": [first]}
+        assert [a is b for a, b in zip(again["pairs"][0], first)] == [True] * 2
         assert calls == {"bag_from_dict": 0, "of_bag": 0}
-        assert (memo.hits.value, memo.misses.value) == (1, 1)
+        # a hit decodes no span: only what is left of the line
+        assert decoded == [b'{"pairs": [["\\u00000", "\\u00001"]]}'.decode()]
+        assert counts(memo) == (2, 2, 0)
 
     def test_json_types_stay_apart(self):
         """``1``, ``true``, ``1.0``, ``0.0``, ``-0.0`` and ``"1"``:
         Python finds some of them equal, the memo none."""
         memo = new_memo()
         values = [1, True, 1.0, 0.0, -0.0, "1"]
-        loaded = [memo.load(json.loads(json.dumps(encoding([v]))))
-                  for v in values]
-        again = [memo.load(json.loads(json.dumps(encoding([v]))))
-                 for v in values]
+        line = as_line({"collections": [
+            {"bags": [encoding([v]) for v in values]},
+        ]})
+        loaded = memo.read(line)["collections"][0]["bags"]
+        again = memo.read(line)["collections"][0]["bags"]
         assert len(memo._bags) == len(values)
         assert [a is b for a, b in zip(loaded, again)] == [True] * 6
         for value, bag in zip(values, loaded):
@@ -91,40 +134,93 @@ class TestLoad:
     def test_a_repeated_slot_is_built_and_digested_once(self, calls):
         r = bag_to_dict(Bag.from_pairs(AB, [((1, 2), 1), ((2, 2), 3)]))
         s = bag_to_dict(Bag.from_pairs(AB, [((2, 2), 4)]))
-        jobs = parse_jobs(
-            {"pairs": [[r, s], [r, s]], "collections": [{"bags": [r, s]}]},
-            new_memo(),
-        )
+        memo = new_memo()
+        payload = memo.read(as_line(
+            {"pairs": [[r, s], [r, s]], "collections": [{"bags": [r, s]}]}
+        ))
         assert calls == {"bag_from_dict": 2, "of_bag": 2}
-        assert jobs.pairs[0][0] is jobs.pairs[1][0] is jobs.collections[0][0]
+        pairs, (bags,) = payload["pairs"], payload["collections"]
+        assert pairs[0][0] is pairs[1][0] is bags["bags"][0]
+        assert counts(memo) == (4, 2, 0)
 
-    @pytest.mark.parametrize("bad, error", [
-        ({"schema": ["A"]}, SchemaError),
-        ({"schema": ["A"], "tuples": [[[1], True]]}, MultiplicityError),
-        ({"schema": ["A", "B"], "tuples": [[[1, [2]], 1]]}, SchemaError),
-        ({"schema": ["A"], "tuples": [[[1, 2], 1]]}, SchemaError),
-    ])
-    def test_errors_are_never_held(self, bad, error):
+    @pytest.mark.parametrize("bad", [
+        {"schema": ["A"]},
+        {"schema": ["A"], "tuples": [[[1], True]]},
+        {"schema": ["A", "B"], "tuples": [[[1, [2]], 1]]},
+        {"schema": ["A"], "tuples": [[[1, 2], 1]]},
+    ], ids=["no-tuples", "bool-count", "nested-row", "arity"])
+    def test_errors_are_never_held(self, bad):
+        """A span that does not build sends its line down the plain
+        path, which names the error; nothing of that line is held."""
         memo = new_memo()
-        messages = []
-        for _ in range(2):
-            with pytest.raises(error) as excinfo:
-                memo.load(bad)
-            messages.append(str(excinfo.value))
-        with pytest.raises(error) as excinfo:
-            repro_io.bag_from_dict(bad)
-        assert messages == [str(excinfo.value)] * 2
+        line = as_line({"pairs": [[S, bad]]})
+        assert memo.read(line) is None
+        assert memo.read(line) is None
         assert len(memo._bags) == 0 and memo.held_rows.value == 0
-        assert memo.misses.value == 2
+        assert counts(memo) == (0, 0, 2)
 
-    def test_values_marshal_cannot_write_are_built_plainly(self):
-        class Odd(str):
-            pass
-
+    @pytest.mark.parametrize("line", [
+        # a line holding \u0000 of its own: a string could equal a
+        # placeholder
+        as_line({"pairs": [[S, encoding(["\x00"])]]}),
+        # a span cut at a ]} inside a string
+        as_line({"pairs": [[S, encoding(["x]}"])]]}),
+        # a span that runs past its bag, and one cut before it closes
+        b'{"pairs": [[{"schema": ["A"], "tuples": [], "k": 1}, {}]]}',
+        b'{"pairs": [[{"schema": ["A"], "tuples": [], "k": [{"a": []}]}, {}]]}',
+        # not JSON, yet a placeholder in its place would decode: an
+        # object key, and a string an invalid escape opened
+        b'{"pairs": [], {"schema": ["A"], "tuples": []}: 1}',
+        b'{"suites": [["x\\{"schema": ["A"], "tuples": []}, 1, 2]]}',
+        # a placeholder that no bag slot takes
+        as_line({"suites": [["planted-path", S, 0]]}),
+        as_line({"pairs": [[S, S, S]]}),
+        as_line({"collections": [{"bags": [S], "k": S}]}),
+        as_line({"pairs": [[encoding([1]), {"schema": ["A"], "tuples": [[[S], 1]]}]]}),
+        as_line({"pairs": [], "bogus": S}),
+        as_line(S),
+        b'{"pairs": [[%s, %s]], "pairs": []}' % (as_line(S), as_line(S)),
+        # the skeleton is not a JSON object, or not JSON
+        as_line([{"pairs": [[S, S]]}]),
+        b'{"pairs": [[%s, %s]]' % (as_line(S), as_line(S)),
+    ], ids=[
+        "u0000", "cut-in-string", "past-its-bag", "cut-short", "key",
+        "escape", "suite", "pair-of-three", "beside-bags", "in-a-row",
+        "unknown-key", "top-level", "duplicate-key", "array", "truncated",
+    ])
+    def test_lines_it_cannot_read_exactly_fall_back(self, line):
         memo = new_memo()
-        bag = memo.load({"schema": ["A"], "tuples": [[[Odd("x")], 1]]})
-        assert type(next(iter(bag._mults))[0]) is Odd
-        assert len(memo._bags) == 0
+        load(memo, S)  # held, so the line's S spans are hits
+        assert memo.read(line) is None
+        assert counts(memo) == (0, 1, 1)
+
+    @pytest.mark.parametrize("line", [
+        b'{"op": "stats"}',
+        b'{"pairs": [[{"tuples": [[[1], 1]], "schema": ["A"]}, '
+        b'{ "schema": ["A"], "tuples": []}]]}',
+        b'{"suites": [["planted-path", 3, 0]]}',
+    ], ids=["op", "unmarked-bags", "suites"])
+    def test_a_line_with_no_span_is_decoded_whole(self, line):
+        memo = new_memo()
+        assert memo.read(line) == json.loads(line)
+        assert counts(memo) == (0, 0, 0)
+
+    def test_the_fixed_joined_decode_example_falls_back(self):
+        """Decoded as one array, the line's two spans read as two
+        valid bags; each decoded on its own fails, and the plain path
+        names the middle entry."""
+        line = (
+            b'{"collections": [{"bags": [{"schema":["A"],"tuples":[],'
+            b'"junk":[{"a":[]}]}, {"bags": [{"schema":0}],"k":1},'
+            b'{"schema":["B"],"tuples":[]}]}]}'
+        )
+        memo = new_memo()
+        assert memo.read(line) is None
+        with pytest.raises(jobs.JobError) as excinfo:
+            jobs.parse_jobs_text(line)
+        assert str(excinfo.value) == (
+            "bad collection entry: #0: malformed bag encoding: 'schema'"
+        )
 
 
 class TestBudget:
@@ -132,7 +228,7 @@ class TestBudget:
         budget(rows=20)
         memo = new_memo()
         for n in [3, 7, 5, 9, 1, 12, 20, 4, 6, 2] * 3:
-            memo.load(encoding(range(n)))
+            load(memo, encoding(range(n)))
             assert memo._rows <= 20
             assert memo.held_rows.value == memo._rows == sum(
                 len(bag._mults) for bag in memo._bags.values()
@@ -141,47 +237,58 @@ class TestBudget:
     def test_least_recently_used_goes_first(self, budget):
         budget(rows=6)
         memo = new_memo()
-        a = memo.load(encoding([1, 2]))
-        memo.load(encoding([3, 4]))
-        memo.load(encoding([1, 2]))  # a is now the most recent
-        memo.load(encoding([5, 6, 7]))  # 7 rows: evicts [3, 4]
-        assert memo.load(encoding([1, 2])) is a
+        a = load(memo, encoding([1, 2]))
+        load(memo, encoding([3, 4]))
+        load(memo, encoding([1, 2]))  # a is now the most recent
+        load(memo, encoding([5, 6, 7]))  # 7 rows: evicts [3, 4]
+        assert load(memo, encoding([1, 2])) is a
         hits = memo.hits.value
-        memo.load(encoding([3, 4]))
+        load(memo, encoding([3, 4]))
         assert memo.hits.value == hits
 
     @pytest.mark.parametrize("limit", [{"rows": 4}, {"nbytes": 100}])
     def test_a_bag_over_a_budget_is_not_admitted(self, budget, limit):
         budget(**limit)
         memo = new_memo()
-        small = memo.load(encoding([1]))
+        small = load(memo, encoding([1]))
         big = encoding(range(5)) if "rows" in limit else encoding(["x" * 80])
-        first = memo.load(big)
-        assert memo.load(big) is not first
+        first = load(memo, big)
+        assert load(memo, big) is not first
         assert memo.misses.value == 3 and memo.hits.value == 0
-        assert memo.load(encoding([1])) is small  # nothing was evicted
+        assert load(memo, encoding([1])) is small  # nothing was evicted
+
+    def test_key_bytes_are_the_span_bytes(self):
+        memo = new_memo()
+        line = b'{"pairs": [[%s, %s]]}' % (as_line(R), as_line(S))
+        memo.read(line)
+        assert set(memo._bags) == {as_line(R), as_line(S)}
+        assert memo._bytes == len(as_line(R)) + len(as_line(S))
 
     def test_an_evicted_bag_is_freed_without_the_collector(self, budget):
         budget(rows=4)
+        # an equal bag that an earlier test left to the collector would
+        # share this bag's index (the sanitizer's proxies hold a memo
+        # in a cycle)
+        gc.collect()
         memo = new_memo()
-        bag = memo.load(encoding([1, 2, 3]))
+        bag = load(memo, encoding([1, 2, 3]))
         bag.marginal(Schema([]))
         index = weakref.ref(BagIndex.of(bag))
         gc.disable()
         try:
             del bag
-            memo.load(encoding([4, 5, 6]))  # evicts the first
+            load(memo, encoding([4, 5, 6]))  # evicts the first
             assert index() is None
         finally:
             gc.enable()
 
 
 class TestThreads:
-    def test_racing_loads_keep_the_books(self, budget):
-        """More threads than cores load overlapping encodings through
-        one memo, switching every microsecond: each bag holds its own
-        encoding's values, and the held rows, bytes, gauge, hits and
-        misses all add up."""
+    def test_racing_reads_keep_the_books(self, budget):
+        """More threads than cores read lines of overlapping encodings
+        through one memo, switching every microsecond: each bag holds
+        its own encoding's values, and the held rows, bytes, gauge,
+        hits and misses all add up."""
         budget(rows=40)
         memo = new_memo()
         encodings = [encoding(range(k, k + 1 + k % 7)) for k in range(24)]
@@ -193,7 +300,7 @@ class TestThreads:
             try:
                 for _ in range(300):
                     k = rng.randrange(len(encodings))
-                    if memo.load(encodings[k])._mults != expected[k]:
+                    if load(memo, encodings[k])._mults != expected[k]:
                         failures.append(k)
             except Exception as exc:  # reported below, not lost
                 failures.append(exc)
@@ -213,6 +320,7 @@ class TestThreads:
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
         assert memo.hits.value + memo.misses.value == 6 * 300
+        assert memo.fallbacks.value == 0
         assert memo._rows == sum(
             len(bag._mults) for bag in memo._bags.values()
         )
@@ -325,6 +433,34 @@ class TestServe:
         ]
         assert sections == [sections[0]] * 4
         assert memo_counts(server)[0] > 0
+
+    def test_a_line_that_falls_back_is_served_as_the_plain_path(self, server):
+        """Lines the memo cannot read exactly, once it is open: an
+        error, and a line of marker strings, each served as the plain
+        path serves it on a connection that never opened the memo."""
+        marked = {"schema": ["A"], "tuples": [[['{"schema" x]} \x00'], 1]]}
+        payloads = [
+            {"pairs": [[A, S]]},
+            {"pairs": [[A, S]]},
+            {"pairs": [[marked, marked]]},
+            {"pairs": [[marked, marked]]},
+            {"pairs": [[{"schema": ["A"], "tuples": [[[1], -1]]}, A]]},
+        ]
+        opened = lines(server, payloads)
+        fallbacks = server.metrics_payload()["json"]["counters"][
+            "repro_ingest_line_fallbacks"]
+        assert fallbacks == 3
+        plain = [lines(server, [payload])[0] for payload in payloads[2:]]
+        served = [
+            answer.get("error") or json.dumps(answer["report"]["pairs"])
+            for answer in opened[2:]
+        ]
+        assert served == [
+            answer.get("error") or json.dumps(answer["report"]["pairs"])
+            for answer in plain
+        ]
+        assert served[0] == served[1]
+        assert served[2].startswith("bad pair entry: #0: multiplicity")
 
     def test_memo_counters_stay_out_of_batch_reports(self, server):
         (answer,) = lines(server, [{"pairs": [[A, S]]}])

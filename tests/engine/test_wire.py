@@ -241,9 +241,11 @@ class TestFrameCodec:
                 wire._PREFIX.pack(wire.VERSION, len(header), 0),
                 header,
             ))
-            with pytest.raises(wire.WireError, match="invalid JSON"):
-                wire.read_frame(io.BytesIO(frame))
-            with pytest.raises(wire.WireError, match="invalid JSON"):
+            stream = io.BytesIO(frame + b"next")
+            with pytest.raises(wire.HeaderError, match="invalid JSON"):
+                wire.read_frame(stream)
+            assert stream.read() == b"next"  # read whole: still in sync
+            with pytest.raises(wire.HeaderError, match="invalid JSON"):
                 wire.split_frame(frame)
 
     def test_bad_magic_rejected(self):
@@ -528,25 +530,27 @@ class TestServeFailurePaths:
 
     def test_deeply_nested_header_gets_error_reply(self, tcp_server):
         """A frame header nested past the decoder's recursion limit gets
-        an error frame, not a dead handler thread; the stream is then
-        unsynchronized, so the daemon closes it and serves the next
-        connection."""
+        an error frame, not a dead handler thread; the frame was read
+        whole before its header was decoded, so the same connection
+        then answers a ping."""
         _, address = tcp_server
         header = b'{"v": 2, "payload": {"pairs": ' + b"[" * 100_000 \
             + b"]" * 100_000 + b"}}"
         frame = b"".join((
             wire.MAGIC,
-            wire._PREFIX.pack(wire.VERSION, len(header), 0),
+            wire._PREFIX.pack(wire.VERSION, len(header), 4),
             header,
+            b"blob",
         ))
         with socket.create_connection(address, timeout=10) as raw:
+            replies = raw.makefile("rb")
             raw.sendall(frame)
-            reply, _ = wire.read_frame(raw.makefile("rb"))
-        response = wire.response_from_frame(reply)
-        assert response["ok"] is False
-        assert "invalid JSON in frame header" in response["error"]
-        with ServeClient(address) as client:
-            assert client.request({"op": "ping"})["ok"]
+            reply, _ = wire.read_frame(replies)
+            response = wire.response_from_frame(reply)
+            assert response["ok"] is False
+            assert "invalid JSON in frame header" in response["error"]
+            raw.sendall(b'{"op": "ping"}\n')
+            assert json.loads(replies.readline())["ok"]
 
     def test_deeply_nested_response_line_raises(self):
         class _Deep(socketserver.BaseRequestHandler):

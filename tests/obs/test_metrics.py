@@ -322,25 +322,39 @@ class TestExposition:
         assert_strict_exposition(render_prometheus(registry.snapshot()))
 
     def test_metrics_op_exposition_is_strict(self, tmp_path):
+        import json
+        import socket
+
         from repro.server import ReproServer
 
         server = ReproServer(store_dir=str(tmp_path / "store"))
-        payload = {
+        server.bind_tcp()
+        server.serve_in_background()
+        line = json.dumps({
             "op": "batch",
             "pairs": [[
                 {"schema": ["A", "B"], "tuples": [[[1, 2], 3]]},
                 {"schema": ["B", "C"], "tuples": [[[2, 5], 3]]},
             ]],
             "suites": [["planted-path", 3, 0]],
-        }
+        }).encode() + b"\n"
         try:
-            assert server.handle_payload(payload)["ok"]
-            first = server.handle_payload({"op": "metrics"})
-            # the first batch's suite reads verdicts back from the
-            # store, so the later two read their bags through the
-            # ingest memo: two misses, then two hits
-            for _ in range(2):
-                assert server.handle_payload(payload)["ok"]
+            with socket.create_connection(server.address, timeout=10) as raw:
+                replies = raw.makefile("rb")
+
+                def send(data):
+                    raw.sendall(data)
+                    return json.loads(replies.readline())
+
+                assert send(line)["ok"]
+                first = server.handle_payload({"op": "metrics"})
+                # the first batch's suite reads verdicts back from the
+                # store, so the connection's later lines are read
+                # through the ingest memo: two misses, then two hits,
+                # and a line it cannot read exactly falls back
+                for _ in range(2):
+                    assert send(line)["ok"]
+                assert not send(b'{"pairs": [[{"schema": 5}]]}\n')["ok"]
             second = server.handle_payload({"op": "metrics"})
             stats = server.stats()
         finally:
@@ -362,8 +376,11 @@ class TestExposition:
             assert set(keys) <= set(sections[prefix]), prefix
             monotone += [f"{prefix}_{key}" for key in keys]
         # the ingest memo counts into the server's registry only
-        monotone += ["repro_ingest_memo_hits", "repro_ingest_memo_misses"]
-        assert len(monotone) == 31
+        monotone += [
+            "repro_ingest_memo_hits", "repro_ingest_memo_misses",
+            "repro_ingest_line_fallbacks",
+        ]
+        assert len(monotone) == 32
         for family in monotone:
             assert types.get(family) == "counter", family
         for prefix, keys in self.LEVELS.items():
@@ -381,6 +398,7 @@ class TestExposition:
         assert after["repro_server_batches"] == 3
         assert after["repro_ingest_memo_misses"] == 2
         assert after["repro_ingest_memo_hits"] == 2
+        assert after["repro_ingest_line_fallbacks"] == 1
         assert second["json"]["gauges"]["repro_ingest_memo_rows"] == 2
 
     def test_json_is_one_line_and_round_trips(self):
