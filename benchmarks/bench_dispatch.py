@@ -9,24 +9,27 @@ the worker unpickles it and derives its fingerprint again), so only the
 search can pay for it.  This sweep is the measurement behind that rule
 (``engine/executors.py``).
 
-For each kind — pair checks, pair witnesses, acyclic path collections
-(three bags, Theorem 6) and cyclic triangles (Theorem 4) — each batch
-size and each row count a bag, it times the batch at ``parallelism``
-``None`` (the plain loop) and 2, alternating the two over paired
-rounds, and reads the total CPU of this process and its live pool
-workers (``/proc/<pid>/stat``).  Every round runs fresh bag copies (no
-cached marginals or fingerprints) through a fresh engine, so every job
-is a miss; one untimed process round per cell starts the pool first.
+For each kind of global batch — acyclic path collections (three bags,
+Theorem 6) and cyclic triangles (Theorem 4) — each batch size and each
+row count a bag, it times the batch at ``parallelism`` ``None`` (the
+plain loop) and 2, alternating the two over paired rounds, and reads
+the total CPU of this process and its live pool workers
+(``/proc/<pid>/stat``).  Every round runs fresh bag copies (no cached
+marginals or fingerprints) through a fresh engine, so every job is a
+miss; one untimed process round per cell starts the pool first.
 
-Gate: every pair, witness and acyclic cell runs at ``parallelism=2``
-within ``MAX_RATIO`` of the plain loop (the median of the per-round
+Gate: every acyclic cell runs at ``parallelism=2`` within
+``MAX_RATIO`` of the plain loop (the median of the per-round
 process/serial ratios).  Cyclic cells are measured, not gated.
 
-The sweep calls only the public ``*_many(parallelism=...)`` API, so the
-same file runs against older trees (where every kind ships); the
-committed ``BENCH_dispatch.json`` holds one run per tree, each labelled
-with its commit.  ``REPRO_BENCH_SMOKE=1`` shrinks the row counts;
-``REPRO_BENCH_OUT=path`` writes the run.
+Pair checks and witnesses are not swept: their batches take no
+``parallelism`` and are always the plain loop.  The committed
+``BENCH_dispatch.json`` holds one run per tree, each labelled with its
+commit; its pair and witness cells come from trees whose pair batches
+still took the parameter.  The sweep calls only the public
+``global_check_many(parallelism=...)``, which those trees take too.
+``REPRO_BENCH_SMOKE=1`` shrinks the row counts; ``REPRO_BENCH_OUT=path``
+writes the run.
 """
 
 from __future__ import annotations
@@ -44,11 +47,10 @@ import sys
 import time
 from pathlib import Path
 
-from repro.core.schema import Schema
 from repro.engine import executors
 from repro.engine.session import Engine
 from repro.hypergraphs.families import path_hypergraph, triangle_hypergraph
-from repro.workloads.generators import planted_pair, random_collection_over
+from repro.workloads.generators import random_collection_over
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
@@ -57,35 +59,21 @@ ROUNDS = 15
 MAX_RATIO = 1.2
 BATCH_SIZES = (8, 32)
 ROWS = {
-    "pairs": (16, 128) if SMOKE else (16, 128, 1024),
-    "witnesses": (16, 128) if SMOKE else (16, 128, 1024),
     "acyclic": (16, 128) if SMOKE else (16, 128, 1024),
     "cyclic": (4, 16) if SMOKE else (4, 16, 32),
 }
-GATED = ("pairs", "witnesses", "acyclic")
+GATED = ("acyclic",)
 
-AB = Schema(["A", "B"])
-BC = Schema(["B", "C"])
 CLOCK_TICKS = os.sysconf("SC_CLK_TCK")
-
-
-def _pair(rng: random.Random, rows: int) -> list:
-    # 2*sqrt(rows) values per attribute keep supports near ``rows``
-    # while the join attribute still fans out
-    domain = max(3, round(2 * math.sqrt(rows)))
-    _, left, right = planted_pair(
-        AB, BC, rng, domain_size=domain, n_tuples=rows
-    )
-    return [left, right]
 
 
 def build_batch(kind: str, size: int, rows: int, seed: int) -> bytes:
     """A pickled batch of ``size`` distinct jobs (bags pickle without
     their indexes, so every load is a cold copy)."""
     rng = random.Random(seed)
-    if kind in ("pairs", "witnesses"):
-        batch = [_pair(rng, rows) for _ in range(size)]
-    elif kind == "acyclic":
+    if kind == "acyclic":
+        # 2*sqrt(rows) values per attribute keep supports near ``rows``
+        # while the join attributes still fan out
         domain = max(3, round(2 * math.sqrt(rows)))
         batch = [
             random_collection_over(
@@ -104,15 +92,10 @@ def build_batch(kind: str, size: int, rows: int, seed: int) -> bytes:
     return pickle.dumps(batch)
 
 
-def run_kind(kind: str, batch: list, parallelism: int | None) -> list:
-    engine = Engine()
-    if kind == "pairs":
-        return engine.are_consistent_many(batch, parallelism=parallelism)
-    if kind == "witnesses":
-        return engine.witness_many(batch, parallelism=parallelism)
+def run_collections(batch: list, parallelism: int | None) -> list:
     return [
         (result.consistent, result.method, result.witness)
-        for result in engine.global_check_many(
+        for result in Engine().global_check_many(
             batch, parallelism=parallelism
         )
     ]
@@ -132,28 +115,28 @@ def tree_cpu() -> float:
     return total
 
 
-def timed(kind: str, blob: bytes, parallelism: int | None):
+def timed(blob: bytes, parallelism: int | None):
     batch = pickle.loads(blob)
     gc.collect()
     cpu = tree_cpu()
     start = time.perf_counter()
-    results = run_kind(kind, batch, parallelism)
+    results = run_collections(batch, parallelism)
     elapsed = time.perf_counter() - start
     return elapsed, tree_cpu() - cpu, results
 
 
 def measure_cell(kind: str, size: int, rows: int, seed: int) -> dict:
     blob = build_batch(kind, size, rows, seed)
-    _, _, expected = timed(kind, blob, None)
-    _, _, shipped = timed(kind, blob, WORKERS)  # untimed: starts the pool
+    _, _, expected = timed(blob, None)
+    _, _, shipped = timed(blob, WORKERS)  # untimed: starts the pool
     assert shipped == expected, (kind, size, rows)
     serial, process, serial_cpu, process_cpu = [], [], 0.0, 0.0
     for _ in range(ROUNDS):
-        elapsed, cpu, results = timed(kind, blob, None)
+        elapsed, cpu, results = timed(blob, None)
         assert results == expected
         serial.append(elapsed)
         serial_cpu += cpu
-        elapsed, cpu, results = timed(kind, blob, WORKERS)
+        elapsed, cpu, results = timed(blob, WORKERS)
         assert results == expected
         process.append(elapsed)
         process_cpu += cpu
@@ -198,7 +181,10 @@ def _commit() -> dict:
 def test_only_search_work_pays_for_a_worker():
     cores = os.cpu_count() or 1
     cells = []
-    seed = 0
+    # each cell keeps the seed it had when pair and witness cells (two
+    # kinds with the acyclic row counts) ran first, so its batch is the
+    # one the committed runs measured
+    seed = 2 * len(BATCH_SIZES) * len(ROWS["acyclic"])
     try:
         for kind, row_counts in ROWS.items():
             for size in BATCH_SIZES:
@@ -238,5 +224,5 @@ def test_only_search_work_pays_for_a_worker():
             json.dump(run, fh, indent=2)
     assert not failures, (
         f"parallelism={WORKERS} slower than {MAX_RATIO}x the plain loop "
-        f"on linear work: {failures}"
+        f"on Theorem 6 folds: {failures}"
     )

@@ -24,6 +24,7 @@ special casing.
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 
 from . import registry
@@ -110,7 +111,11 @@ _SET_MUTATORS = (
 
 
 def _make_guarded(base: type, mutators: tuple, extra: tuple = ()):
-    """A ``base`` subclass whose mutators assert the owner's lock."""
+    """A ``base`` subclass whose mutators assert the owner's lock.  It
+    holds its owner by a weak reference: a strong one would make every
+    guarded container and its owner a cycle, freed only by the cyclic
+    collector, and sanitized runs would then see lifetimes (and
+    garbage) the program does not have."""
 
     class Guarded(base):
         _repro_owner = None
@@ -120,7 +125,7 @@ def _make_guarded(base: type, mutators: tuple, extra: tuple = ()):
         def _repro_bind(self, owner, lock_attr, what):
             # plain object.__setattr__: these classes have no slots and
             # the owner's guarded __setattr__ does not apply to them
-            self._repro_owner = owner
+            self._repro_owner = weakref.ref(owner)
             self._repro_lock_attr = lock_attr
             self._repro_what = what
             return self
@@ -129,9 +134,13 @@ def _make_guarded(base: type, mutators: tuple, extra: tuple = ()):
         base_method = getattr(base, name)
 
         def method(self, *args, **kwargs):
-            owner = self._repro_owner
-            if owner is not None and sanitizer_active():
-                _assert_held(owner, self._repro_lock_attr, self._repro_what)
+            ref = self._repro_owner
+            if ref is not None and sanitizer_active():
+                owner = ref()
+                if owner is not None:
+                    _assert_held(
+                        owner, self._repro_lock_attr, self._repro_what
+                    )
             return base_method(self, *args, **kwargs)
 
         method.__name__ = name

@@ -323,7 +323,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store_dir=args.store_dir,
         shards=args.shards,
         max_inflight=args.max_inflight,
-        wire_format=args.wire_format,
         slow_ms=args.slow_ms,
     )
     if args.store_dir:
@@ -591,15 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="include a witness bag for every consistent pair",
     )
     _add_engine_knobs(p)
-    p.add_argument(
-        "--wire-format",
-        choices=["json", "columnar"],
-        default="columnar",
-        dest="wire_format",
-        help="socket transport (default columnar): accept and advertise "
-        "v2 binary frames alongside newline JSON ('json' simulates a "
-        "v1-only daemon)",
-    )
     p.add_argument(
         "--max-inflight",
         type=int,

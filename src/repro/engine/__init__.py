@@ -10,18 +10,18 @@ Layering (lowest first):
 * :mod:`repro.engine.fingerprint` — content fingerprints and the
   registry that lets value-equal bags share one index;
 * :mod:`repro.engine.session` — the :class:`Engine` facade: memoized
-  marginal/join/consistency queries (bounded LRU cache, pinning,
-  per-bag invalidation) plus the batched entry points
-  (``are_consistent_many``, ``witness_many``, ``global_check_many``,
-  each with a ``parallelism=`` knob);
+  consistency, witness and global queries (bounded LRU store, per-bag
+  invalidation) plus the batched entry points
+  (``are_consistent_many``, ``witness_many``, ``global_check_many``;
+  only the last takes ``parallelism=``);
 * :mod:`repro.engine.live` — :class:`LiveEngine`: mutable
   :class:`LiveBag` handles whose updates bump O(1) incremental pair
   checkers and invalidate only the cache entries they touch, and a
   maintained Theorem 6 witness per acyclic handle set, patched by the
   delta repair of :mod:`repro.engine.live_global`;
 * :mod:`repro.engine.jobs`, :mod:`repro.engine.executors` and
-  :mod:`repro.engine.wire` — batch payloads, the serial loop and the
-  process pool that run them, and the v2 frame codec of
+  :mod:`repro.engine.wire` — batch payloads, the process pool that
+  runs their Theorem 4 search misses, and the v2 frame codec of
   ``repro serve``;
 * :mod:`repro.engine.reference` — the seed's pre-engine loops, kept as
   the oracle for cross-check tests and speedup benchmarks.

@@ -1,4 +1,4 @@
-"""How the batched engine entry points run a batch.
+"""Where a global batch's Theorem 4 search misses run.
 
 The paper's dichotomy decides where the work goes.  Pair verdicts
 (Lemma 2), Corollary 1 witnesses and Theorem 6 folds are polynomial
@@ -6,16 +6,16 @@ and close to linear in their input, so shipping one costs more CPU
 than running it (the parent fingerprints and pickles each bag, the
 worker unpickles it and derives its fingerprint again); only the
 exponential Theorem 4 search over a cyclic schema is worth a core of
-its own.  So ``parallelism`` (``parallelism=`` on the ``*_many``
-methods, ``--parallelism`` on ``repro batch`` / ``repro serve``) only
-ever moves search work:
-
-* pair checks and witnesses, and every batch at ``parallelism``
-  ``None`` or 1, run as a plain loop in the calling thread;
-* a global batch at N > 1 ships the misses that take the search route
-  (``method="search"``, or ``"auto"`` over a cyclic schema) to the
-  N-worker process pool and runs every other miss (Theorem 6 folds,
-  ``method="acyclic"``) in its local replay.
+its own.  So every ``*_many`` method of
+:class:`~repro.engine.session.Engine` is a plain loop in the calling
+thread, and ``parallelism`` (``parallelism=`` on
+:meth:`~repro.engine.session.Engine.global_check_many`,
+``--parallelism`` on ``repro batch`` / ``repro serve``) only ever moves
+search work: at N > 1 that loop first calls
+:func:`run_process_batch`, which ships the misses that take the search
+route (``method="search"``, or ``"auto"`` over a cyclic schema) to the
+N-worker process pool, and every other miss (Theorem 6 folds,
+``method="acyclic"``) is computed by the loop.
 
 The pool is one long-lived
 :class:`~concurrent.futures.ProcessPoolExecutor` per worker count,
@@ -28,14 +28,14 @@ chunk through a private engine, which derives every fingerprint it
 writes from the content it received.  Workers return their store's
 **verdict deltas** — every ``(key, value, participant_fps)`` they
 computed — which the parent merges back into the shared store;
-fingerprint keys are process-independent, so the final local replay
-of the whole batch answers the shipped misses from the store.  A
-worker that dies breaks its pool: the pool is dropped, the replay
-computes the lost chunks in-process, and the next batch that ships
-starts a fresh pool.  Workers exit when their parent dies.
+fingerprint keys are process-independent, so the engine's loop over
+the whole batch answers the shipped misses from the store.  A worker
+that dies breaks its pool: the pool is dropped, the loop computes the
+lost chunks in-process, and the next batch that ships starts a fresh
+pool.  Workers exit when their parent dies.
 
 ``benchmarks/bench_dispatch.py`` measures the rule (serial against
-``parallelism=2`` per kind, batch size and row count;
+``parallelism=2`` per batch size and row count;
 ``BENCH_dispatch.json``).  Batches never run on a thread pool: under
 the interpreter lock one was slower than the plain loop on every batch
 measured, cache-heavy ones included.
@@ -52,7 +52,6 @@ from typing import TYPE_CHECKING
 
 from ..analysis.registry import register_lock
 from ..consistency.global_ import takes_search
-from ..errors import InconsistentError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .session import global_key
@@ -67,45 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.bags import Bag
     from .session import Engine
 
-__all__ = ["run_batch", "run_process_batch", "shutdown_pools"]
-
-
-def run_batch(
-    engine: "Engine",
-    kind: str,
-    items: list,
-    parallelism: int | None,
-    method: str = "auto",
-) -> list:
-    """Run one batch of ``kind`` jobs (``"consistent"``, ``"witness"``
-    or ``"global"``).  Only a global batch at ``parallelism`` above 1
-    reaches the pool (:func:`run_process_batch`, which ships its search
-    misses); every other batch is the plain loop in this thread."""
-    if parallelism is not None and parallelism < 1:
-        raise ValueError(f"parallelism must be positive, got {parallelism}")
-    if kind != "global" or parallelism is None or parallelism == 1:
-        return _run_here(engine, kind, items, method)
-    return run_process_batch(engine, items, parallelism, method)
-
-
-def _run_here(engine: "Engine", kind: str, items: list, method: str) -> list:
-    """The plain loop: one result per item, in order, with ``None`` for
-    a witness refused by an inconsistent pair (a batch must not abort on
-    its first inconsistent entry)."""
-    if kind == "consistent":
-        return [engine.are_consistent(left, right) for left, right in items]
-    if kind == "witness":
-        results = []
-        for left, right in items:
-            try:
-                results.append(engine.witness(left, right))
-            except InconsistentError:
-                results.append(None)
-        return results
-    return [
-        engine.global_check(collection, method=method)
-        for collection in items
-    ]
+__all__ = ["run_process_batch", "shutdown_pools"]
 
 
 # -- the process pool ---------------------------------------------------
@@ -115,7 +76,7 @@ def _run_here(engine: "Engine", kind: str, items: list, method: str) -> list:
 # instead of each forking its own.  A pool is replaced only when broken:
 # the batch that finds it so drops it, and the next batch forks a fresh
 # one.  Dropping lets submitted work finish; a concurrent batch still
-# submitting to the dropped pool loses those chunks to its local replay.
+# submitting to the dropped pool leaves those chunks to the engine's loop.
 
 _POOLS: dict = {}
 _POOL_LOCK = register_lock(
@@ -214,7 +175,6 @@ atexit.register(shutdown_pools)
 def _worker_run(
     jobs: list,
     table: dict,
-    node_budget: int | None,
     method: str,
     trace_id: str | None = None,
 ):
@@ -226,7 +186,7 @@ def _worker_run(
     from .session import Engine
 
     with obs_trace.worker_trace(trace_id) as worker_span_sink:
-        engine = Engine(node_budget=node_budget)
+        engine = Engine()
         start = time.perf_counter()
         for fps in jobs:
             engine.global_check([table[fp] for fp in fps], method=method)
@@ -247,13 +207,12 @@ def run_process_batch(
     collections: list,
     workers: int,
     method: str = "auto",
-) -> list:
+) -> None:
     """Fan a global batch's search misses over the ``workers``-worker
-    pool, merge their verdict deltas into ``engine``'s store, then
-    replay the whole batch locally: the shipped misses are hits, and
-    every other miss (a Theorem 6 fold, or a chunk lost to a dead
-    worker) is computed here, preserving order and exception
-    behaviour."""
+    pool and merge their verdict deltas into ``engine``'s store, so the
+    engine's loop over the batch reads them as hits.  Every other miss
+    (a Theorem 6 fold, or a chunk lost to a dead worker) is left to
+    that loop."""
     from concurrent.futures.process import BrokenProcessPool
 
     from . import fingerprint
@@ -271,51 +230,47 @@ def run_process_batch(
             missing.append(fps)
             for fp, bag in zip(fps, collection):
                 bags_by_fp.setdefault(fp, bag)
-    if missing:
-        trace = obs_trace.current()
-        trace_id = trace.trace_id if trace is not None else None
-        batch_start = time.perf_counter()
-        n_chunks = min(workers, len(missing))
-        payloads = []
-        for chunk in (missing[i::n_chunks] for i in range(n_chunks)):
-            table = {}
-            for fps in chunk:
-                for fp in fps:
-                    table[fp] = bags_by_fp[fp]
-            payloads.append((chunk, table))
-        pool = _pool(workers)
-        futures = []
+    if not missing:
+        return
+    trace = obs_trace.current()
+    trace_id = trace.trace_id if trace is not None else None
+    batch_start = time.perf_counter()
+    n_chunks = min(workers, len(missing))
+    payloads = []
+    for chunk in (missing[i::n_chunks] for i in range(n_chunks)):
+        table = {}
+        for fps in chunk:
+            for fp in fps:
+                table[fp] = bags_by_fp[fp]
+        payloads.append((chunk, table))
+    pool = _pool(workers)
+    futures = []
+    try:
+        for chunk, table in payloads:
+            futures.append(pool.submit(
+                _worker_run, chunk, table, method, trace_id,
+            ))
+    except RuntimeError:
+        # broken (a worker died since the last batch) or shut down
+        # under us: the unsubmitted chunks are lost, not failed
+        _drop_pool(workers, pool)
+    for index, future in enumerate(futures):
         try:
-            for chunk, table in payloads:
-                futures.append(pool.submit(
-                    _worker_run, chunk, table, engine.node_budget, method,
-                    trace_id,
-                ))
-        except RuntimeError:
-            # broken (a worker died since the last batch) or shut down
-            # under us: the unsubmitted chunks are lost, not failed
+            deltas, worker_spans = future.result()
+        except BrokenProcessPool:
             _drop_pool(workers, pool)
-        for index, future in enumerate(futures):
-            try:
-                deltas, worker_spans = future.result()
-            except BrokenProcessPool:
-                _drop_pool(workers, pool)
-                continue
-            engine.store.merge(deltas)
-            if trace is not None and worker_spans:
-                trace.merge_remote(worker_spans, worker=index)
-        elapsed = time.perf_counter() - batch_start
-        _PROCESS_HISTOGRAM.record(elapsed)
-        if trace is not None:
-            trace.add_span(
-                "executor.process_batch", batch_start, elapsed,
-                misses=len(missing), workers=n_chunks,
-            )
-        # A persistent store makes merged worker deltas durable at the
-        # batch boundary (no-op 0 for the in-memory store): a daemon
-        # killed right after a process batch keeps those verdicts.
-        engine.flush()
-    # Replay locally: merged misses are hits; anything left (an acyclic
-    # miss, a dead worker's chunk, or a racing invalidation) is
-    # computed here.
-    return _run_here(engine, "global", collections, method)
+            continue
+        engine.store.merge(deltas)
+        if trace is not None and worker_spans:
+            trace.merge_remote(worker_spans, worker=index)
+    elapsed = time.perf_counter() - batch_start
+    _PROCESS_HISTOGRAM.record(elapsed)
+    if trace is not None:
+        trace.add_span(
+            "executor.process_batch", batch_start, elapsed,
+            misses=len(missing), workers=n_chunks,
+        )
+    # A persistent store makes merged worker deltas durable at the
+    # batch boundary (no-op 0 for the in-memory store): a daemon
+    # killed right after a process batch keeps those verdicts.
+    engine.flush()

@@ -353,14 +353,10 @@ def run_jobs(
     report: dict = {}
     if jobs.pairs:
         with _section("pairs", len(jobs.pairs)):
-            verdicts = engine.are_consistent_many(
-                jobs.pairs, parallelism=parallelism
-            )
+            verdicts = engine.are_consistent_many(jobs.pairs)
             entries = [{"consistent": verdict} for verdict in verdicts]
             if witnesses:
-                found = engine.witness_many(
-                    jobs.pairs, parallelism=parallelism
-                )
+                found = engine.witness_many(jobs.pairs)
                 for entry, witness in zip(entries, found):
                     if witness is not None:
                         entry["witness"] = repro_io.bag_to_dict(witness)

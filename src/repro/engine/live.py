@@ -45,7 +45,6 @@ from ..consistency.global_ import (
 from ..consistency.incremental import IncrementalPairChecker, validate_update
 from ..core.bags import Bag
 from ..core.schema import Schema
-from ..lp.integer_feasibility import DEFAULT_NODE_BUDGET
 from . import fingerprint
 from .live_global import repair_fold_witness
 from .session import Engine, EngineStats, VerdictStore, global_key
@@ -133,7 +132,7 @@ class LiveBag:
 class LiveEngine:
     """An :class:`Engine` over mutable bags.
 
-    ``capacity`` and ``node_budget`` are forwarded to the inner engine;
+    ``capacity`` and ``store`` are forwarded to the inner engine;
     queries between handles are answered from incrementally-maintained
     pair checkers (created on the first query of each pair, O(1)
     afterwards), acyclic global checks from the witness the session
@@ -144,13 +143,11 @@ class LiveEngine:
     def __init__(
         self,
         bags: Iterable[Bag] = (),
-        node_budget: int | None = DEFAULT_NODE_BUDGET,
+        *,
         capacity: int | None = None,
         store: VerdictStore | None = None,
     ) -> None:
-        self._engine = Engine(
-            node_budget=node_budget, capacity=capacity, store=store
-        )
+        self._engine = Engine(capacity=capacity, store=store)
         # Content-addressed entries never go stale, so invalidating on
         # update is purely a memory lever.  Over a private store we keep
         # it (a streaming session would otherwise accumulate an entry

@@ -34,12 +34,12 @@ Batched entry points (:meth:`are_consistent_many`,
 :meth:`witness_many`, :meth:`global_check_many`) are the unit of the
 high-throughput workloads in :mod:`repro.workloads.suites`, the
 ``repro batch`` / ``repro serve`` surfaces, and the benchmarks.  Each
-accepts ``parallelism=N`` (:mod:`repro.engine.executors`), but only
-the exponential work moves: pair checks, witnesses and Theorem 6
-folds always run as a plain loop in the calling thread, and at N > 1
-:meth:`global_check_many` ships its Theorem 4 search misses to an
-N-worker process pool whose verdict deltas merge back into the shared
-store — what scales the CPU-bound cyclic checks past the GIL.
+is a plain loop in the calling thread.  Only the exponential work
+moves: at ``parallelism=N`` above 1, :meth:`global_check_many` first
+ships its Theorem 4 search misses to an N-worker process pool
+(:mod:`repro.engine.executors`) whose verdict deltas merge back into
+the shared store — what scales the CPU-bound cyclic checks past the
+GIL — and its loop then reads them back as hits.
 
 The memoization contract: plain :class:`repro.core.bags.Bag` objects
 are immutable and entries are pure functions of their fingerprints, so
@@ -63,7 +63,6 @@ from typing import Callable, Iterable, Sequence
 from ..analysis.registry import requires_lock, shared_state
 from ..core.bags import Bag
 from ..errors import InconsistentError
-from ..lp.integer_feasibility import DEFAULT_NODE_BUDGET
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from . import fingerprint
@@ -326,12 +325,12 @@ class VerdictStore:
 class Engine:
     """A session facade over a content-addressed :class:`VerdictStore`.
 
-    ``node_budget`` bounds the exact integer search used by cyclic
-    global checks (forwarded to the Theorem 4 dispatch).  ``capacity``
-    bounds the number of stored results (LRU eviction; ``None`` means
-    unbounded).  ``store`` shares an existing :class:`VerdictStore`
-    between engines (``capacity`` must then be left unset — the store
-    already owns the bound).
+    ``capacity`` bounds the number of stored results (LRU eviction;
+    ``None`` means unbounded).  ``store`` shares an existing
+    :class:`VerdictStore` between engines (``capacity`` must then be
+    left unset — the store already owns the bound).  Cyclic global
+    checks search under the library's default node budget
+    (:data:`repro.lp.integer_feasibility.DEFAULT_NODE_BUDGET`).
 
     Every query runs in the calling thread, except the Theorem 4
     search misses of a :meth:`global_check_many` batch at
@@ -341,7 +340,7 @@ class Engine:
 
     def __init__(
         self,
-        node_budget: int | None = DEFAULT_NODE_BUDGET,
+        *,
         capacity: int | None = None,
         store: VerdictStore | None = None,
     ) -> None:
@@ -350,7 +349,6 @@ class Engine:
                 "pass capacity= either to the Engine or to the shared "
                 "VerdictStore, not both"
             )
-        self.node_budget = node_budget
         self.store = store if store is not None else VerdictStore(capacity)
         self.stats = EngineStats()
         self._lock = threading.RLock()
@@ -535,7 +533,6 @@ class Engine:
             cached = global_witness(
                 bags,
                 method=method,  # type: ignore[arg-type]
-                node_budget=self.node_budget,
                 pair_checker=_pair_checker or self._internal_pair_checker,
                 acyclic=_acyclic_hint,
             )
@@ -550,29 +547,25 @@ class Engine:
     # -- batched API -----------------------------------------------------
 
     def are_consistent_many(
-        self,
-        pairs: Iterable[tuple[Bag, Bag]],
-        parallelism: int | None = None,
+        self, pairs: Iterable[tuple[Bag, Bag]]
     ) -> list[bool]:
-        """Lemma 2(2) over a batch of pairs; one verdict per pair.
-        Runs in the calling thread whatever ``parallelism`` says (it is
-        still validated): a pair check costs less than shipping it."""
-        from .executors import run_batch
-
-        return run_batch(self, "consistent", list(pairs), parallelism)
+        """Lemma 2(2) over a batch of pairs; one verdict per pair, in
+        the calling thread: a pair check costs less than shipping it."""
+        return [self.are_consistent(left, right) for left, right in pairs]
 
     def witness_many(
-        self,
-        pairs: Iterable[tuple[Bag, Bag]],
-        parallelism: int | None = None,
+        self, pairs: Iterable[tuple[Bag, Bag]]
     ) -> list[Bag | None]:
         """Witnesses for a batch of pairs: a witness bag per consistent
         pair, ``None`` per inconsistent one (a batch must not abort on
-        the first inconsistent entry).  Runs in the calling thread
-        whatever ``parallelism`` says, like :meth:`are_consistent_many`."""
-        from .executors import run_batch
-
-        return run_batch(self, "witness", list(pairs), parallelism)
+        the first inconsistent entry)."""
+        results: list[Bag | None] = []
+        for left, right in pairs:
+            try:
+                results.append(self.witness(left, right))
+            except InconsistentError:
+                results.append(None)
+        return results
 
     def global_check_many(
         self,
@@ -585,11 +578,19 @@ class Engine:
         collections).  ``parallelism > 1`` is the CPU-bound scaling
         path for the exponential part only: misses that take the
         Theorem 4 search (``method="search"``, or ``"auto"`` over a
-        cyclic schema) fan out over worker processes and their verdict
-        deltas merge back; the local replay then answers those from the
+        cyclic schema) first fan out over worker processes and their
+        verdict deltas merge back; the loop then answers those from the
         store and folds the acyclic misses (Theorem 6) in this
         thread."""
-        from .executors import run_batch
-
+        if parallelism is not None and parallelism < 1:
+            raise ValueError(f"parallelism must be positive, got {parallelism}")
         collections = [list(collection) for collection in collections]
-        return run_batch(self, "global", collections, parallelism, method)
+        if parallelism is not None and parallelism > 1:
+            # through the module: the name is looked up at call time
+            from . import executors
+
+            executors.run_process_batch(self, collections, parallelism, method)
+        return [
+            self.global_check(collection, method=method)
+            for collection in collections
+        ]

@@ -127,7 +127,7 @@ class Histogram:
     """
 
     __slots__ = ("name", "labels", "_lock", "_counts", "_count",
-                 "_sum", "_min", "_max")
+                 "_sum", "_min", "_max", "__weakref__")
 
     def __init__(self, name: str, labels: dict | None = None) -> None:
         self.name = name
@@ -244,7 +244,7 @@ class MetricsRegistry:
     with a different kind is an error.
     """
 
-    __slots__ = ("_lock", "_metrics")
+    __slots__ = ("_lock", "_metrics", "__weakref__")
 
     _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 

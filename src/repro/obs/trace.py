@@ -93,6 +93,7 @@ class Trace:
 
     __slots__ = (
         "trace_id", "op", "origin", "spans", "dropped", "total_ms", "_lock",
+        "__weakref__",  # the sanitizer's guarded containers point back
     )
 
     def __init__(self, op: str, trace_id: str | None = None) -> None:
@@ -164,7 +165,7 @@ class TraceBuffer:
     :class:`Trace` is rendered to its dict by :meth:`snapshot`, not
     when it finishes, so a request pays for its ring slot only."""
 
-    __slots__ = ("capacity", "_lock", "_ring", "_next")
+    __slots__ = ("capacity", "_lock", "_ring", "_next", "__weakref__")
 
     def __init__(self, capacity: int = 64) -> None:
         self.capacity = capacity

@@ -15,10 +15,9 @@ on disk and a restarted daemon reopens them warm.
   payloads; framed requests get framed responses).  The server sniffs
   the first byte of each message, so one connection may mix both;
 * a client discovers frame support through the handshake:
-  ``{"op": "ping", "wire": 2}`` is answered with ``"wire": 2`` when the
-  daemon accepts frames (``--wire-format columnar``, the default); a
-  v1 daemon's ping simply lacks the key and the client stays on JSON
-  lines;
+  ``{"op": "ping", "wire": 2}`` is answered with ``"wire": 2``; a
+  daemon that predates frames answers a ping without the key, and
+  :class:`ServeClient` then stays on JSON lines;
 * a request is either an ``op`` request (``{"op": "stats"}``,
   ``{"op": "ping"}``, ``{"op": "shutdown"}``) or a **batch payload** —
   exactly the object ``repro batch`` reads from a file (``pairs`` /
@@ -90,7 +89,6 @@ from .engine import executors, wire
 from .engine.jobs import IngestMemo, JobError, parse_jobs, run_jobs
 from .engine.session import Engine, EngineStats
 from .errors import ReproError
-from .lp.integer_feasibility import DEFAULT_NODE_BUDGET
 from .obs import expo as obs_expo
 from .obs import metrics as obs_metrics
 from .obs import trace as obs_trace
@@ -155,10 +153,11 @@ class ReproServer:
 
     ``method`` / ``witnesses`` / ``parallelism`` are the serving
     defaults applied to every batch request (the same knobs
-    ``repro batch`` takes per invocation).  ``store_dir`` attaches a
-    :class:`repro.store.PersistentVerdictStore` (created on first use,
-    reopened warm thereafter; the daemon owns it and closes it on
-    shutdown); ``store`` shares an existing store object instead.
+    ``repro batch`` takes per invocation).  The daemon builds its own
+    store: in memory, bounded to ``capacity`` results, or with
+    ``store_dir`` a :class:`repro.store.PersistentVerdictStore` of
+    ``shards`` shards under a ``capacity``-entry hot tier (created on
+    first use, reopened warm thereafter, closed on shutdown).
     ``max_inflight`` caps concurrently executing batches
     (``admission_timeout`` seconds of waiting, then a refusal).  Bind
     with :meth:`bind_unix` or :meth:`bind_tcp`, then
@@ -168,49 +167,31 @@ class ReproServer:
 
     def __init__(
         self,
-        engine: Engine | None = None,
+        *,
         capacity: int | None = None,
-        node_budget: int | None = DEFAULT_NODE_BUDGET,
         method: str = "auto",
         witnesses: bool = False,
         parallelism: int | None = None,
-        store=None,
         store_dir: str | None = None,
         shards: int | None = None,
         max_inflight: int | None = None,
         admission_timeout: float = 60.0,
-        wire_format: str = "columnar",
         slow_ms: float | None = None,
     ) -> None:
         if max_inflight is not None and max_inflight < 1:
             raise ReproError(
                 f"max_inflight must be positive, got {max_inflight}"
             )
-        if wire_format not in ("json", "columnar"):
-            raise ReproError(
-                f"unknown wire_format {wire_format!r}; "
-                "choose 'json' or 'columnar'"
-            )
-        # "columnar" advertises v2 frames in the ping handshake (and
-        # accepts them); "json" simulates a v1-only daemon.
-        self.wire_format = wire_format
-        self._owns_store = False
-        if engine is not None:
-            self.engine = engine
-        else:
-            if store is None and store_dir is not None:
-                from .store import PersistentVerdictStore
+        store = None
+        if store_dir is not None:
+            from .store import PersistentVerdictStore
 
-                store = PersistentVerdictStore(
-                    store_dir, shards=shards, capacity=capacity
-                )
-                capacity = None  # the store owns the bound now
-                self._owns_store = True
-            self.engine = Engine(
-                node_budget=node_budget, capacity=capacity, store=store
+            store = PersistentVerdictStore(
+                store_dir, shards=shards, capacity=capacity
             )
+            capacity = None  # the store owns the bound now
+        self.engine = Engine(capacity=capacity, store=store)
         self.store = self.engine.store
-        self.node_budget = self.engine.node_budget
         self.method = method
         self.witnesses = witnesses
         self.parallelism = parallelism
@@ -318,13 +299,11 @@ class ReproServer:
                 self._thread.join(timeout=5)
                 self._thread = None
             executors.shutdown_pools()
-            # Durable on every clean stop; fully close the store only
-            # if this daemon created it.
-            flush = getattr(self.store, "flush", None)
-            if flush is not None:
-                flush()
-            if self._owns_store:
-                self.store.close()
+            # Durable on every clean stop: closing a persistent store
+            # flushes its write-behind tail.
+            close = getattr(self.store, "close", None)
+            if close is not None:
+                close()
 
     # -- per-connection engines ------------------------------------------
 
@@ -334,7 +313,7 @@ class ReproServer:
         self._connections.inc()
         with self._stats_lock:
             self._active += 1
-        return Engine(node_budget=self.node_budget, store=self.store)
+        return Engine(store=self.store)
 
     def connection_closed(self) -> None:
         with self._stats_lock:
@@ -378,12 +357,9 @@ class ReproServer:
                     f"unknown op {op!r}; expected one of {list(_OPS)}"
                 )
             if op == "ping":
-                response = {"ok": True, "op": "ping"}
-                if self.wire_format == "columnar":
-                    # the v2 handshake: clients that sent {"wire": 2}
-                    # read this advertisement and switch to frames
-                    response["wire"] = wire.VERSION
-                return response
+                # the v2 handshake: clients that sent {"wire": 2} read
+                # this advertisement and switch to frames
+                return {"ok": True, "op": "ping", "wire": wire.VERSION}
             if op == "stats":
                 return {"ok": True, "op": "stats", **self.stats()}
             if op == "metrics":
@@ -452,7 +428,6 @@ class ReproServer:
             },
             "store": self.store.stats_dict(),
             "kernels": wire.wire_stats(),
-            "wire_format": self.wire_format,
             "requests": self._requests.value,
             "batches": self._batches.value,
             "request_errors": self._errors.value,
@@ -598,16 +573,6 @@ class _Handler(socketserver.StreamRequestHandler):
             except OSError:
                 pass  # truncation usually means the peer is gone
             return True
-        if owner.wire_format != "columnar":
-            owner.count_request(error=True)
-            self._respond_frame({
-                "ok": False,
-                "error": (
-                    "binary frames are disabled (--wire-format json); "
-                    "send newline JSON"
-                ),
-            })
-            return False  # frame fully consumed: stream still synced
         try:
             payload = wire.decode_jobs_frame(header, blob)
         except ReproError as exc:

@@ -5,17 +5,18 @@ the process merge-back path."""
 import multiprocessing
 import os
 import random
+from itertools import combinations
 
 import pytest
 
-from repro.cli import _batch_parallelism, build_parser
+from repro.cli import _batch_parallelism, build_parser, main
 from repro.core.schema import Schema
 from repro.engine import executors, fingerprint
+from repro.engine.live import LiveEngine
 from repro.engine.session import Engine
 from repro.hypergraphs.families import path_hypergraph, triangle_hypergraph
 from repro.server import ReproServer
 from repro.workloads.generators import (
-    inconsistent_pair,
     perturb_bag,
     planted_pair,
     random_collection_over,
@@ -24,15 +25,6 @@ from repro.workloads.generators import (
 AB = Schema(["A", "B"])
 BC = Schema(["B", "C"])
 PARALLELISMS = (1, 2)
-
-
-def pairs_workload(n=5):
-    out = []
-    for seed in range(n):
-        _, r, s = planted_pair(AB, BC, random.Random(seed), n_tuples=5)
-        out.append((r, s))
-    out.append(inconsistent_pair(AB, BC, random.Random(99)))
-    return out
 
 
 def triangles_workload(n=4, seed=0):
@@ -57,6 +49,11 @@ def paths_workload(n=4, seed=0):
         random_collection_over(path_hypergraph(4), rng, n_tuples=8)
         for _ in range(n)
     ]
+
+
+def pairs_of(collections):
+    """Every pair of bags within each collection, in order."""
+    return [pair for bags in collections for pair in combinations(bags, 2)]
 
 
 def verdicts(results):
@@ -129,8 +126,11 @@ class TestResolution:
         assert cli_parallelism("--backend", "process") == (os.cpu_count() or 1)
         assert cli_parallelism("--backend", "process", "--parallelism", "2") == 2
 
-    def test_unknown_backend_rejected(self):
-        """The library takes no backend at all."""
+    def test_unknown_backend_rejected(self, capsys):
+        """The library takes no backend at all, and no setting that
+        nothing sets: a pair loop takes no ``parallelism``, no layer
+        above the search takes a node budget, and the daemon builds its
+        own engine and store and always speaks both wire formats."""
         engine = Engine()
         for batch in (
             engine.are_consistent_many,
@@ -139,19 +139,25 @@ class TestResolution:
         ):
             with pytest.raises(TypeError):
                 batch([], backend="process")
-        with pytest.raises(TypeError):
-            ReproServer(backend="process")
+        for batch in (engine.are_consistent_many, engine.witness_many):
+            with pytest.raises(TypeError):
+                batch([], parallelism=2)
+        for make in (Engine, LiveEngine, ReproServer):
+            with pytest.raises(TypeError):
+                make(node_budget=10)
+        for keyword in ("backend", "engine", "store", "wire_format"):
+            with pytest.raises(TypeError):
+                ReproServer(**{keyword: None})
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--port", "0", "--wire-format", "json"])
+        assert exit_info.value.code == 2
+        assert "--wire-format" in capsys.readouterr().err
 
     def test_bad_parallelism_rejected(self):
-        # refused by every batch, also by those that never ship
-        engine = Engine()
-        for batch in (
-            engine.are_consistent_many,
-            engine.witness_many,
-            engine.global_check_many,
-        ):
+        # refused by the one batch that takes it, whether it ships or not
+        for parallelism in (0, -1):
             with pytest.raises(ValueError, match="parallelism"):
-                batch([], parallelism=-1)
+                Engine().global_check_many([], parallelism=parallelism)
 
     def test_backends_tuple_is_the_cli_contract(self):
         """``batch`` and ``serve`` keep the two choices scripts pass."""
@@ -165,20 +171,46 @@ class TestResolution:
 
 
 class TestBackendParity:
+    """A pair batch takes no ``parallelism``, but the pair verdicts a
+    global batch stores are computed by the loop or, at
+    ``parallelism=2``, by workers whose deltas merge back; a pair batch
+    over the same bags answers the same either way, from the same
+    entries."""
+
     def test_pairs_all_backends_agree(self):
-        workload = pairs_workload()
-        expected = Engine().are_consistent_many(workload)
+        workload = triangles_workload(3)
+        pairs = pairs_of(workload)
+        expected = Engine().are_consistent_many(pairs)
+        assert False in expected  # the perturbed triangle
+        hits = []
         for parallelism in PARALLELISMS:
-            got = Engine().are_consistent_many(workload, parallelism=parallelism)
+            engine = Engine()
+            engine.global_check_many(workload, parallelism=parallelism)
+            assert (engine.store.merged > 0) == (parallelism > 1)
+            got = engine.are_consistent_many(pairs)
             assert got == expected, parallelism
+            hits.append(engine.stats.consistency_hits)
+        assert hits[0] > 0
+        assert hits == [hits[0]] * len(PARALLELISMS)
 
     def test_witnesses_all_backends_agree(self):
-        workload = pairs_workload(3)
-        expected = Engine().witness_many(workload)
+        workload = triangles_workload(2, seed=1)
+        pairs = pairs_of(workload)
+        expected = Engine().witness_many(pairs)
+        consistent = Engine().are_consistent_many(pairs)
+        assert [witness is None for witness in expected] == [
+            not verdict for verdict in consistent
+        ]
+        assert None in expected  # the perturbed triangle
+        probe_hits = []
         for parallelism in PARALLELISMS:
-            got = Engine().witness_many(workload, parallelism=parallelism)
+            engine = Engine()
+            engine.global_check_many(workload, parallelism=parallelism)
+            got = engine.witness_many(pairs)
             assert got == expected, parallelism
-            assert got[-1] is None  # the inconsistent pair
+            probe_hits.append(engine.stats.internal_consistency_hits)
+        assert probe_hits[0] > 0
+        assert probe_hits == [probe_hits[0]] * len(PARALLELISMS)
 
     def test_global_all_backends_agree(self):
         collections = [
@@ -251,28 +283,17 @@ class TestProcessMerge:
 
 
 class TestDispatch:
-    """Only the exponential part ships: at ``parallelism=2`` pair
-    checks, witnesses and Theorem 6 folds run in the calling thread;
-    collections that take the Theorem 4 search go to the pool."""
+    """Only the exponential part ships: at ``parallelism=2`` Theorem 6
+    folds run in the calling thread; collections that take the
+    Theorem 4 search go to the pool."""
 
-    def test_pair_witness_and_acyclic_batches_start_no_worker(self, shipped):
-        pairs = pairs_workload(4)
+    def test_an_acyclic_batch_starts_no_worker(self, shipped):
         paths = paths_workload(4)
-        serial = Engine()
-        expected = (
-            serial.are_consistent_many(pairs),
-            serial.witness_many(pairs),
-            serial.global_check_many(paths),
-        )
+        expected = Engine().global_check_many(paths)
         engine = Engine()
-        got = (
-            engine.are_consistent_many(pairs, parallelism=2),
-            engine.witness_many(pairs, parallelism=2),
-            engine.global_check_many(paths, parallelism=2),
-        )
+        got = engine.global_check_many(paths, parallelism=2)
         assert got == expected
-        assert {result.method for result in got[2]} == {"acyclic"}
-        assert got[1][-1] is None  # the inconsistent pair
+        assert {result.method for result in got} == {"acyclic"}
         assert shipped == []
         assert multiprocessing.active_children() == []
         assert engine.store.merged == 0

@@ -266,10 +266,6 @@ class TestBudget:
 
     def test_an_evicted_bag_is_freed_without_the_collector(self, budget):
         budget(rows=4)
-        # an equal bag that an earlier test left to the collector would
-        # share this bag's index (the sanitizer's proxies hold a memo
-        # in a cycle)
-        gc.collect()
         memo = new_memo()
         bag = load(memo, encoding([1, 2, 3]))
         bag.marginal(Schema([]))

@@ -2,7 +2,9 @@
 freed by reference counting, so the cyclic collector finds nothing to
 collect after a corpus of requests covering both wire formats, every
 job kind, the ingest memo's byte path (hits, misses and fallbacks),
-error replies and the telemetry ops."""
+error replies and the telemetry ops — served in memory, through a
+restarted persistent store, with Theorem 4 searches shipped to the
+process pool, and up to the ``shutdown`` op."""
 
 import gc
 import json
@@ -10,13 +12,9 @@ import random
 import socket
 from collections import Counter
 
-import pytest
-
-from repro.analysis import sanitizer
 from repro.core.schema import Schema
-from repro.engine import wire
+from repro.engine import executors, wire
 from repro.io import bag_to_dict
-from repro.obs import trace as obs_trace
 from repro.server import ReproServer, ServeClient
 from repro.workloads.generators import (
     inconsistent_pair,
@@ -114,36 +112,89 @@ def serve_corpus(address, seed: int) -> None:
         assert not wire.response_from_frame(reply)["ok"]
 
 
-@pytest.fixture
-def unguarded():
-    """The sanitizer off for one test: each container it guards points
-    back at its owner, a cycle made by the instrument, not the program.
-    Traces recorded before, guarded or not, leave the ring first."""
-    was = sanitizer.enabled()
-    sanitizer.disable()
-    obs_trace.RECENT.clear()
+def garbage_of(serve) -> Counter:
+    """What the cyclic collector finds after ``serve()``, by type."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        yield
+        serve()
+        gc.collect()
+        return Counter(type(obj).__name__ for obj in gc.garbage)
     finally:
-        if was:
-            sanitizer.enable()
+        gc.set_debug(0)
+        gc.garbage.clear()
 
 
-def test_serving_leaves_no_cyclic_garbage(unguarded):
-    server = ReproServer(witnesses=True)
+def started(**options) -> tuple[ReproServer, tuple]:
+    server = ReproServer(witnesses=True, **options)
     address = server.bind_tcp()
     server.serve_in_background()
+    return server, address
+
+
+def test_serving_leaves_no_cyclic_garbage():
+    server, address = started()
     try:
         serve_corpus(address, 1)  # first-use work: imports, caches
-        gc.collect()
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
-            serve_corpus(address, 2)
-            gc.collect()
-            garbage = Counter(type(obj).__name__ for obj in gc.garbage)
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
+        garbage = garbage_of(lambda: serve_corpus(address, 2))
+    finally:
+        server.shutdown()
+    assert garbage == Counter()
+
+
+def test_a_restarted_store_daemon_leaves_no_cyclic_garbage(tmp_path):
+    """Read-throughs from segments and from write-behind buffers, and
+    flushes: the restarted daemon's hot tier holds 2 entries, so the
+    corpus it served before comes back from disk, new content cycles
+    through the buffers, and its stop flushes them."""
+    store_dir = str(tmp_path / "store")
+    server, address = started(store_dir=store_dir)
+    try:
+        serve_corpus(address, 1)
+    finally:
+        server.shutdown()
+    server, address = started(store_dir=store_dir, capacity=2)
+
+    def serve_and_stop() -> None:
+        serve_corpus(address, 1)
+        serve_corpus(address, 2)
+        server.shutdown()
+
+    try:
+        garbage = garbage_of(serve_and_stop)
+    finally:
+        server.shutdown()
+    assert garbage == Counter()
+    disk = server.store.stats_dict()["persistent"]
+    assert disk["disk_hits"] and disk["buffer_hits"] and disk["flushes"]
+
+
+def test_a_process_batch_leaves_no_cyclic_garbage():
+    executors.shutdown_pools()
+    server, address = started(parallelism=2)
+    try:
+        serve_corpus(address, 1)  # forks the pool
+        merged = server.store.merged
+        garbage = garbage_of(lambda: serve_corpus(address, 2))
+        shipped = server.store.merged - merged
+    finally:
+        server.shutdown()
+    assert garbage == Counter()
+    assert shipped  # the new triangle's search ran on a worker
+
+
+def test_the_shutdown_op_leaves_no_cyclic_garbage():
+    server, address = started()
+
+    def serve_and_stop() -> None:
+        serve_corpus(address, 2)
+        with ServeClient(address) as client:
+            assert client.request({"op": "shutdown"})["bye"]
+        server.shutdown()  # returns once the op's stop has finished
+
+    try:
+        serve_corpus(address, 1)
+        garbage = garbage_of(serve_and_stop)
     finally:
         server.shutdown()
     assert garbage == Counter()

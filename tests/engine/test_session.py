@@ -445,21 +445,6 @@ class TestInvalidation:
 
 
 class TestParallelBatches:
-    def test_are_consistent_many_parallel_matches_serial(self):
-        pairs = [consistent_pair(seed=40 + k) for k in range(6)]
-        pairs.append(inconsistent_pair(AB, BC, random.Random(46)))
-        serial = Engine().are_consistent_many(pairs)
-        parallel = Engine().are_consistent_many(pairs, parallelism=4)
-        assert parallel == serial
-
-    def test_witness_many_parallel_matches_serial(self):
-        pairs = [consistent_pair(seed=50 + k) for k in range(4)]
-        pairs.insert(2, inconsistent_pair(AB, BC, random.Random(55)))
-        serial = Engine().witness_many(pairs)
-        parallel = Engine().witness_many(pairs, parallelism=3)
-        assert parallel == serial
-        assert parallel[2] is None
-
     def test_global_check_many_parallel_matches_serial(self):
         collections = [list(consistent_pair(seed=60 + k)) for k in range(4)]
         serial = Engine().global_check_many(collections)
@@ -468,15 +453,15 @@ class TestParallelBatches:
             r.consistent for r in serial
         ]
 
-    def test_parallel_workers_share_one_cache(self):
+    def test_copies_of_one_pair_share_one_entry(self):
         engine = Engine()
         pair = consistent_pair(seed=70)
-        engine.are_consistent_many([pair] * 8, parallelism=4)
+        assert engine.are_consistent_many([pair] * 8) == [True] * 8
         assert len(engine) == 1
 
     def test_invalid_parallelism_rejected(self):
         with pytest.raises(ValueError):
-            Engine().are_consistent_many([], parallelism=0)
+            Engine().global_check_many([], parallelism=0)
 
 
 class TestSuiteWiring:

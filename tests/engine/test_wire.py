@@ -410,7 +410,6 @@ class TestServeNegotiation:
             assert client.wire_version == 1
         assert framed["ok"] and rowed["ok"]
         assert framed["report"]["pairs"] == rowed["report"]["pairs"]
-        assert stats["wire_format"] == "columnar"
         assert stats["kernels"]["wire_frames_decoded"] >= 1
 
     def test_auto_negotiates_only_for_bag_payloads(self, tcp_server):
@@ -424,22 +423,44 @@ class TestServeNegotiation:
             assert client.wire_version == wire.VERSION
 
     def test_v2_client_degrades_against_v1_only_server(self):
-        server = ReproServer(wire_format="json")
-        address = server.bind_tcp()
-        server.serve_in_background()
+        """A daemon from before frames: JSON lines only, and a ping
+        that carries no ``"wire"`` key."""
+        daemon = ReproServer()
+        pings = []
+
+        class _V1Only(socketserver.StreamRequestHandler):
+            def handle(self):
+                for line in self.rfile:
+                    response = daemon.handle_payload(json.loads(line))
+                    if response.get("op") == "ping":
+                        del response["wire"]
+                        pings.append(response)
+                    self.wfile.write(json.dumps(response).encode() + b"\n")
+                    self.wfile.flush()
+
+        listener = socketserver.ThreadingTCPServer(
+            ("127.0.0.1", 0), _V1Only
+        )
+        listener.daemon_threads = True
+        threading.Thread(
+            target=listener.serve_forever, daemon=True
+        ).start()
         try:
             r, s = wide_pair()
+            address = listener.server_address[:2]
             with ServeClient(address, wire_format="columnar") as client:
                 report = client.request({"pairs": [[r, s]]})
                 assert client.wire_version == 1
                 assert report["ok"]
                 assert report["report"]["pairs"] == [{"consistent": True}]
-                stats = client.request({"op": "stats"})
-                assert stats["ok"] and stats["wire_format"] == "json"
+                assert client.request({"op": "stats"})["ok"]
                 assert client.request({"op": "ping"})["ok"]
                 assert client.request({"op": "shutdown"})["ok"]
+            assert len(pings) == 2  # the handshake, then the plain ping
         finally:
-            server.shutdown()
+            listener.shutdown()
+            listener.server_close()
+            daemon.shutdown()
 
     def test_v1_client_against_v2_server_runs_every_op(self, tcp_server):
         _, address = tcp_server
@@ -507,26 +528,6 @@ class TestServeFailurePaths:
             raw.close()
         with ServeClient(address) as client:
             assert client.request({"op": "ping"})["ok"]
-
-    def test_frames_refused_when_wire_format_json(self):
-        server = ReproServer(wire_format="json")
-        address = server.bind_tcp()
-        server.serve_in_background()
-        try:
-            r, s = small_pair()
-            frame = wire.encode_jobs_frame({"pairs": [[r, s]]})
-            raw = socket.create_connection(address, timeout=5)
-            try:
-                raw.sendall(frame)
-                rfile = raw.makefile("rb")
-                header, _ = wire.read_frame(rfile)
-                response = wire.response_from_frame(header)
-                assert not response["ok"]
-                assert "disabled" in response["error"]
-            finally:
-                raw.close()
-        finally:
-            server.shutdown()
 
     def test_deeply_nested_header_gets_error_reply(self, tcp_server):
         """A frame header nested past the decoder's recursion limit gets

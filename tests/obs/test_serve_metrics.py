@@ -118,7 +118,7 @@ class TestMetricsOp:
 
 class TestStatsSurface:
     LEGACY_KEYS = {
-        "stats", "store", "kernels", "wire_format", "requests", "batches",
+        "stats", "store", "kernels", "requests", "batches",
         "request_errors", "connections", "active_connections",
         "max_inflight", "inflight_batches", "peak_inflight",
         "admission_refusals", "uptime_seconds",
@@ -142,15 +142,15 @@ class TestStatsSurface:
 
     def test_legacy_stats_keys_unchanged(self):
         """The regression pin: telemetry is additive — every
-        pre-telemetry stats key survives with its old type, and the only
-        new top-level keys are ``latency`` and ``trace``."""
+        pre-telemetry stats key survives with its old type (but
+        ``wire_format``, which went with the setting it named), and the
+        only new top-level keys are ``latency`` and ``trace``."""
         server = ReproServer()
         assert server.handle_payload(pair_payload())["ok"]
         stats = server.stats()
         assert set(stats) == self.LEGACY_KEYS | {"latency", "trace"}
         for key in ("stats", "store", "kernels"):
             assert isinstance(stats[key], dict)
-        assert stats["wire_format"] == "columnar"
         assert stats["requests"] == 1
         assert stats["batches"] == 1
         assert stats["request_errors"] == 0
