@@ -24,9 +24,9 @@ Rules (severity in parentheses):
   flagged.
 * **RL04** invalidation-completeness (warning) — a function that
   mutates a ``_mults`` multiplicity map in place without a reachable
-  call to any maintenance hook (``invalidate`` / ``tombstone`` /
-  ``flush`` / ``validate_update`` ...): the shape of a cache left stale
-  by a direct mutation.
+  call to any maintenance hook (``invalidate`` / ``flush`` /
+  ``validate_update`` ...): the shape of a cache left stale by a
+  direct mutation.
 * **RL05** lock-order (error) — a ``with`` acquiring a lock of an
   *earlier* tier while one of a later tier is held, inverting the
   declared ``engine -> store -> obs`` order.  Only statically-resolvable
@@ -63,7 +63,7 @@ _MUTATORS = frozenset({
 
 # Calls that count as invalidation/maintenance for RL04.
 _RL04_HOOKS = frozenset({
-    "invalidate", "invalidate_fp", "tombstone", "flush", "_flush_locked",
+    "invalidate", "invalidate_fp", "flush", "_flush_locked",
     "clear", "validate_update",
 })
 

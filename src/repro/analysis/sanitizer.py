@@ -86,7 +86,7 @@ def assert_lock_held(instance, lock_attr: str, qualname: str) -> None:
 def check_field_write(instance, spec, name: str, value):
     """The ``__setattr__`` hook: rebinding a registered field asserts
     the lock and re-wraps container values so the guard survives
-    rebinds (``self._pending = [...]`` keeps its proxy)."""
+    rebinds (``self._index = new_index`` keeps its proxy)."""
     _assert_held(
         instance, spec.lock_attr, f"{spec.cls_name}.{name} rebind"
     )

@@ -46,9 +46,10 @@ Usage (all inputs are the JSON encodings of :mod:`repro.io`):
   current process's registry when no daemon address is given.  The
   daemon side pairs with ``repro serve --slow-ms MS``, which logs a
   span breakdown for any request slower than MS milliseconds.
-* ``python -m repro store (stats|compact|clear) --store-dir DIR`` —
-  offline maintenance of a persistent store; prints one JSON line
-  (per-shard record/byte counts, compaction results) for scripting.
+* ``python -m repro store (stats|compact|verify|clear) --store-dir
+  DIR`` — offline maintenance of a persistent store; prints one JSON
+  line (per-shard record/byte counts, compaction results, a CRC scan
+  and recompute cross-check) for scripting.
 
 Exit codes: 0 for "yes"/success, 1 for "no" (inconsistent / cyclic),
 2 for usage or input errors: an input file that is missing, not UTF-8,

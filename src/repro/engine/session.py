@@ -366,7 +366,9 @@ class Engine:
         Returns the number of entries dropped.  This is the
         :class:`LiveEngine` update primitive; for immutable bags it is
         only ever a memory lever (content-addressed entries cannot go
-        stale)."""
+        stale).  Over a :class:`repro.store.PersistentVerdictStore` it
+        drops the hot tier only: the disk keeps every entry, and the
+        next query reads it back through."""
         dropped = self.store.invalidate_fp(fingerprint.of_bag(bag))
         with self._lock:
             self.stats.invalidations += dropped

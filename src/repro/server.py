@@ -108,7 +108,7 @@ _LEVELS = (
 _STORE_COUNTERS = frozenset({
     "hits", "misses", "evictions", "invalidations", "merged",
     "hot_hits", "disk_hits", "buffer_hits", "skipped_segments", "appends",
-    "flushes", "tombstones", "compactions", "torn_tails",
+    "flushes", "compactions", "torn_tails",
 })
 
 

@@ -5,8 +5,9 @@ Layers (disk up):
 * :mod:`repro.store.format` — CRC-framed record encoding, segment
   headers, torn-tail/foreign-file tolerant scanning;
 * :mod:`repro.store.shard` — one append-only segment log per
-  fingerprint-prefix shard, with write-behind buffering, tombstones,
-  and snapshot compaction;
+  fingerprint-prefix shard, with write-behind buffering and snapshot
+  compaction (the last put of a key wins; nothing is deleted, since
+  no stored result goes stale);
 * :mod:`repro.store.persistent` — :class:`PersistentVerdictStore`, the
   drop-in ``store=`` for :class:`repro.engine.Engine`, ``repro batch
   --store-dir`` and ``repro serve --store-dir``.

@@ -29,9 +29,13 @@ miss.  A ``PUT_Z`` is the same record with the value blob run through
 ``zlib.compress`` — the per-record compression flag used for large
 witness blobs (:func:`encode_put` compresses when the pickled value
 reaches ``compress_min`` bytes *and* compression actually shrinks it;
-small bools stay raw, so hot verdict reads never pay an inflate).  For
-a ``TOMBSTONE`` the key blob is ``pickle(fp)`` (drop every earlier
-record whose participants include ``fp``) and the value blob is empty.
+small bools stay raw, so hot verdict reads never pay an inflate).
+
+A ``TOMBSTONE`` (key blob ``pickle(fp)``, empty value blob) is read,
+never written.  A store written by an older build may hold one, and an
+unparsed kind reads as a torn tail, so the open path would truncate
+every good record after it.  Replay drops nothing for it: every stored
+value is a pure function of its key and never goes stale.
 
 Version history (``FORMAT_VERSION``): **1** wrote only ``PUT`` /
 ``TOMBSTONE``; **2** added ``PUT_Z``.  The bump is *tolerant* in both
@@ -75,7 +79,6 @@ __all__ = [
     "SegmentScan",
     "decode_value",
     "encode_put",
-    "encode_tombstone",
     "read_value",
     "scan_segment",
     "write_header",
@@ -102,10 +105,6 @@ def write_header(fh: BinaryIO, version: int = FORMAT_VERSION) -> None:
     fh.write(HEADER.pack(MAGIC, version))
 
 
-def _frame(body: bytes) -> bytes:
-    return FRAME.pack(len(body), zlib.crc32(body)) + body
-
-
 def encode_put(
     key: tuple,
     value: object,
@@ -130,14 +129,7 @@ def encode_put(
             kind = RECORD_PUT_Z
             value_blob = packed
     body = BODY_HEAD.pack(kind, len(key_blob)) + key_blob + value_blob
-    return _frame(body)
-
-
-def encode_tombstone(fp: int) -> bytes:
-    """One framed tombstone: drop every earlier record touching ``fp``."""
-    key_blob = pickle.dumps(fp, protocol=pickle.HIGHEST_PROTOCOL)
-    body = BODY_HEAD.pack(RECORD_TOMBSTONE, len(key_blob)) + key_blob
-    return _frame(body)
+    return FRAME.pack(len(body), zlib.crc32(body)) + body
 
 
 @dataclass(frozen=True)
@@ -146,7 +138,7 @@ class ScannedRecord:
 
     ``value_offset``/``value_length`` locate the (possibly compressed,
     see ``compressed``) pickled value inside the segment file for lazy
-    reads; tombstones carry ``fp`` instead.
+    reads; legacy tombstones carry ``fp`` instead.
     """
 
     kind: int

@@ -26,7 +26,10 @@ under the hot tier:
   truncation on reopen).
 
 The engine stores only pair verdicts, pair witnesses (refusals
-included) and global results, so every entry is durable.
+included) and global results, so every entry is durable.  Each is a
+pure function of its key and never goes stale, so the disk tier never
+deletes one: :meth:`invalidate_fp` frees hot-tier memory only, and
+the next :meth:`get` reads the entry back through.
 
 Durability contract: :meth:`flush` makes everything buffered readable
 by a future open; :meth:`close` flushes and releases file handles.
@@ -142,8 +145,6 @@ def shard_of_key(key: tuple, n_shards: int) -> int:
     return shard_of_fp(primary, n_shards)
 
 
-# `_closed` is deliberately unregistered: it is a close()-time latch
-# written by the owning thread only, and reads never need freshness.
 @shared_state(
     "_lock", "disk_hits", "buffer_hits", "misses", "merged", tier="store"
 )
@@ -176,7 +177,6 @@ class PersistentVerdictStore:
         self.buffer_hits = 0  # ... by a write-behind buffer
         self.misses = 0  # lookups neither tier could answer
         self.merged = 0
-        self._closed = False
 
     def _load_or_create_meta(self, shards: int | None) -> int:
         meta = read_meta(self.root)
@@ -237,14 +237,9 @@ class PersistentVerdictStore:
         return evicted
 
     def invalidate_fp(self, fp: int) -> int:
-        """Drop every entry touching ``fp`` from both tiers (disk drops
-        are tombstoned and reclaimed by compaction); returns the number
-        of distinct keys dropped."""
-        hot_total = self._hot.invalidate_fp(fp)
-        disk_total = sum(shard.tombstone(fp) for shard in self._shards)
-        # Disk and hot overlap (read-through promotions); report the
-        # larger tier so the count is a lower bound on distinct keys.
-        return max(hot_total, disk_total)
+        """Drop every hot-tier entry touching ``fp``; returns the number
+        dropped.  The disk tier keeps them, so this only frees memory."""
+        return self._hot.invalidate_fp(fp)
 
     def clear(self) -> None:
         self._hot.clear()
@@ -279,8 +274,8 @@ class PersistentVerdictStore:
     # -- durability ------------------------------------------------------
 
     def flush(self) -> int:
-        """Write every buffered operation in every shard; returns the
-        number of operations written."""
+        """Write every buffered put in every shard; returns the number
+        of puts written."""
         return sum(shard.flush() for shard in self._shards)
 
     def compact(self) -> int:
@@ -293,7 +288,6 @@ class PersistentVerdictStore:
         still be used afterwards; appends reopen their tails)."""
         for shard in self._shards:
             shard.close()
-        self._closed = True
 
     def __enter__(self) -> "PersistentVerdictStore":
         return self

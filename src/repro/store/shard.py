@@ -8,9 +8,11 @@ deletes the segments it subsumed.  Records never mutate in place, so
 the invariants are:
 
 * **replay order is truth** — scanning segments in numeric order and
-  applying records in sequence (later PUT of a key supersedes earlier;
-  a tombstone drops every earlier key touching its fingerprint)
-  reconstructs exactly the live map;
+  applying records in sequence (the last PUT of a key wins)
+  reconstructs exactly the live map.  Nothing is ever deleted: every
+  stored value is a pure function of its key, so it never goes stale.
+  A tombstone written by an older build drops nothing and counts as
+  one dead record, as a superseded PUT does;
 * **a crash loses at most the unflushed tail** — appends are buffered
   (write-behind) until :meth:`flush`; a torn final record is detected
   by its CRC frame on the next open and physically truncated away;
@@ -20,10 +22,9 @@ the invariants are:
   understand.
 
 The in-memory side is an index only: ``key -> (segment, value offset,
-length, fps)`` plus a fingerprint reverse index.  Values stay on disk
-until a read-through asks for one (:meth:`lookup`), so reopening a
-large store is one sequential scan per segment with **zero** value
-unpickling.
+length, compressed, fps)``.  Values stay on disk until a read-through
+asks for one (:meth:`lookup`), so reopening a large store is one
+sequential scan per segment with **zero** value unpickling.
 
 Thread safety: every public method takes the shard's own lock, so
 read-throughs and appends on disjoint shards never serialize on one
@@ -42,16 +43,13 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from . import format as fmt
 
-__all__ = ["COMPACT_MIN_DEAD", "FLUSH_EVERY", "Shard", "ShardStats"]
+__all__ = ["FLUSH_EVERY", "Shard", "ShardStats"]
 
 _SEGMENT_SUFFIX = ".seg"
 
-# Write-behind batch: buffered operations are written once this many
+# Write-behind batch: buffered puts are written once this many
 # accumulate (and on every explicit flush or close).
 FLUSH_EVERY = 64
-# A flush compacts the shard once its dead records exceed both this
-# floor and its live record count.
-COMPACT_MIN_DEAD = 64
 
 # Disk-touching latency only: the in-memory index probe records
 # nothing.  The obs tier is last in the lock order, so recording while
@@ -60,18 +58,32 @@ _READ_HISTOGRAM = obs_metrics.REGISTRY.histogram("repro_store_read_seconds")
 _FLUSH_HISTOGRAM = obs_metrics.REGISTRY.histogram("repro_store_flush_seconds")
 
 
+def _put_entry(segment: Path, offset: int, frame: bytes, fps: tuple) -> tuple:
+    """The index entry of a PUT ``frame`` written at byte ``offset`` of
+    ``segment``: where its value blob lies, and whether it is
+    compressed."""
+    kind, key_len = fmt.BODY_HEAD.unpack_from(frame, fmt.FRAME.size)
+    value_offset = offset + fmt.FRAME.size + fmt.BODY_HEAD.size + key_len
+    return (
+        segment,
+        value_offset,
+        offset + len(frame) - value_offset,
+        kind == fmt.RECORD_PUT_Z,
+        fps,
+    )
+
+
 class ShardStats:
     """Mutable counters one shard exposes (merged by the store)."""
 
     __slots__ = (
-        "appends", "flushes", "tombstones", "compactions",
-        "torn_tails", "skipped_segments",
+        "appends", "flushes", "compactions", "torn_tails",
+        "skipped_segments",
     )
 
     def __init__(self) -> None:
         self.appends = 0
         self.flushes = 0
-        self.tombstones = 0
         self.compactions = 0
         self.torn_tails = 0
         self.skipped_segments = 0
@@ -79,7 +91,7 @@ class ShardStats:
 
 @shared_state(
     "_lock",
-    "_index", "_fp_keys", "_pending", "_pending_index", "_dead",
+    "_index", "_pending", "_dead",
     "_tail", "_tail_fh", "_skipped", "_no_append", "_sizes",
     tier="store",
 )
@@ -92,11 +104,9 @@ class Shard:
         # key -> (segment Path, value_offset, value_length,
         # value_compressed, fps)
         self._index: dict[tuple, tuple[Path, int, int, bool, tuple]] = {}
-        self._fp_keys: dict[int, set[tuple]] = {}
-        # write-behind buffer: ("put", key, value, fps) | ("del", fp)
-        self._pending: list[tuple] = []
-        self._pending_index: dict[tuple, tuple[object, tuple]] = {}
-        self._dead = 0  # superseded/tombstoned records still on disk
+        # write-behind buffer, in append order: key -> (value, fps)
+        self._pending: dict[tuple, tuple[object, tuple]] = {}
+        self._dead = 0  # superseded puts and legacy tombstones on disk
         self._tail: Path | None = None
         self._tail_fh = None
         self._skipped: list[Path] = []
@@ -149,61 +159,39 @@ class Shard:
             self._no_append.add(segment)
         for record in scan.records:
             if record.kind == fmt.RECORD_TOMBSTONE:
-                self._apply_tombstone(record.fp)
-            else:
-                self._apply_put(
-                    record.key,
-                    (
-                        segment,
-                        record.value_offset,
-                        record.value_length,
-                        record.compressed,
-                    ),
-                    record.fps,
-                )
-
-    @requires_lock("_lock")
-    def _apply_put(self, key, location, fps) -> None:
-        if key in self._index:
-            self._dead += 1  # superseded: the old record is garbage now
-        else:
-            for fp in fps:
-                self._fp_keys.setdefault(fp, set()).add(key)
-        self._index[key] = (*location, tuple(fps))
-
-    @requires_lock("_lock")
-    def _apply_tombstone(self, fp: int) -> None:
-        for key in self._fp_keys.pop(fp, set()):
-            entry = self._index.pop(key, None)
-            if entry is None:
+                # Written by older builds, which deleted entries.  An
+                # entry never goes stale, so the keys it named answer
+                # again with their stored values.
+                self._dead += 1
                 continue
-            self._dead += 1
-            for other in entry[4]:
-                if other != fp:
-                    keys = self._fp_keys.get(other)
-                    if keys is not None:
-                        keys.discard(key)
-                        if not keys:
-                            del self._fp_keys[other]
+            if record.key in self._index:
+                self._dead += 1  # superseded: the old record is garbage now
+            self._index[record.key] = (
+                segment,
+                record.value_offset,
+                record.value_length,
+                record.compressed,
+                record.fps,
+            )
 
     # -- the read path ---------------------------------------------------
 
     def contains(self, key: tuple) -> bool:
         with self._lock:
-            return key in self._pending_index or key in self._index
+            return key in self._pending or key in self._index
 
     def buffered(self, key: tuple):
         """``(value, fps)`` for a key still in the write-behind buffer,
         or ``None`` — no disk read."""
         with self._lock:
-            return self._pending_index.get(key)
+            return self._pending.get(key)
 
     def lookup(self, key: tuple):
         """``(value, fps)`` for a stored key, or ``None`` — the
         read-through miss path (one seek + one value unpickle, unless
         the key is still buffered)."""
         with self._lock:
-            pending = self._pending_index.get(key)
+            pending = self._pending.get(key)
             if pending is not None:
                 return pending
             entry = self._index.get(key)
@@ -225,54 +213,28 @@ class Shard:
     def keys(self) -> list[tuple]:
         with self._lock:
             merged = set(self._index)
-            merged.update(self._pending_index)
+            merged.update(self._pending)
             return list(merged)
 
     # -- the write path --------------------------------------------------
 
     def append(self, key: tuple, value, fps) -> None:
         """Buffer one PUT (write-behind); flushes automatically every
-        :data:`FLUSH_EVERY` buffered operations."""
+        :data:`FLUSH_EVERY` buffered puts."""
         with self._lock:
-            fps = tuple(fps)
-            if key in self._pending_index or key in self._index:
+            if key in self._pending or key in self._index:
                 # Results are deterministic functions of the key; a
                 # second append would only write a byte-identical dead
                 # record.
                 return
-            self._pending.append(("put", key, value, fps))
-            self._pending_index[key] = (value, fps)
+            self._pending[key] = (value, tuple(fps))
             self.stats.appends += 1
             if len(self._pending) >= FLUSH_EVERY:
                 self._flush_locked()
 
-    def tombstone(self, fp: int) -> int:
-        """Drop every stored key touching ``fp`` (buffered like a PUT);
-        returns the number of keys dropped."""
-        with self._lock:
-            dropped = 0
-            hit_disk = fp in self._fp_keys
-            for key in [
-                k for k, (_, fps) in self._pending_index.items() if fp in fps
-            ]:
-                del self._pending_index[key]
-                self._pending = [
-                    op for op in self._pending
-                    if not (op[0] == "put" and op[1] == key)
-                ]
-                dropped += 1
-            if hit_disk:
-                dropped += len(self._fp_keys[fp])
-                self._apply_tombstone(fp)
-                self._pending.append(("del", fp))
-                self.stats.tombstones += 1
-                if len(self._pending) >= FLUSH_EVERY:
-                    self._flush_locked()
-            return dropped
-
     def flush(self) -> int:
-        """Write every buffered operation to the tail segment; returns
-        the number of operations written."""
+        """Write every buffered put to the tail segment; returns the
+        number of puts written."""
         with self._lock:
             return self._flush_locked()
 
@@ -309,46 +271,22 @@ class Shard:
             return 0
         flush_start = time.perf_counter()
         fh = self._tail_handle()
-        written = 0
-        for op in self._pending:
-            if op[0] == "put":
-                _, key, value, fps = op
-                offset = fh.tell()
-                frame = fmt.encode_put(key, value, fps)
-                fh.write(frame)
-                value_length = len(
-                    frame
-                ) - fmt.FRAME.size - fmt.BODY_HEAD.size - self._key_blob_len(
-                    frame
-                )
-                value_offset = offset + len(frame) - value_length
-                compressed = frame[fmt.FRAME.size] == fmt.RECORD_PUT_Z
-                self._apply_put(
-                    key,
-                    (self._tail, value_offset, value_length, compressed),
-                    fps,
-                )
-            else:
-                fh.write(fmt.encode_tombstone(op[1]))
-            written += 1
+        for key, (value, fps) in self._pending.items():
+            offset = fh.tell()
+            frame = fmt.encode_put(key, value, fps)
+            fh.write(frame)
+            self._index[key] = _put_entry(self._tail, offset, frame, fps)
         fh.flush()
+        written = len(self._pending)
         self._sizes[self._tail] = fh.tell()
         self._pending.clear()
-        self._pending_index.clear()
         self.stats.flushes += 1
         elapsed = time.perf_counter() - flush_start
         _FLUSH_HISTOGRAM.record(elapsed)
         tr = obs_trace.current()
         if tr is not None:
             tr.add_span("store.flush", flush_start, elapsed, ops=written)
-        if self._dead > max(COMPACT_MIN_DEAD, len(self._index)):
-            self._compact_locked()
         return written
-
-    @staticmethod
-    def _key_blob_len(frame: bytes) -> int:
-        _, key_len = fmt.BODY_HEAD.unpack_from(frame, fmt.FRAME.size)
-        return key_len
 
     # -- maintenance -----------------------------------------------------
 
@@ -366,8 +304,8 @@ class Shard:
             return 0  # nothing on disk, nothing to rewrite
         self._close_tail()
         if not self._index:
-            # All records are dead: reclaim the segments, skip the
-            # empty snapshot.
+            # No live record (header-only or tombstone-only segments):
+            # reclaim the segments, skip the empty snapshot.
             for segment in old_segments:
                 self._unlink(segment)
             self._dead = 0
@@ -386,14 +324,8 @@ class Shard:
                 record_offset = fh.tell()
                 frame = fmt.encode_put(key, value, fps)
                 fh.write(frame)
-                value_length = len(frame) - fmt.FRAME.size \
-                    - fmt.BODY_HEAD.size - self._key_blob_len(frame)
-                new_index[key] = (
-                    snapshot,
-                    record_offset + len(frame) - value_length,
-                    value_length,
-                    frame[fmt.FRAME.size] == fmt.RECORD_PUT_Z,
-                    fps,
+                new_index[key] = _put_entry(
+                    snapshot, record_offset, frame, fps
                 )
             fh.flush()
             os.fsync(fh.fileno())
@@ -416,9 +348,7 @@ class Shard:
                 if segment not in self._skipped:
                     self._unlink(segment)
             self._index.clear()
-            self._fp_keys.clear()
             self._pending.clear()
-            self._pending_index.clear()
             self._dead = 0
             self._tail = None
 
@@ -444,7 +374,7 @@ class Shard:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._index) + len(self._pending_index)
+            return len(self._index) + len(self._pending)
 
     def disk_bytes(self) -> int:
         with self._lock:
@@ -453,7 +383,7 @@ class Shard:
     def stats_dict(self) -> dict:
         with self._lock:
             return {
-                "records": len(self._index) + len(self._pending_index),
+                "records": len(self._index) + len(self._pending),
                 "dead_records": self._dead,
                 "pending": len(self._pending),
                 "segments": len(self._sizes),
@@ -461,7 +391,6 @@ class Shard:
                 "disk_bytes": self.disk_bytes(),
                 "appends": self.stats.appends,
                 "flushes": self.stats.flushes,
-                "tombstones": self.stats.tombstones,
                 "compactions": self.stats.compactions,
                 "torn_tails": self.stats.torn_tails,
             }

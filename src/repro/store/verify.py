@@ -48,22 +48,10 @@ DEFAULT_MAX_ATTRS = 10
 
 def _scan_shard(shard_dir: Path, report: dict) -> dict:
     """Replay one shard directory read-only into its live record map
-    ``key -> (segment, offset, length, compressed, fps)``."""
+    ``key -> (segment, offset, length, compressed, fps)``, as an open
+    does: the last put of a key wins, and a legacy tombstone drops
+    nothing."""
     live: dict[tuple, tuple] = {}
-    fp_keys: dict[int, set[tuple]] = {}
-
-    def drop(fp: int) -> None:
-        for key in fp_keys.pop(fp, set()):
-            entry = live.pop(key, None)
-            if entry is None:
-                continue
-            report["dead_records"] += 1
-            for other in entry[4]:
-                if other != fp:
-                    keys = fp_keys.get(other)
-                    if keys is not None:
-                        keys.discard(key)
-
     for segment in sorted(shard_dir.glob("*.seg")):
         report["segments"] += 1
         with segment.open("rb") as fh:
@@ -76,13 +64,10 @@ def _scan_shard(shard_dir: Path, report: dict) -> dict:
         report["scanned_records"] += len(scan.records)
         for record in scan.records:
             if record.kind == fmt.RECORD_TOMBSTONE:
-                drop(record.fp)
+                report["dead_records"] += 1
                 continue
             if record.key in live:
                 report["dead_records"] += 1
-            else:
-                for fp in record.fps:
-                    fp_keys.setdefault(fp, set()).add(record.key)
             live[record.key] = (
                 segment,
                 record.value_offset,

@@ -7,8 +7,11 @@ cross-checks, so instance sizes are kept where the oracles are instant.
 
 from __future__ import annotations
 
+import io
 import json
+import pickle
 import random
+import zlib
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core import Bag, Relation, Schema
 from repro.hypergraphs import Hypergraph
+from repro.store import format as fmt
 
 ATTR_POOL = ("A", "B", "C", "D", "E")
 
@@ -31,6 +35,24 @@ def collision_bags() -> tuple[Bag, Bag]:
         for side in ("A", "B")
     )
     return a, b
+
+
+def segment_bytes(*frames: bytes, version: int = fmt.FORMAT_VERSION) -> bytes:
+    """A store segment file: the header, then ``frames`` as given."""
+    buf = io.BytesIO()
+    fmt.write_header(buf, version)
+    for frame in frames:
+        buf.write(frame)
+    return buf.getvalue()
+
+
+def legacy_tombstone(fp: int) -> bytes:
+    """The framed tombstone older builds wrote to drop every record
+    touching ``fp``: a body head of kind 2, the pickled fingerprint,
+    CRC-framed.  Stores may still hold one; nothing writes one now."""
+    key_blob = pickle.dumps(fp, protocol=pickle.HIGHEST_PROTOCOL)
+    body = fmt.BODY_HEAD.pack(2, len(key_blob)) + key_blob
+    return fmt.FRAME.pack(len(body), zlib.crc32(body)) + body
 
 
 @pytest.fixture

@@ -262,7 +262,7 @@ class TestExposition:
         ),
         "repro_store_persistent": (
             "hot_hits", "disk_hits", "buffer_hits", "skipped_segments",
-            "appends", "flushes", "tombstones", "compactions", "torn_tails",
+            "appends", "flushes", "compactions", "torn_tails",
         ),
     }
     LEVELS = {
@@ -380,7 +380,7 @@ class TestExposition:
             "repro_ingest_memo_hits", "repro_ingest_memo_misses",
             "repro_ingest_line_fallbacks",
         ]
-        assert len(monotone) == 32
+        assert len(monotone) == 31
         for family in monotone:
             assert types.get(family) == "counter", family
         for prefix, keys in self.LEVELS.items():

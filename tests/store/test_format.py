@@ -5,14 +5,7 @@ import io
 import pytest
 
 from repro.store import format as fmt
-
-
-def segment_bytes(*frames: bytes, version: int = fmt.FORMAT_VERSION) -> bytes:
-    buf = io.BytesIO()
-    fmt.write_header(buf, version)
-    for frame in frames:
-        buf.write(frame)
-    return buf.getvalue()
+from tests.conftest import legacy_tombstone, segment_bytes
 
 
 def scan(data: bytes) -> fmt.SegmentScan:
@@ -48,10 +41,17 @@ class TestRoundTrip:
         assert fmt.read_value(fh, result.records[0]) is None
         assert fmt.read_value(fh, result.records[1]) == value
 
-    def test_tombstone_round_trips(self):
-        data = segment_bytes(fmt.encode_tombstone(99))
-        (record,) = scan(data).records
-        assert record.kind == fmt.RECORD_TOMBSTONE and record.fp == 99
+    def test_legacy_tombstone_is_scanned(self):
+        """Nothing writes a tombstone now, but a store written by an
+        older build may hold one: it must parse, not read as a torn
+        tail that the open path would cut off with every record after
+        it."""
+        after = fmt.encode_put(KEY, True, FPS)
+        result = scan(segment_bytes(legacy_tombstone(99), after))
+        assert result.usable and result.truncate_at is None
+        tombstone, put = result.records
+        assert tombstone.kind == fmt.RECORD_TOMBSTONE and tombstone.fp == 99
+        assert put.key == KEY
 
     def test_empty_segment_is_clean(self):
         result = scan(segment_bytes())

@@ -168,18 +168,23 @@ class TestTiers:
             assert store.get(("consistent", i, i + 100)) == (i % 2 == 0)
         store.close()
 
-    def test_invalidate_drops_both_tiers(self, tmp_path):
+    def test_invalidate_frees_the_hot_tier_only(self, tmp_path):
+        """An entry never goes stale, so invalidation only frees memory:
+        the disk keeps it, and the next get reads it back through."""
         store = PersistentVerdictStore(tmp_path / "s", shards=2)
         store.put(("consistent", 1, 2), True, (1, 2))
         store.put(("witness", 1, 3, False), None, (1, 3))
         store.put(("consistent", 7, 8), True, (7, 8))
         store.flush()
         assert store.invalidate_fp(1) == 2
-        assert store.get(("consistent", 1, 2)) is store.MISS
-        assert store.get(("witness", 1, 3, False)) is store.MISS
+        assert store.stats_dict()["entries"] == 1
+        assert store.get(("consistent", 1, 2)) is True
+        assert store.get(("witness", 1, 3, False)) is None
+        assert store.disk_hits == 2
         store.close()
         reopened = PersistentVerdictStore(tmp_path / "s")
-        assert reopened.get(("consistent", 1, 2)) is reopened.MISS
+        assert reopened.get(("consistent", 1, 2)) is True
+        assert reopened.get(("witness", 1, 3, False)) is None
         assert reopened.get(("consistent", 7, 8)) is True
         reopened.close()
 
@@ -327,9 +332,9 @@ class TestStats:
             put(store, i)
         assert persisted(store)["flushes"] > 1
         store.flush()
-        store.invalidate_fp(5 << 120)
-        store.flush()
-        assert persisted(store)["tombstones"] == 1
+        records = persisted(store)["records"]
+        store.invalidate_fp(5 << 120)  # frees the hot tier only
+        assert persisted(store)["records"] == records
         store.compact()
         assert persisted(store)["dead_records"] == 0
         store.clear()

@@ -1,10 +1,11 @@
-"""One shard: append/flush/lookup, tombstones, compaction, recovery."""
+"""One shard: append/flush/lookup, compaction, recovery, legacy
+tombstones."""
 
-import pytest
-
+from repro.store import PersistentVerdictStore, verify_store
 from repro.store import format as fmt
 from repro.store import shard as shard_module
 from repro.store.shard import Shard
+from tests.conftest import legacy_tombstone, segment_bytes
 
 
 def key_of(i: int) -> tuple:
@@ -45,6 +46,18 @@ class TestWriteReadCycle:
         assert shard.stats_dict()["records"] == 1
         assert shard.stats_dict()["dead_records"] == 0
 
+    def test_flush_writes_puts_in_append_order(self, tmp_path):
+        order = [3, 1, 4, 0, 2]
+        shard = Shard(tmp_path / "s")
+        for i in order:
+            shard.append(key_of(i), True, fps_of(i))
+        shard.append(key_of(1), True, fps_of(1))  # held: not moved
+        assert shard.flush() == len(order)
+        (segment,) = (tmp_path / "s").glob("*.seg")
+        with segment.open("rb") as fh:
+            keys = [record.key for record in fmt.scan_segment(fh).records]
+        assert keys == [key_of(i) for i in order]
+
     def test_auto_flush_every_n_appends(self, tmp_path, monkeypatch):
         monkeypatch.setattr(shard_module, "FLUSH_EVERY", 4)
         shard = Shard(tmp_path / "s")
@@ -65,72 +78,100 @@ class TestWriteReadCycle:
         assert final.stats_dict()["segments"] == 1
 
 
-class TestTombstones:
-    def test_tombstone_drops_disk_and_pending(self, tmp_path):
-        shard = Shard(tmp_path / "s")
-        shard.append(key_of(1), True, fps_of(1))  # will be flushed
-        shard.flush()
-        shard.append(key_of(2), True, fps_of(2))  # stays pending
-        # fp 1 only touches key 1; fp 1002 is key 2's right participant
-        assert shard.tombstone(1) == 1
-        assert shard.tombstone(2002) == 0
-        assert shard.tombstone(1002) == 1
-        assert not shard.contains(key_of(1))
-        assert not shard.contains(key_of(2))
+class TestLegacyTombstones:
+    def test_put_tombstone_put_segment_reopens_unchanged(self, tmp_path):
+        """A segment an older build wrote (put, tombstone, put) opens
+        with its bytes untouched, and the tombstone drops nothing: the
+        key it named answers again with its still-correct value."""
+        root = tmp_path / "store"
+        PersistentVerdictStore(root, shards=1).close()
+        segment = root / "shard-00" / "00000001.seg"
+        data = segment_bytes(
+            fmt.encode_put(key_of(1), True, fps_of(1)),
+            legacy_tombstone(fps_of(1)[0]),
+            fmt.encode_put(key_of(2), False, fps_of(2)),
+        )
+        segment.write_bytes(data)
+
+        report = verify_store(root)
+        assert report["ok"] and report["torn_tails"] == 0
+        assert report["live_records"] == 2 and report["dead_records"] == 1
+
+        shard = Shard(segment.parent)
+        stats = shard.stats_dict()
+        assert stats["torn_tails"] == 0 and stats["dead_records"] == 1
+        assert segment.read_bytes() == data
+        assert shard.lookup(key_of(1)) == (True, fps_of(1))
+        assert shard.lookup(key_of(2)) == (False, fps_of(2))
+        shard.append(key_of(3), True, fps_of(3))
         shard.close()
-        assert len(Shard(tmp_path / "s")) == 0
+        assert segment.read_bytes()[:len(data)] == data
+
+        reopened = Shard(segment.parent)
+        assert reopened.stats_dict()["torn_tails"] == 0
+        assert reopened.lookup(key_of(3)) == (True, fps_of(3))
+        assert reopened.compact() == 3
+        (snapshot,) = segment.parent.glob("*.seg")
+        with snapshot.open("rb") as fh:
+            keys = [record.key for record in fmt.scan_segment(fh).records]
+        assert sorted(keys) == sorted(key_of(i) for i in (1, 2, 3))
+        assert verify_store(root)["ok"]
 
     def test_reput_after_tombstone_survives_reopen(self, tmp_path):
-        shard = Shard(tmp_path / "s")
-        shard.append(key_of(1), True, fps_of(1))
-        shard.flush()
-        shard.tombstone(1)
-        shard.append(key_of(1), False, fps_of(1))
+        """An older build re-put a key after its tombstone: replay order
+        is truth, so the last put wins over the earlier one.  (The two
+        values differ only so the test can see which record the index
+        holds.)"""
+        root = tmp_path / "s"
+        root.mkdir()
+        (root / "00000001.seg").write_bytes(segment_bytes(
+            fmt.encode_put(key_of(1), True, fps_of(1)),
+            legacy_tombstone(1),
+            fmt.encode_put(key_of(1), False, fps_of(1)),
+        ))
+        shard = Shard(root)
+        assert len(shard) == 1
+        assert shard.stats_dict()["dead_records"] == 2
+        assert shard.lookup(key_of(1)) == (False, fps_of(1))
+        assert shard.compact() == 1
         shard.close()
-        reopened = Shard(tmp_path / "s")
+        reopened = Shard(root)
         assert reopened.lookup(key_of(1)) == (False, fps_of(1))
-
-
-@pytest.fixture
-def no_auto_compact(monkeypatch):
-    monkeypatch.setattr(shard_module, "COMPACT_MIN_DEAD", 10**9)
+        assert reopened.stats_dict()["dead_records"] == 0
 
 
 class TestCompaction:
-    def test_compact_collapses_to_one_live_snapshot(
-        self, tmp_path, no_auto_compact
-    ):
-        shard = Shard(tmp_path / "s")
-        for i in range(20):
-            shard.append(key_of(i), True, fps_of(i))
-        shard.flush()
-        for i in range(15):
-            shard.tombstone(i)
-        assert shard.compact() == 5
+    def test_compact_collapses_to_one_live_snapshot(self, tmp_path):
+        # A compaction cut short between writing its snapshot and
+        # unlinking the old segment leaves duplicate puts behind.
+        root = tmp_path / "s"
+        root.mkdir()
+        puts = [fmt.encode_put(key_of(i), True, fps_of(i)) for i in range(20)]
+        (root / "00000001.seg").write_bytes(segment_bytes(*puts))
+        (root / "00000002.seg").write_bytes(
+            segment_bytes(*puts[:15], legacy_tombstone(3))
+        )
+        shard = Shard(root)
+        assert shard.stats_dict()["dead_records"] == 16
+        assert shard.compact() == 20
         stats = shard.stats_dict()
-        assert stats["records"] == 5
+        assert stats["records"] == 20
         assert stats["dead_records"] == 0
         assert stats["segments"] == 1
-        reopened = Shard(tmp_path / "s")
-        assert sorted(reopened.keys()) == sorted(key_of(i) for i in range(15, 20))
+        reopened = Shard(root)
+        assert sorted(reopened.keys()) == sorted(key_of(i) for i in range(20))
+        assert reopened.stats_dict()["dead_records"] == 0
 
-    def test_compact_of_all_dead_deletes_segments(
-        self, tmp_path, no_auto_compact
-    ):
-        shard = Shard(tmp_path / "s")
-        shard.append(key_of(1), True, fps_of(1))
-        shard.flush()
-        shard.tombstone(1)
+    def test_compact_of_all_dead_deletes_segments(self, tmp_path):
+        root = tmp_path / "s"
+        root.mkdir()
+        (root / "00000001.seg").write_bytes(segment_bytes())
+        (root / "00000002.seg").write_bytes(segment_bytes(legacy_tombstone(1)))
+        shard = Shard(root)
+        assert len(shard) == 0
         assert shard.compact() == 0
         assert shard.stats_dict()["segments"] == 0
-
-    def test_auto_compact_reclaims_garbage(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(shard_module, "FLUSH_EVERY", 1)
-        shard = Shard(tmp_path / "s")
-        for i in range(80):
-            shard.append(key_of(i), True, fps_of(i))
-            shard.tombstone(i)
-        assert shard.stats_dict()["compactions"] >= 1
+        assert list(root.glob("*.seg")) == []
 
     def test_lookup_after_compact_reads_the_snapshot(self, tmp_path):
         shard = Shard(tmp_path / "s")
@@ -217,13 +258,15 @@ class TestCompressedValues:
         shard = Shard(tmp_path / "s")
         keep = self.big_witness()
         shard.append(key_of(1), keep, fps_of(1))
-        shard.append(key_of(2), self.big_witness(300), fps_of(2))
-        shard.flush()
-        shard.tombstone(fps_of(2)[0])
+        shard.close()
+        (segment,) = (tmp_path / "s").glob("*.seg")
+        with segment.open("ab") as fh:  # a dead duplicate put
+            fh.write(fmt.encode_put(key_of(1), keep, fps_of(1)))
+        shard = Shard(tmp_path / "s")
+        assert shard.stats_dict()["dead_records"] == 1
         shard.compact()
         shard.close()
         reopened = Shard(tmp_path / "s")
-        assert reopened.lookup(key_of(2)) is None
         assert reopened.lookup(key_of(1)) == (keep, fps_of(1))
         with next((tmp_path / "s").glob("*.seg")).open("rb") as fh:
             (record,) = fmt.scan_segment(fh).records
