@@ -25,8 +25,8 @@ Rules (severity in parentheses):
 * **RL04** invalidation-completeness (warning) — a function that
   mutates a ``_mults`` multiplicity map in place without a reachable
   call to any maintenance hook (``invalidate`` / ``flush`` /
-  ``validate_update`` ...): the shape of a cache left stale by a
-  direct mutation.
+  ``clear`` ...): the shape of a cache left stale by a direct
+  mutation.
 * **RL05** lock-order (error) — a ``with`` acquiring a lock of an
   *earlier* tier while one of a later tier is held, inverting the
   declared ``engine -> store -> obs`` order.  Only statically-resolvable
@@ -63,8 +63,7 @@ _MUTATORS = frozenset({
 
 # Calls that count as invalidation/maintenance for RL04.
 _RL04_HOOKS = frozenset({
-    "invalidate", "invalidate_fp", "flush", "_flush_locked",
-    "clear", "validate_update",
+    "invalidate", "invalidate_fp", "flush", "_flush_locked", "clear",
 })
 
 _RL04_EXEMPT_FUNCS = frozenset({"__init__", "__new__", "_from_clean"})

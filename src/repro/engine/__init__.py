@@ -14,9 +14,10 @@ Layering (lowest first):
   invalidation) plus the batched entry points
   (``are_consistent_many``, ``witness_many``, ``global_check_many``;
   only the last takes ``parallelism=``);
-* :mod:`repro.engine.live` — :class:`LiveEngine`: mutable
-  :class:`LiveBag` handles whose updates bump O(1) incremental pair
-  checkers and invalidate only the cache entries they touch, and a
+* :mod:`repro.engine.live` — :class:`LiveEngine`, the one incremental
+  checker: mutable :class:`LiveBag` handles whose updates move one
+  common-marginal cell of each queried pair (Lemma 2(2) in O(1)) and
+  invalidate only the cache entries they touch, and a
   maintained Theorem 6 witness per acyclic handle set, patched by the
   delta repair of :mod:`repro.engine.live_global`;
 * :mod:`repro.engine.jobs`, :mod:`repro.engine.executors` and

@@ -4,13 +4,16 @@ The PR-1 :class:`~repro.engine.session.Engine` assumes immutable bags,
 so a streamed update forces a cold recompute of everything the bag
 touched.  The paper says better is possible: Lemma 2(2) reduces
 two-bag consistency to *marginal equality on the common attributes*,
-which an :class:`~repro.consistency.incremental.IncrementalPairChecker`
-maintains in O(1) per tuple update, and Theorem 2 upgrades those
-pairwise answers to global consistency whenever the schema hypergraph
-is acyclic.  A :class:`LiveEngine` wires both into the engine cache:
+which the sparse difference of the two common marginals maintains in
+O(1) per tuple update (the pair is consistent exactly when no cell of
+it is left), and Theorem 2 upgrades those pairwise answers to global
+consistency whenever the schema hypergraph is acyclic.  A
+:class:`LiveEngine`, the package's one incremental checker, wires both
+into the engine cache:
 
-* each tracked bag is a mutable :class:`LiveBag` handle;
-* ``update(handle, row, amount)`` bumps the O(1) pair checkers touching
+* each tracked bag is a mutable :class:`LiveBag` handle, the only copy
+  of its rows, and :meth:`LiveEngine.update` validates each row once;
+* ``update(handle, row, amount)`` bumps the O(1) pair deltas touching
   the handle and invalidates exactly the inner-engine entries (pair
   verdicts, witnesses, global results) in which the handle's current
   snapshot participates — untouched pairs keep their memoized answers;
@@ -36,15 +39,15 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from ..consistency.global_ import (
     GlobalConsistencyResult,
     acyclic_global_witness,
 )
-from ..consistency.incremental import IncrementalPairChecker, validate_update
 from ..core.bags import Bag
-from ..core.schema import Schema
+from ..core.schema import Schema, projection_plan
+from ..errors import MultiplicityError, SchemaError
 from . import fingerprint
 from .live_global import repair_fold_witness
 from .session import Engine, EngineStats, VerdictStore, global_key
@@ -56,6 +59,50 @@ __all__ = ["LiveBag", "LiveEngine"]
 # many distinct subsets must not accumulate them (an evicted set pays
 # one cold fold on its next check).
 MAX_WITNESS_SETS = 8
+
+
+class _PairDelta:
+    """Lemma 2(2), maintained for one pair of handles.
+
+    ``delta[z] = R[Z](z) - S[Z](z)`` over the common schema Z, stored
+    sparsely: the pair is consistent exactly when no cell is left.  An
+    update moves one cell through a projection plan compiled once.  The
+    engine validates every row first and never passes a zero amount.
+    """
+
+    __slots__ = ("_left_key", "_right_key", "_delta")
+
+    def __init__(self, left: Bag, right: Bag) -> None:
+        common = (left.schema & right.schema).attrs
+        self._left_key = projection_plan(left.schema.attrs, common)
+        self._right_key = projection_plan(right.schema.attrs, common)
+        self._delta: dict[tuple, int] = {}
+        for row, mult in left.items():
+            self.update_left(row, mult)
+        for row, mult in right.items():
+            self.update_right(row, mult)
+
+    def _bump(self, cell: tuple, amount: int) -> None:
+        new = self._delta.get(cell, 0) + amount
+        if new:
+            self._delta[cell] = new
+        else:
+            del self._delta[cell]
+
+    def update_left(self, row: tuple, amount: int) -> None:
+        self._bump(self._left_key(row), amount)
+
+    def update_right(self, row: tuple, amount: int) -> None:
+        self._bump(self._right_key(row), -amount)
+
+    @property
+    def consistent(self) -> bool:
+        return not self._delta
+
+    def disagreeing_cells(self) -> dict[tuple, int]:
+        """Cell -> left-side minus right-side, for each cell where the
+        common marginals disagree."""
+        return dict(self._delta)
 
 
 def _diff_mults(new: dict, old: dict) -> dict:
@@ -161,13 +208,10 @@ class LiveEngine:
         self._slots: dict[LiveBag, int] = {}
         # (slot i, slot j) with i < j -> the maintained checker; lazy,
         # so an m-bag session only pays for the pairs actually queried.
-        self._checkers: dict[tuple[int, int], IncrementalPairChecker] = {}
-        # slot -> [(checker, is_left_side)]: the checkers an update to
-        # that slot must bump, so the hot path touches O(m) checkers,
-        # not all m(m-1)/2.
-        self._by_slot: dict[
-            int, list[tuple[IncrementalPairChecker, bool]]
-        ] = {}
+        self._checkers: dict[tuple[int, int], _PairDelta] = {}
+        # slot -> the checker sides an update to that slot must bump,
+        # so the hot path touches O(m) checkers, not all m(m-1)/2.
+        self._by_slot: dict[int, list[Callable[[tuple, int], None]]] = {}
         # handle-set fingerprint (frozenset of schema fps) -> acyclic?
         # Row updates never alter schemas, so entries only need to be
         # dropped when membership changes (add_bag) — the PR-5 bugfix
@@ -237,15 +281,22 @@ class LiveEngine:
         it.  Entries touching only other handles survive.
         """
         handle = self._resolve(handle)
-        row, new = validate_update(handle.schema, handle._mults, row, amount)
+        row = tuple(row)
+        if len(row) != len(handle.schema):
+            raise SchemaError(
+                f"row {row!r} has arity {len(row)}, schema "
+                f"{handle.schema!r} has arity {len(handle.schema)}"
+            )
+        new = handle._mults.get(row, 0) + amount
+        if new < 0:
+            raise MultiplicityError(
+                f"update would make multiplicity of {row!r} negative"
+            )
         if amount == 0:
             return
         slot = self._slots[handle]
-        for checker, is_left in self._by_slot.get(slot, ()):
-            if is_left:
-                checker.update_left(row, amount)
-            else:
-                checker.update_right(row, amount)
+        for bump in self._by_slot.get(slot, ()):
+            bump(row, amount)
         if new == 0:
             del handle._mults[row]
         else:
@@ -259,22 +310,17 @@ class LiveEngine:
 
     # -- queries ---------------------------------------------------------
 
-    def _checker(self, a: int, b: int) -> IncrementalPairChecker:
+    def _checker(self, a: int, b: int) -> _PairDelta:
         key = (a, b) if a < b else (b, a)
         checker = self._checkers.get(key)
         if checker is None:
             i, j = key
-            # Delta-only mode: the handles hold the authoritative
-            # multiplicities and update() pre-validates every row, so
-            # the checker need not duplicate either bag.
-            checker = IncrementalPairChecker(
-                self._handles[i].bag(),
-                self._handles[j].bag(),
-                track_bags=False,
+            checker = _PairDelta(
+                self._handles[i].bag(), self._handles[j].bag()
             )
             self._checkers[key] = checker
-            self._by_slot.setdefault(i, []).append((checker, True))
-            self._by_slot.setdefault(j, []).append((checker, False))
+            self._by_slot.setdefault(i, []).append(checker.update_left)
+            self._by_slot.setdefault(j, []).append(checker.update_right)
         return checker
 
     def are_consistent(self, left, right) -> bool:

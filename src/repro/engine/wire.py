@@ -115,6 +115,11 @@ MAX_HEADER_BYTES = 1 << 26
 MAX_FRAME_BYTES = 1 << 31
 MAX_LINE = 32 * 1024 * 1024
 
+# A frame is read at most this many bytes at a time.  A buffered read
+# allocates what it is asked for before any byte arrives, so a length
+# prefix must claim memory only as its bytes arrive.
+_READ_CHUNK = 1 << 20
+
 # Bags with fewer support rows ride inline as JSON rows.
 MIN_ROWS = 32
 
@@ -204,7 +209,7 @@ def _read_exact(stream, n: int, first: bytes = b"") -> bytes:
     chunks = [first]
     remaining = n
     while remaining > 0:
-        chunk = stream.read(remaining)
+        chunk = stream.read(min(remaining, _READ_CHUNK))
         if not chunk:
             raise WireError("truncated frame (peer closed mid-frame)")
         chunks.append(chunk)

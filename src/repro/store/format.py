@@ -49,7 +49,11 @@ Crash tolerance on open (:func:`scan_segment`):
 
 * a record whose frame runs past end-of-file, whose CRC disagrees, or
   whose body cannot be parsed marks the **torn tail** — everything from
-  its offset on is ignored and the caller may physically truncate it;
+  its offset on is ignored and the caller may physically truncate it.
+  A claimed length is checked against the bytes left before it is
+  read, so a damaged one never allocates its claim.  A file shorter
+  than its header is torn at offset 0 and holds no record, so the open
+  path deletes it;
 * a file whose magic is not ours, or whose version is newer than this
   code, is **skipped whole** (reported, preserved, never rewritten) —
   a downgraded reader must not destroy a newer store's data.
@@ -62,6 +66,7 @@ exactly as for any on-disk cache.
 
 from __future__ import annotations
 
+import os
 import pickle
 import struct
 import zlib
@@ -170,6 +175,8 @@ class SegmentScan:
 def scan_segment(fh: BinaryIO) -> SegmentScan:
     """Scan an opened segment from the start, stopping at the first
     framing violation (the torn tail) — never raising for corruption."""
+    size = fh.seek(0, os.SEEK_END)
+    fh.seek(0)
     header = fh.read(HEADER.size)
     if len(header) < HEADER.size:
         # shorter than a header: a creation cut short; everything goes
@@ -190,8 +197,12 @@ def scan_segment(fh: BinaryIO) -> SegmentScan:
         if len(frame) < FRAME.size:
             return SegmentScan(True, version, records, offset, "torn frame")
         length, crc = FRAME.unpack(frame)
+        # A claim past the end is torn before it is read: reading it
+        # would allocate the whole claim (up to 4 GiB) first.
+        if length > size - fh.tell():
+            return SegmentScan(True, version, records, offset, "torn body")
         body = fh.read(length)
-        if len(body) < length or zlib.crc32(body) != crc:
+        if zlib.crc32(body) != crc:
             return SegmentScan(True, version, records, offset, "torn body")
         record = _parse_body(body, record_start=offset)
         if record is None:

@@ -150,11 +150,16 @@ class Shard:
             return
         if scan.truncate_at is not None:
             # Torn tail: drop the garbage physically so the next append
-            # starts on a clean frame boundary.
+            # starts on a clean frame boundary.  A segment cut inside
+            # its header holds no record and goes whole, or every later
+            # open would find it torn again.
+            self.stats.torn_tails += 1
+            if scan.truncate_at == 0:
+                self._unlink(segment)
+                return
             with segment.open("r+b") as fh:
                 fh.truncate(scan.truncate_at)
             self._sizes[segment] = scan.truncate_at
-            self.stats.torn_tails += 1
         if scan.version is not None and scan.version != fmt.FORMAT_VERSION:
             self._no_append.add(segment)
         for record in scan.records:

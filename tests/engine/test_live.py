@@ -1,25 +1,41 @@
 """LiveEngine: incremental invalidation semantics and stream cross-checks."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.consistency.global_ import decide_global_consistency
+from repro.consistency.global_ import (
+    decide_global_consistency,
+    pairwise_consistent,
+)
 from repro.consistency.pairwise import are_consistent
 from repro.consistency.witness import is_witness
 from repro.core.bags import Bag
 from repro.core.schema import Schema
 from repro.engine import fingerprint
-from repro.engine.live import LiveBag, LiveEngine
+from repro.engine.live import LiveBag, LiveEngine, _PairDelta
 from repro.errors import InconsistentError, MultiplicityError, SchemaError
-from repro.workloads.generators import planted_collection
+from repro.workloads.generators import planted_collection, planted_pair
 
 AB = Schema(["A", "B"])
 BC = Schema(["B", "C"])
 CD = Schema(["C", "D"])
 EF = Schema(["E", "F"])  # disjoint from the others: empty common schema
+CA = Schema(["A", "C"])  # with AB and BC: a cyclic triangle
+
+
+# (slot, row, amount) insert streams over three binary schemas
+UPDATES = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.tuples(st.integers(0, 1), st.integers(0, 1)),
+        st.integers(1, 2),
+    ),
+    max_size=10,
+)
 
 
 def planted_live(schemas, seed=0, n_tuples=4):
@@ -50,8 +66,9 @@ class TestHandles:
 
     def test_update_validates_arity(self):
         live = LiveEngine([Bag.empty(AB)])
-        with pytest.raises(SchemaError):
-            live.update(live.handles[0], (1,), 1)
+        for row in [(1,), (1, 2, 3)]:
+            with pytest.raises(SchemaError):
+                live.update(live.handles[0], row, 1)
         assert not live.handles[0].bag()  # state untouched
 
     def test_update_rejects_negative_multiplicity(self):
@@ -99,6 +116,37 @@ class TestHandles:
         other = LiveEngine([Bag.empty(AB)])
         with pytest.raises(KeyError):
             live.update(other.handles[0], (1, 2), 1)
+
+    def test_empty_engine_update_raises(self):
+        with pytest.raises(IndexError):  # no bag at slot 0
+            LiveEngine().update(0, (1,), 1)
+
+    def test_arity_checked_before_pairs_move(self):
+        """A wrong-arity row is refused before any pair counter sees it:
+        ``(1, 2, 3)`` would otherwise project to a cell and skew it."""
+        live = LiveEngine([
+            Bag.from_pairs(AB, [((1, 2), 1)]),
+            Bag.from_pairs(BC, [((2, 9), 1)]),
+        ])
+        r, s = live.handles
+        assert live.are_consistent(r, s)  # builds the pair's counter
+        for row in [(1,), (1, 2, 3)]:
+            with pytest.raises(SchemaError):
+                live.update(r, row, 1)
+        assert live.disagreeing_cells(r, s) == {}
+        assert r.bag() == Bag.from_pairs(AB, [((1, 2), 1)])
+
+    def test_negative_multiplicity_rejected_before_pairs_move(self):
+        live = LiveEngine([
+            Bag.from_pairs(AB, [((1, 2), 1)]),
+            Bag.from_pairs(BC, [((2, 9), 1)]),
+        ])
+        r, s = live.handles
+        assert live.are_consistent(r, s)
+        with pytest.raises(MultiplicityError):
+            live.update(r, (1, 2), -2)
+        assert live.disagreeing_cells(r, s) == {}
+        assert r.multiplicity((1, 2)) == 1
 
 
 class TestIncrementalConsistency:
@@ -148,6 +196,120 @@ class TestIncrementalConsistency:
         assert live.inconsistent_pairs() == [(0, 2), (1, 2)]
         live.update(2, (9, 0), -1)
         assert live.inconsistent_pairs() == []
+
+    def test_update_propagates_to_all_pairs(self):
+        live, handles = planted_live([AB, BC, CD], seed=10, n_tuples=3)
+        live.update(handles[1], (0, 0), 3)  # the bag over BC
+        bags = [h.bag() for h in handles]
+        assert live.pairwise_consistent() == pairwise_consistent(bags)
+        assert live.inconsistent_pairs() == [
+            (i, j)
+            for i, j in combinations(range(3), 2)
+            if not are_consistent(bags[i], bags[j])
+        ] == [(0, 1), (1, 2)]
+
+
+def _bag(schema, mults):
+    return Bag(schema, {row: mult for row, mult in mults.items() if mult})
+
+
+class TestPairDelta:
+    """The per-pair counter behind ``are_consistent``: the sparse
+    difference of the two common marginals, moved by updates the engine
+    has already validated."""
+
+    def test_initial_state_matches_oracle(self, rng):
+        for _ in range(5):
+            _, r, s = planted_pair(AB, BC, rng)
+            assert _PairDelta(r, s).consistent
+            bumped = r + Bag.from_pairs(AB, [((9, 9), 1)])
+            assert not _PairDelta(bumped, s).consistent
+            assert not are_consistent(bumped, s)
+
+    def test_insert_breaks_then_repair(self):
+        delta = _PairDelta(
+            Bag.from_pairs(AB, [((1, 2), 1)]),
+            Bag.from_pairs(BC, [((2, 9), 1)]),
+        )
+        assert delta.consistent
+        delta.update_left((3, 2), 1)
+        assert not delta.consistent
+        delta.update_right((2, 0), 1)
+        assert delta.consistent
+
+    def test_disagreeing_cells_diagnostic(self):
+        delta = _PairDelta(
+            Bag.from_pairs(AB, [((1, 2), 3)]),
+            Bag.from_pairs(BC, [((2, 9), 1)]),
+        )
+        assert delta.disagreeing_cells() == {(2,): 2}
+        delta.update_right((2, 0), 5)
+        assert delta.disagreeing_cells() == {(2,): -3}
+
+    def test_delete_to_empty(self):
+        delta = _PairDelta(
+            Bag.from_pairs(AB, [((1, 2), 1)]),
+            Bag.from_pairs(BC, [((2, 9), 1)]),
+        )
+        delta.update_left((1, 2), -1)
+        assert delta.disagreeing_cells() == {(2,): -1}
+        delta.update_right((2, 9), -1)
+        assert delta.consistent
+        assert delta.disagreeing_cells() == {}  # a cell back at 0 goes
+
+    def test_empty_common_schema_compares_totals(self):
+        delta = _PairDelta(
+            Bag.from_pairs(AB, [((1, 2), 2)]),
+            Bag.from_pairs(EF, [((5, 6), 3)]),
+        )
+        assert delta.disagreeing_cells() == {(): -1}
+        delta.update_left((4, 4), 1)
+        assert delta.consistent
+
+    def test_updates_match_a_rebuilt_delta(self, rng):
+        _, r, s = planted_pair(AB, BC, rng)
+        held = {"L": dict(r.items()), "R": dict(s.items())}
+        delta = _PairDelta(r, s)
+        stream = [
+            ("L", (0, 1), 2), ("R", (1, 0), 1), ("L", (0, 1), -2),
+            ("L", (5, 1), 1), ("R", (1, 5), 3), ("R", (1, 0), -1),
+        ]
+        for side, row, amount in stream:
+            held[side][row] = held[side].get(row, 0) + amount
+            if side == "L":
+                delta.update_left(row, amount)
+            else:
+                delta.update_right(row, amount)
+            rebuilt = _PairDelta(_bag(AB, held["L"]), _bag(BC, held["R"]))
+            assert delta.disagreeing_cells() == rebuilt.disagreeing_cells()
+            assert delta.consistent == rebuilt.consistent
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["L", "R"]),
+                st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                st.integers(-2, 2),
+            ),
+            max_size=12,
+        )
+    )
+    def test_always_matches_from_scratch_oracle(self, updates):
+        held = {"L": {}, "R": {}}
+        delta = _PairDelta(Bag.empty(AB), Bag.empty(BC))
+        for side, row, amount in updates:
+            amount = max(amount, -held[side].get(row, 0))
+            if amount == 0:
+                continue  # the engine never passes a zero amount
+            held[side][row] = held[side].get(row, 0) + amount
+            if side == "L":
+                delta.update_left(row, amount)
+            else:
+                delta.update_right(row, amount)
+            assert delta.consistent == are_consistent(
+                _bag(AB, held["L"]), _bag(BC, held["R"])
+            )
 
 
 class TestInvalidation:
@@ -215,6 +377,26 @@ class TestGlobal:
         assert live.pairwise_consistent()  # Tseitin: pairwise ok...
         assert not live.globally_consistent()  # ...globally broken
 
+    def test_acyclic_upgrade_follows_updates(self):
+        live, (r, s) = planted_live([AB, BC], seed=8)
+        assert live.schema_acyclic() and live.globally_consistent()
+        live.update(r, (9, 9), 1)  # one more tuple on one side only
+        assert not live.pairwise_consistent()
+        assert not live.globally_consistent()
+        live.update(s, (9, 9), 1)  # the same B-cell on the other side
+        assert live.globally_consistent()
+        assert decide_global_consistency([r.bag(), s.bag()])
+
+    def test_cyclic_schema_decides_exactly(self):
+        """Theorem 2 does not cover the triangle AB, BC, CA, so the
+        answer comes from the exact solver; a planted collection is
+        globally consistent."""
+        live, handles = planted_live([AB, BC, CA], seed=9, n_tuples=3)
+        assert not live.schema_acyclic()
+        assert live.pairwise_consistent()
+        assert live.globally_consistent()
+        assert decide_global_consistency([h.bag() for h in handles])
+
     def test_whole_set_answers_follow_added_bags(self):
         """The whole-set acyclicity key and the all-pairs verdict must
         both see a bag added after they were first answered."""
@@ -265,19 +447,8 @@ class TestStreamCrossCheck:
                 bags
             )
 
-    @settings(deadline=None, max_examples=25)
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(0, 2),
-                st.tuples(st.integers(0, 1), st.integers(0, 1)),
-                st.integers(1, 2),
-            ),
-            max_size=10,
-        )
-    )
-    def test_hypothesis_stream_matches_oracle(self, updates):
-        live = LiveEngine([Bag.empty(AB), Bag.empty(BC), Bag.empty(EF)])
+    def _check_stream(self, third, updates):
+        live = LiveEngine([Bag.empty(AB), Bag.empty(BC), Bag.empty(third)])
         handles = live.handles
         for index, row, amount in updates:
             live.update(handles[index], row, amount)
@@ -287,3 +458,18 @@ class TestStreamCrossCheck:
                     assert live.are_consistent(
                         handles[i], handles[j]
                     ) == are_consistent(bags[i], bags[j])
+            assert live.globally_consistent() == (
+                decide_global_consistency(bags)
+            )
+
+    @settings(deadline=None, max_examples=25)
+    @given(UPDATES)
+    def test_hypothesis_stream_matches_oracle(self, updates):
+        self._check_stream(EF, updates)
+
+    @settings(deadline=None, max_examples=25)
+    @given(UPDATES)
+    def test_triangle_stream_matches_oracle(self, updates):
+        """With CA the schema is cyclic, so every global answer takes the
+        exact solver's path."""
+        self._check_stream(CA, updates)

@@ -222,6 +222,33 @@ class TestFrameCodec:
             with pytest.raises(wire.WireError, match="truncated"):
                 wire.read_frame(io.BytesIO(frame[:cut]))
 
+    @pytest.mark.parametrize("header_len, blob_len, body", [
+        (2, 64 << 20, b"{}" + b"\x00" * 28),  # 47 bytes, 64 MiB blob claim
+        (60 << 20, 0, b""),  # a bare prefix claiming a 60 MiB header
+    ], ids=["blob-claim", "header-claim"])
+    def test_claimed_lengths_are_read_a_chunk_at_a_time(
+        self, header_len, blob_len, body
+    ):
+        """A length prefix reserves nothing: each read asks for at most
+        1 MiB, so a truncated frame raises before a claimed length is
+        ever allocated."""
+
+        class ChunkGuard(io.BytesIO):
+            def read(self, n=-1):
+                assert 0 < n <= 1 << 20, f"read({n}) claims past one chunk"
+                return super().read(n)
+
+        prefix = wire._PREFIX.pack(wire.VERSION, header_len, blob_len)
+        with pytest.raises(wire.WireError, match="truncated"):
+            wire.read_frame(ChunkGuard(wire.MAGIC + prefix + body))
+
+    def test_frames_longer_than_a_chunk_read_whole(self, monkeypatch):
+        monkeypatch.setattr(wire, "_READ_CHUNK", 7)
+        r, s = wide_pair()
+        frame = wire.encode_jobs_frame({"pairs": [[r, s]]})
+        header, blob = wire.split_frame(frame)
+        assert wire.read_frame(io.BytesIO(frame)) == (header, bytes(blob))
+
     def test_oversized_lengths_rejected(self, monkeypatch):
         r, s = small_pair()
         frame = wire.encode_jobs_frame({"pairs": [[r, s]]})

@@ -90,6 +90,24 @@ class TestTornTails:
         assert result.usable and result.records == []
         assert result.truncate_at == fmt.HEADER.size
 
+    def test_claimed_length_past_the_file_is_torn_unread(self):
+        """A length field with its top bit flipped claims 2 GiB more
+        than the record holds: the scan must find the end of the file
+        without asking for the claim."""
+        frame = bytearray(fmt.encode_put(KEY, True, FPS))
+        frame[0] ^= 0x80
+        data = segment_bytes(bytes(frame))
+
+        class ReadGuard(io.BytesIO):
+            def read(self, n=-1):
+                assert n <= len(data), f"read({n}) of a {len(data)}-byte file"
+                return super().read(n)
+
+        result = fmt.scan_segment(ReadGuard(data))
+        assert result.usable and result.records == []
+        assert result.truncate_at == fmt.HEADER.size
+        assert result.reason == "torn body"
+
     def test_header_shorter_than_frame_is_truncated_whole(self):
         result = scan(b"RVS")
         assert result.usable and result.truncate_at == 0

@@ -201,6 +201,29 @@ class TestRecovery:
         assert len(final) == 4
         assert final.lookup(key_of(99)) == (True, fps_of(99))
 
+    def test_segment_cut_inside_its_header_goes_on_open(self, tmp_path):
+        """A crash between creating a tail and flushing its header
+        leaves a file with no record: the first open counts its torn
+        tail and deletes it, so no later open or verify finds it."""
+        root = tmp_path / "store"
+        PersistentVerdictStore(root, shards=1).close()
+        shard = Shard(root / "shard-00")
+        shard.append(key_of(1), True, fps_of(1))
+        shard.close()
+        cut = root / "shard-00" / "99999999.seg"
+        cut.write_bytes(b"RVS")
+        assert verify_store(root)["torn_tails"] == 1
+        torn_tails = []
+        for _ in range(3):
+            shard = Shard(cut.parent)
+            torn_tails.append(shard.stats_dict()["torn_tails"])
+            assert shard.lookup(key_of(1)) == (True, fps_of(1))
+            shard.close()
+            report = verify_store(root)
+            assert report["ok"] and report["torn_tails"] == 0, report
+        assert torn_tails == [1, 0, 0]
+        assert not cut.exists()
+
     def test_foreign_file_is_preserved_and_skipped(self, tmp_path):
         root = tmp_path / "s"
         root.mkdir()

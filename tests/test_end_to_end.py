@@ -96,25 +96,25 @@ def test_cyclic_counterexample_pipeline_on_random_hypergraphs(seed):
 @settings(deadline=None, max_examples=15)
 @given(st.integers(0, 10_000), st.integers(2, 4))
 def test_incremental_checker_agrees_with_batch_on_random_walk(seed, n_edges):
-    """A random update walk keeps the incremental checker in lockstep
-    with from-scratch pairwise checks."""
-    from repro.consistency import IncrementalCollectionChecker
+    """A random update walk keeps a live session's maintained verdicts
+    in lockstep with from-scratch pairwise and global checks."""
+    from repro.engine.live import LiveEngine
 
     rng = random.Random(seed)
     hypergraph = random_acyclic_hypergraph(n_edges, 3, rng)
     bags = random_collection_over(hypergraph, rng, n_tuples=2)
-    checker = IncrementalCollectionChecker(bags)
+    live = LiveEngine(bags)
+    handles = live.handles
     for _ in range(6):
-        index = rng.randrange(len(bags))
-        schema = bags[index].schema
-        row = tuple(rng.randrange(2) for _ in schema.attrs)
-        current = checker.bag(index).multiplicity(row)
-        amount = rng.choice([1, 2, -current if current else 1])
-        if amount == 0:
-            amount = 1
-        checker.update(index, row, amount)
-        snapshot = [checker.bag(i) for i in range(len(bags))]
-        assert checker.pairwise_consistent == pairwise_consistent(snapshot)
+        handle = handles[rng.randrange(len(bags))]
+        row = tuple(rng.randrange(2) for _ in handle.schema.attrs)
+        current = handle.multiplicity(row)
+        live.update(handle, row, rng.choice([1, 2, -current or 1]))
+        snapshot = [h.bag() for h in handles]
+        assert live.pairwise_consistent() == pairwise_consistent(snapshot)
+        assert live.globally_consistent() == (
+            decide_global_consistency(snapshot)
+        )
 
 
 @settings(deadline=None, max_examples=10)
