@@ -26,13 +26,13 @@ ships the search misses as fingerprint-ref jobs; each chunk carries a
 table of its distinct bags as plain pickles, and each worker runs its
 chunk through a private engine, which derives every fingerprint it
 writes from the content it received.  Workers return their store's
-**verdict deltas** — every ``(key, value, participant_fps)`` they
-computed — which the parent merges back into the shared store;
-fingerprint keys are process-independent, so the engine's loop over
-the whole batch answers the shipped misses from the store.  A worker
-that dies breaks its pool: the pool is dropped, the loop computes the
-lost chunks in-process, and the next batch that ships starts a fresh
-pool.  Workers exit when their parent dies.
+**verdict deltas** — every ``(key, value)`` they computed — which the
+parent merges back into the shared store; fingerprint keys are
+process-independent, so the engine's loop over the whole batch answers
+the shipped misses from the store.  A worker that dies breaks its
+pool: the pool is dropped, the loop computes the lost chunks
+in-process, and the next batch that ships starts a fresh pool.
+Workers exit when their parent dies.
 
 ``benchmarks/bench_dispatch.py`` measures the rule (serial against
 ``parallelism=2`` per batch size and row count;

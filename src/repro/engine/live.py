@@ -535,7 +535,7 @@ class LiveEngine:
             )
             store_key = global_key(fps, method)
             if not store.contains(store_key):
-                store.put(store_key, result, fps)
+                store.put(store_key, result)
         return result
 
     def _repaired(self, witness: Bag, bags: list[Bag], deltas: list[dict]):
@@ -547,13 +547,13 @@ class LiveEngine:
             witness.schema.attrs,
             [(bag.schema.attrs, delta) for bag, delta in zip(bags, deltas)],
         )
-        if patched is None or len(patched[0]) > sum(
+        if patched is None or len(patched) > sum(
             bag.support_size for bag in bags
         ):
             return None
         self._live_global_counts["repairs"] += 1
         return GlobalConsistencyResult(
-            True, Bag._from_clean(witness.schema, patched[0]), "live"
+            True, Bag._from_clean(witness.schema, patched), "live"
         )
 
     def live_global_stats(self) -> dict:

@@ -39,7 +39,7 @@ def repair_fold_witness(
     union_attrs: tuple,
     inputs: Sequence[tuple[tuple, dict]],
     limit: int = DEFAULT_REPAIR_LIMIT,
-) -> tuple[dict, dict] | None:
+) -> dict | None:
     """Patch a witness so its marginals track input deltas.
 
     ``mults`` is the old witness (row -> multiplicity, not mutated);
@@ -51,7 +51,7 @@ def repair_fold_witness(
     success criterion, maintained cell-by-cell, not re-verified by a
     scan.
 
-    Returns ``(new_mults, witness_delta)`` or ``None`` when the greedy
+    Returns the patched multiplicity map, or ``None`` when the greedy
     patch cannot close the needs within ``limit`` rounds (the caller
     falls back to a cold fold).  Removals only ever decrease existing
     multiplicities, so the result is nonnegative by construction.
@@ -64,7 +64,6 @@ def repair_fold_witness(
     if sum(len(need) for need in needs) > limit:
         return None
     work = dict(mults)
-    changed: dict[tuple, int] = {}
     # cell -> live witness rows projecting to it, per input; built
     # lazily on the first removal (insert-only streams never pay it).
     row_index: list[dict | None] = [None for _ in inputs]
@@ -73,9 +72,6 @@ def repair_fold_witness(
         work[row] = work.get(row, 0) + amount
         if work[row] == 0:
             del work[row]
-        changed[row] = changed.get(row, 0) + amount
-        if changed[row] == 0:
-            del changed[row]
         for i, plan in enumerate(plans):
             cell = plan(row)
             need = needs[i]
@@ -134,7 +130,7 @@ def repair_fold_witness(
             if any(amount > 0 for amount in need.values())
         ]
         if not seeds:
-            return work, changed  # every need closed: marginals exact
+            return work  # every need closed: marginals exact
         row = _assemble_row(union_attrs, inputs, plans, needs, seeds[0])
         if row is None:
             return None

@@ -67,7 +67,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from . import fingerprint
 
-__all__ = ["Engine", "EngineStats", "VerdictStore"]
+__all__ = ["Engine", "EngineStats", "VerdictStore", "participants"]
 
 _MISS = object()
 
@@ -105,6 +105,13 @@ def global_key(fps: tuple[int, ...], method: str) -> tuple:
     """The store key of a global check: the collection's fingerprints
     in order, and the method asked for."""
     return ("global", fps, method)
+
+
+def participants(key: tuple) -> tuple[int, ...]:
+    """The content fingerprints a stored result depends on, read off
+    its key: the collection's for a global key, the pair's for a
+    verdict or a witness key."""
+    return key[1] if key[0] == "global" else key[1:3]
 
 
 def _observe_compute(op: str, start: float) -> None:
@@ -153,7 +160,7 @@ class EngineStats:
 
 @shared_state(
     "_lock",
-    "_cache", "_participants", "_fp_keys",
+    "_cache", "_fp_keys",
     "hits", "misses", "evictions", "invalidations", "merged",
     tier="engine",
 )
@@ -168,9 +175,9 @@ class VerdictStore:
     backs every connection with one) and absorb merged deltas from
     worker processes.
 
-    Bookkeeping: every key records its participant fingerprints and a
-    reverse index maps each fingerprint to the keys touching it, making
-    per-content invalidation O(entries touched), not O(store).
+    Bookkeeping: a reverse index maps each participant fingerprint
+    (:func:`participants`, read off the key) to the keys touching it,
+    making per-content invalidation O(entries touched), not O(store).
     """
 
     def __init__(self, capacity: int | None = None) -> None:
@@ -179,7 +186,6 @@ class VerdictStore:
         self.capacity = capacity
         self._lock = threading.RLock()
         self._cache: OrderedDict[tuple, object] = OrderedDict()
-        self._participants: dict[tuple, tuple[int, ...]] = {}
         # fp -> its one key, bare, or a set once it has a second: most
         # fingerprints touch a single key, and a one-element set costs
         # ~200 bytes per entry
@@ -212,7 +218,7 @@ class VerdictStore:
         with self._lock:
             return key in self._cache
 
-    def put(self, key: tuple, value, fps: Sequence[int]) -> int:
+    def put(self, key: tuple, value) -> int:
         """Insert one result; returns the number of entries evicted to
         respect ``capacity``."""
         with self._lock:
@@ -223,7 +229,7 @@ class VerdictStore:
                 self._cache[key] = value
                 self._cache.move_to_end(key)
                 return 0
-            for fp in fps:
+            for fp in participants(key):
                 held = self._fp_keys.get(fp)
                 if held is None:
                     self._fp_keys[fp] = key
@@ -232,13 +238,12 @@ class VerdictStore:
                 elif held != key:
                     self._fp_keys[fp] = {held, key}
             self._cache[key] = value
-            self._participants[key] = tuple(fps)
             return self._evict()
 
     @requires_lock("_lock")
     def _remove_key(self, key: tuple) -> None:
         self._cache.pop(key, None)
-        for fp in self._participants.pop(key, ()):
+        for fp in participants(key):
             held = self._fp_keys.get(fp)
             if isinstance(held, set):
                 held.discard(key)
@@ -276,7 +281,6 @@ class VerdictStore:
     def clear(self) -> None:
         with self._lock:
             self._cache.clear()
-            self._participants.clear()
             self._fp_keys.clear()
 
     def __len__(self) -> int:
@@ -284,23 +288,18 @@ class VerdictStore:
 
     # -- bulk transfer (the process executor's merge path) ---------------
 
-    def export(self) -> list[tuple[tuple, object, tuple[int, ...]]]:
-        """Every entry as ``(key, value, participant_fps)`` — what a
-        worker process ships back to the parent."""
+    def export(self) -> list[tuple[tuple, object]]:
+        """Every entry as ``(key, value)`` — what a worker process
+        ships back to the parent."""
         with self._lock:
-            return [
-                (key, value, self._participants[key])
-                for key, value in self._cache.items()
-            ]
+            return list(self._cache.items())
 
-    def merge(
-        self, entries: Iterable[tuple[tuple, object, tuple[int, ...]]]
-    ) -> int:
+    def merge(self, entries: Iterable[tuple[tuple, object]]) -> int:
         """Absorb exported entries (idempotent — fingerprint keys are
         process-independent); returns the number merged."""
         count = 0
-        for key, value, fps in entries:
-            self.put(key, value, fps)
+        for key, value in entries:
+            self.put(key, value)
             count += 1
         with self._lock:
             self.merged += count
@@ -398,11 +397,11 @@ class Engine:
     def _get(self, key: tuple):
         return self.store.get(key)
 
-    def _put(self, key: tuple, value, fps: Sequence[int]) -> None:
+    def _put(self, key: tuple, value) -> None:
         """Store one result.  Callers key it on :func:`fingerprint.of_bag`
         — a peer's claimed ``fp`` keys reads only — so a forged claim
         cannot file an answer under another content's key."""
-        evicted = self.store.put(key, value, fps)
+        evicted = self.store.put(key, value)
         if evicted:
             with self._lock:
                 self.stats.evictions += evicted
@@ -450,7 +449,7 @@ class Engine:
             value = are_consistent(left, right)
             _observe_compute("consistent", start)
             a, b = fingerprint.of_bag(left), fingerprint.of_bag(right)
-            self._put(consistent_key(a, b), value, (a, b))
+            self._put(consistent_key(a, b), value)
         else:
             with self._lock:
                 if internal:
@@ -492,7 +491,7 @@ class Engine:
                 cached = consistency_witness(left, right)
             _observe_compute("witness", start)
             lfp, rfp = fingerprint.of_bag(left), fingerprint.of_bag(right)
-            self._put(witness_key(lfp, rfp), cached, (lfp, rfp))
+            self._put(witness_key(lfp, rfp), cached)
         if cached is None:
             raise InconsistentError(
                 "bags are not consistent (no saturated flow in N(R, S))"
@@ -540,7 +539,7 @@ class Engine:
             )
             _observe_compute("global", start)
             fps = fingerprint.of_collection(bags)
-            self._put(global_key(fps, method), cached, fps)
+            self._put(global_key(fps, method), cached)
         else:
             with self._lock:
                 self.stats.global_hits += 1

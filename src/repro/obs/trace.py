@@ -85,16 +85,18 @@ def current():
     return _CURRENT.get()
 
 
-@shared_state("_lock", "spans", "dropped", tier="obs")
 class Trace:
     """One request's span list.  ``add_span`` offsets are seconds since
     the trace's own ``perf_counter`` origin (workers' offsets are their
-    local origins — see ``merge_remote``)."""
+    local origins — see ``merge_remote``).
 
-    __slots__ = (
-        "trace_id", "op", "origin", "spans", "dropped", "total_ms", "_lock",
-        "__weakref__",  # the sanitizer's guarded containers point back
-    )
+    A trace belongs to one thread: the handler thread that opens it
+    writes every span (a process batch merges its workers' spans in
+    that thread too) and finishes it.  Only a finished trace is read
+    elsewhere (:class:`TraceBuffer`), so it takes no lock.
+    """
+
+    __slots__ = ("trace_id", "op", "origin", "spans", "dropped", "total_ms")
 
     def __init__(self, op: str, trace_id: str | None = None) -> None:
         self.trace_id = trace_id or f"{next(_ids):x}"
@@ -103,7 +105,6 @@ class Trace:
         self.spans = []
         self.dropped = 0
         self.total_ms = None  # stamped by finish_trace
-        self._lock = threading.Lock()
 
     def add_span(self, name: str, start: float, duration: float,
                  **extra) -> None:
@@ -116,47 +117,43 @@ class Trace:
             "ms": round(duration * 1000.0, 3),
             **extra,
         }
-        with self._lock:
-            if len(self.spans) >= MAX_SPANS:
-                self.dropped += 1
-                return
-            self.spans.append(entry)
+        if len(self.spans) >= MAX_SPANS:
+            self.dropped += 1
+            return
+        self.spans.append(entry)
 
     def merge_remote(self, spans, worker: int | None = None) -> None:
         """Fold a process worker's span list back in (the span analogue
         of merging verdict deltas).  Offsets stay worker-local clocks;
         spans are tagged remote instead of re-based."""
         spans = list(spans)
-        with self._lock:
-            for index, entry in enumerate(spans):
-                if len(self.spans) >= MAX_SPANS:
-                    self.dropped += len(spans) - index
-                    break
-                tagged = dict(entry)
-                tagged["remote"] = True
-                if worker is not None:
-                    tagged["worker"] = worker
-                self.spans.append(tagged)
+        for index, entry in enumerate(spans):
+            if len(self.spans) >= MAX_SPANS:
+                self.dropped += len(spans) - index
+                break
+            tagged = dict(entry)
+            tagged["remote"] = True
+            if worker is not None:
+                tagged["worker"] = worker
+            self.spans.append(tagged)
 
     def export_spans(self) -> list:
         """The picklable span list a worker ships back to its parent."""
-        with self._lock:
-            return [dict(entry) for entry in self.spans]
+        return [dict(entry) for entry in self.spans]
 
     def to_dict(self) -> dict:
         # A shallow copy is a snapshot: span dicts are never mutated
         # once appended (add_span and merge_remote build fresh ones).
-        with self._lock:
-            out = {
-                "id": self.trace_id,
-                "op": self.op,
-                "spans": list(self.spans),
-            }
-            if self.dropped:
-                out["dropped_spans"] = self.dropped
-            if self.total_ms is not None:
-                out["total_ms"] = self.total_ms
-            return out
+        out = {
+            "id": self.trace_id,
+            "op": self.op,
+            "spans": list(self.spans),
+        }
+        if self.dropped:
+            out["dropped_spans"] = self.dropped
+        if self.total_ms is not None:
+            out["total_ms"] = self.total_ms
+        return out
 
 
 @shared_state("_lock", "_ring", "_next", tier="obs")

@@ -21,11 +21,14 @@ Record frame::
         key      key_len bytes
         value    the rest
 
-For a ``PUT`` the key blob is ``pickle((key, participant_fps))`` and
-the value blob is ``pickle(value)`` — split so that opening a shard can
-index every record (key, fingerprints, value location) **without**
-unpickling any values; values are read lazily on the first read-through
-miss.  A ``PUT_Z`` is the same record with the value blob run through
+For a ``PUT`` the key blob is ``pickle((key, participants(key)))``
+(:func:`repro.engine.session.participants`) and the value blob is
+``pickle(value)`` — split so that opening a shard can index every
+record (key, value location) **without** unpickling any values; values
+are read lazily on the first read-through miss.  Readers take the
+participants off the key; the blob's copy stays for older readers,
+which index it (older writers put a pair's in caller order: the same
+set).  A ``PUT_Z`` is the same record with the value blob run through
 ``zlib.compress`` — the per-record compression flag used for large
 witness blobs (:func:`encode_put` compresses when the pickled value
 reaches ``compress_min`` bytes *and* compression actually shrinks it;
@@ -73,6 +76,8 @@ import zlib
 from dataclasses import dataclass
 from typing import BinaryIO
 
+from ..engine.session import participants
+
 __all__ = [
     "COMPRESS_MIN",
     "FORMAT_VERSION",
@@ -111,12 +116,9 @@ def write_header(fh: BinaryIO, version: int = FORMAT_VERSION) -> None:
 
 
 def encode_put(
-    key: tuple,
-    value: object,
-    fps: tuple,
-    compress_min: int | None = COMPRESS_MIN,
+    key: tuple, value: object, compress_min: int | None = COMPRESS_MIN
 ) -> bytes:
-    """One framed PUT record (key + fingerprints separate from the
+    """One framed PUT record (key and participants separate from the
     lazily-read value blob).
 
     Value blobs of at least ``compress_min`` bytes are stored
@@ -125,7 +127,9 @@ def encode_put(
     flagged per record, so one segment freely mixes raw and compressed
     values and readers never guess.
     """
-    key_blob = pickle.dumps((key, tuple(fps)), protocol=pickle.HIGHEST_PROTOCOL)
+    key_blob = pickle.dumps(
+        (key, participants(key)), protocol=pickle.HIGHEST_PROTOCOL
+    )
     value_blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
     kind = RECORD_PUT
     if compress_min is not None and len(value_blob) >= compress_min:
@@ -143,13 +147,11 @@ class ScannedRecord:
 
     ``value_offset``/``value_length`` locate the (possibly compressed,
     see ``compressed``) pickled value inside the segment file for lazy
-    reads; legacy tombstones carry ``fp`` instead.
+    reads; a legacy tombstone has no ``key`` and no value.
     """
 
     kind: int
     key: tuple | None
-    fps: tuple
-    fp: int | None
     value_offset: int
     value_length: int
     compressed: bool = False
@@ -233,13 +235,13 @@ def _parse_body(body: bytes, record_start: int) -> ScannedRecord | None:
         if not isinstance(key, tuple) or not isinstance(fps, tuple):
             return None
         return ScannedRecord(
-            kind, key, fps, None, value_offset, value_length,
+            kind, key, value_offset, value_length,
             compressed=kind == RECORD_PUT_Z,
         )
     if kind == RECORD_TOMBSTONE:
         if not isinstance(key_obj, int):
             return None
-        return ScannedRecord(kind, None, (), key_obj, value_offset, 0)
+        return ScannedRecord(kind, None, value_offset, 0)
     return None  # unknown record kind: stop here, keep the prefix
 
 

@@ -14,10 +14,12 @@ under the hot tier:
   (:func:`shard_of_fp`), so disk reads and appends take only their
   shard's lock, and a multi-process deployment could split shards
   between daemons;
-* **read-through**: a hot-tier miss consults the shard's write-behind
-  buffer, then its segment index; either hit promotes the entry into
-  the hot tier.  Segment reads are counted as ``disk_hits`` (so warmth
-  is observable) and buffer reads apart, as ``buffer_hits``;
+* **read-through**: a hot-tier miss makes one shard call
+  (:meth:`~repro.store.shard.Shard.lookup`), which answers from the
+  write-behind buffer or the segment index; either hit promotes the
+  entry into the hot tier.  Segment reads are counted as ``disk_hits``
+  (so warmth is observable) and buffer reads apart, as
+  ``buffer_hits``;
 * **write-behind**: every put lands in the hot tier immediately and is
   buffered in its shard, flushed every
   :data:`~repro.store.shard.FLUSH_EVERY` operations and on explicit
@@ -43,7 +45,7 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..analysis.registry import shared_state
 from ..errors import ReproError
@@ -74,11 +76,13 @@ def read_meta(root: Path) -> dict | None:
     """The store directory's ``META.json``, or ``None`` if it has none.
 
     Raises :class:`StoreFormatError` for metadata this build cannot
-    use.  That includes a store written under another fingerprint
-    encoding: its keys are fingerprints, so none of its records would
-    ever be found, and ``verify`` would misreport every witness.  A
-    ``META.json`` without a ``"fingerprint"`` key predates the field
-    and means encoding 1.
+    use: a version that is not an integer, a shard count that is not a
+    positive integer (keys would route by the wrong count), or a store
+    written under another fingerprint encoding (its keys are
+    fingerprints, so none of its records would ever be found, and
+    ``verify`` would misreport every witness).  A ``META.json``
+    without a ``"fingerprint"`` key predates the field and means
+    encoding 1.
     """
     meta_path = root / META_NAME
     if not meta_path.exists():
@@ -93,9 +97,15 @@ def read_meta(root: Path) -> dict | None:
         raise StoreFormatError(
             f"{meta_path} is not a verdict-store metadata file"
         )
-    if meta.get("version", 0) > META_VERSION:
+    version, shards = meta.get("version", 0), meta["shards"]
+    if type(version) is not int or type(shards) is not int or shards < 1:
         raise StoreFormatError(
-            f"store at {root} has metadata version {meta['version']}; "
+            f"{meta_path} needs an integer version and a positive "
+            f"integer shard count, got {version!r} and {shards!r}"
+        )
+    if version > META_VERSION:
+        raise StoreFormatError(
+            f"store at {root} has metadata version {version}; "
             f"this build reads up to {META_VERSION} (upgrade, or point "
             f"at a fresh --store-dir)"
         )
@@ -181,7 +191,7 @@ class PersistentVerdictStore:
     def _load_or_create_meta(self, shards: int | None) -> int:
         meta = read_meta(self.root)
         if meta is not None:
-            existing = int(meta["shards"])
+            existing = meta["shards"]
             if shards is not None and shards != existing:
                 raise StoreFormatError(
                     f"store at {self.root} was created with {existing} "
@@ -208,19 +218,15 @@ class PersistentVerdictStore:
         value = self._hot.get(key)
         if value is not self.MISS:
             return value
-        shard = self._shard(key)
-        found = shard.buffered(key)
-        buffered = found is not None
-        if not buffered:
-            found = shard.lookup(key)
-            if found is None:
-                with self._lock:
-                    self.misses += 1
-                return self.MISS
-        value, fps = found
+        found = self._shard(key).lookup(key)
+        if found is None:
+            with self._lock:
+                self.misses += 1
+            return self.MISS
+        value, buffered = found
         # Promote without re-appending: the record is already in the
         # shard's log.
-        self._hot.put(key, value, fps)
+        self._hot.put(key, value)
         with self._lock:
             if buffered:
                 self.buffer_hits += 1
@@ -231,9 +237,9 @@ class PersistentVerdictStore:
     def contains(self, key: tuple) -> bool:
         return self._hot.contains(key) or self._shard(key).contains(key)
 
-    def put(self, key: tuple, value, fps: Sequence[int]) -> int:
-        evicted = self._hot.put(key, value, fps)
-        self._shard(key).append(key, value, tuple(fps))
+    def put(self, key: tuple, value) -> int:
+        evicted = self._hot.put(key, value)
+        self._shard(key).append(key, value)
         return evicted
 
     def invalidate_fp(self, fp: int) -> int:
@@ -247,25 +253,20 @@ class PersistentVerdictStore:
             shard.clear()
 
     def __len__(self) -> int:
-        """Distinct stored keys across both tiers (hot entries that are
-        also on disk count once)."""
-        with self._hot._lock:
-            keys = set(self._hot._cache)
-        for shard in self._shards:
-            keys.update(shard.keys())
-        return len(keys)
+        """Distinct stored keys: the shards' lengths summed.  Every
+        hot entry is also in its shard (a put appends it, a promotion
+        read it from there)."""
+        return sum(len(shard) for shard in self._shards)
 
     # -- bulk transfer (process-executor merge path) ---------------------
 
-    def export(self) -> list[tuple[tuple, object, tuple[int, ...]]]:
+    def export(self) -> list[tuple[tuple, object]]:
         return self._hot.export()
 
-    def merge(
-        self, entries: Iterable[tuple[tuple, object, tuple[int, ...]]]
-    ) -> int:
+    def merge(self, entries: Iterable[tuple[tuple, object]]) -> int:
         count = 0
-        for key, value, fps in entries:
-            self.put(key, value, fps)
+        for key, value in entries:
+            self.put(key, value)
             count += 1
         with self._lock:
             self.merged += count

@@ -22,9 +22,9 @@ the invariants are:
   understand.
 
 The in-memory side is an index only: ``key -> (segment, value offset,
-length, compressed, fps)``.  Values stay on disk until a read-through
-asks for one (:meth:`lookup`), so reopening a large store is one
-sequential scan per segment with **zero** value unpickling.
+length, compressed)``.  Values stay on disk until a read-through asks
+for one (:meth:`lookup`), so reopening a large store is one sequential
+scan per segment with **zero** value unpickling.
 
 Thread safety: every public method takes the shard's own lock, so
 read-throughs and appends on disjoint shards never serialize on one
@@ -43,7 +43,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from . import format as fmt
 
-__all__ = ["FLUSH_EVERY", "Shard", "ShardStats"]
+__all__ = ["FLUSH_EVERY", "Shard"]
 
 _SEGMENT_SUFFIX = ".seg"
 
@@ -58,7 +58,7 @@ _READ_HISTOGRAM = obs_metrics.REGISTRY.histogram("repro_store_read_seconds")
 _FLUSH_HISTOGRAM = obs_metrics.REGISTRY.histogram("repro_store_flush_seconds")
 
 
-def _put_entry(segment: Path, offset: int, frame: bytes, fps: tuple) -> tuple:
+def _put_entry(segment: Path, offset: int, frame: bytes) -> tuple:
     """The index entry of a PUT ``frame`` written at byte ``offset`` of
     ``segment``: where its value blob lies, and whether it is
     compressed."""
@@ -69,30 +69,14 @@ def _put_entry(segment: Path, offset: int, frame: bytes, fps: tuple) -> tuple:
         value_offset,
         offset + len(frame) - value_offset,
         kind == fmt.RECORD_PUT_Z,
-        fps,
     )
-
-
-class ShardStats:
-    """Mutable counters one shard exposes (merged by the store)."""
-
-    __slots__ = (
-        "appends", "flushes", "compactions", "torn_tails",
-        "skipped_segments",
-    )
-
-    def __init__(self) -> None:
-        self.appends = 0
-        self.flushes = 0
-        self.compactions = 0
-        self.torn_tails = 0
-        self.skipped_segments = 0
 
 
 @shared_state(
     "_lock",
     "_index", "_pending", "_dead",
     "_tail", "_tail_fh", "_skipped", "_no_append", "_sizes",
+    "_appends", "_flushes", "_compactions", "_torn_tails",
     tier="store",
 )
 class Shard:
@@ -102,10 +86,10 @@ class Shard:
         self.path = Path(path)
         self._lock = threading.RLock()
         # key -> (segment Path, value_offset, value_length,
-        # value_compressed, fps)
-        self._index: dict[tuple, tuple[Path, int, int, bool, tuple]] = {}
-        # write-behind buffer, in append order: key -> (value, fps)
-        self._pending: dict[tuple, tuple[object, tuple]] = {}
+        # value_compressed)
+        self._index: dict[tuple, tuple[Path, int, int, bool]] = {}
+        # write-behind buffer, in append order: key -> value
+        self._pending: dict[tuple, object] = {}
         self._dead = 0  # superseded puts and legacy tombstones on disk
         self._tail: Path | None = None
         self._tail_fh = None
@@ -117,7 +101,10 @@ class Shard:
         # (skipped ones included), kept as the shard writes so the
         # stats never scan the disk
         self._sizes: dict[Path, int] = {}
-        self.stats = ShardStats()
+        self._appends = 0
+        self._flushes = 0
+        self._compactions = 0
+        self._torn_tails = 0
         with self._lock:
             self._open()
 
@@ -146,14 +133,13 @@ class Shard:
         self._sizes[segment] = segment.stat().st_size
         if not scan.usable:
             self._skipped.append(segment)
-            self.stats.skipped_segments += 1
             return
         if scan.truncate_at is not None:
             # Torn tail: drop the garbage physically so the next append
             # starts on a clean frame boundary.  A segment cut inside
             # its header holds no record and goes whole, or every later
             # open would find it torn again.
-            self.stats.torn_tails += 1
+            self._torn_tails += 1
             if scan.truncate_at == 0:
                 self._unlink(segment)
                 return
@@ -176,7 +162,6 @@ class Shard:
                 record.value_offset,
                 record.value_length,
                 record.compressed,
-                record.fps,
             )
 
     # -- the read path ---------------------------------------------------
@@ -185,24 +170,18 @@ class Shard:
         with self._lock:
             return key in self._pending or key in self._index
 
-    def buffered(self, key: tuple):
-        """``(value, fps)`` for a key still in the write-behind buffer,
-        or ``None`` — no disk read."""
-        with self._lock:
-            return self._pending.get(key)
-
     def lookup(self, key: tuple):
-        """``(value, fps)`` for a stored key, or ``None`` — the
-        read-through miss path (one seek + one value unpickle, unless
-        the key is still buffered)."""
+        """``(value, buffered)`` for a stored key, or ``None`` — the
+        read-through miss path.  A key still in the write-behind buffer
+        answers from memory (``buffered`` is True); any other costs one
+        seek and one value unpickle."""
         with self._lock:
-            pending = self._pending.get(key)
-            if pending is not None:
-                return pending
+            if key in self._pending:
+                return self._pending[key], True
             entry = self._index.get(key)
             if entry is None:
                 return None
-            segment, offset, length, compressed, fps = entry
+            segment, offset, length, compressed = entry
             start = time.perf_counter()
             with segment.open("rb") as fh:
                 fh.seek(offset)
@@ -213,17 +192,11 @@ class Shard:
             tr = obs_trace.current()
             if tr is not None:
                 tr.add_span("store.read", start, elapsed, bytes=length)
-            return value, fps
-
-    def keys(self) -> list[tuple]:
-        with self._lock:
-            merged = set(self._index)
-            merged.update(self._pending)
-            return list(merged)
+            return value, False
 
     # -- the write path --------------------------------------------------
 
-    def append(self, key: tuple, value, fps) -> None:
+    def append(self, key: tuple, value) -> None:
         """Buffer one PUT (write-behind); flushes automatically every
         :data:`FLUSH_EVERY` buffered puts."""
         with self._lock:
@@ -232,8 +205,8 @@ class Shard:
                 # second append would only write a byte-identical dead
                 # record.
                 return
-            self._pending[key] = (value, tuple(fps))
-            self.stats.appends += 1
+            self._pending[key] = value
+            self._appends += 1
             if len(self._pending) >= FLUSH_EVERY:
                 self._flush_locked()
 
@@ -276,16 +249,16 @@ class Shard:
             return 0
         flush_start = time.perf_counter()
         fh = self._tail_handle()
-        for key, (value, fps) in self._pending.items():
+        for key, value in self._pending.items():
             offset = fh.tell()
-            frame = fmt.encode_put(key, value, fps)
+            frame = fmt.encode_put(key, value)
             fh.write(frame)
-            self._index[key] = _put_entry(self._tail, offset, frame, fps)
+            self._index[key] = _put_entry(self._tail, offset, frame)
         fh.flush()
         written = len(self._pending)
         self._sizes[self._tail] = fh.tell()
         self._pending.clear()
-        self.stats.flushes += 1
+        self._flushes += 1
         elapsed = time.perf_counter() - flush_start
         _FLUSH_HISTOGRAM.record(elapsed)
         tr = obs_trace.current()
@@ -314,24 +287,22 @@ class Shard:
             for segment in old_segments:
                 self._unlink(segment)
             self._dead = 0
-            self.stats.compactions += 1
+            self._compactions += 1
             return 0
         snapshot = self._next_segment_path()
         live = sorted(self._index.items(), key=lambda item: repr(item[0]))
-        new_index: dict[tuple, tuple[Path, int, int, bool, tuple]] = {}
+        new_index: dict[tuple, tuple[Path, int, int, bool]] = {}
         with snapshot.open("wb") as fh:
             fmt.write_header(fh)
-            for key, (segment, offset, length, compressed, fps) in live:
+            for key, (segment, offset, length, compressed) in live:
                 with segment.open("rb") as src:
                     src.seek(offset)
                     blob = src.read(length)
                 value = fmt.decode_value(blob, compressed)
                 record_offset = fh.tell()
-                frame = fmt.encode_put(key, value, fps)
+                frame = fmt.encode_put(key, value)
                 fh.write(frame)
-                new_index[key] = _put_entry(
-                    snapshot, record_offset, frame, fps
-                )
+                new_index[key] = _put_entry(snapshot, record_offset, frame)
             fh.flush()
             os.fsync(fh.fileno())
             self._sizes[snapshot] = fh.tell()
@@ -341,7 +312,7 @@ class Shard:
                 self._unlink(segment)
         self._dead = 0
         self._tail = snapshot
-        self.stats.compactions += 1
+        self._compactions += 1
         return len(new_index)
 
     def clear(self) -> None:
@@ -392,10 +363,10 @@ class Shard:
                 "dead_records": self._dead,
                 "pending": len(self._pending),
                 "segments": len(self._sizes),
-                "skipped_segments": self.stats.skipped_segments,
+                "skipped_segments": len(self._skipped),
                 "disk_bytes": self.disk_bytes(),
-                "appends": self.stats.appends,
-                "flushes": self.stats.flushes,
-                "compactions": self.stats.compactions,
-                "torn_tails": self.stats.torn_tails,
+                "appends": self._appends,
+                "flushes": self._flushes,
+                "compactions": self._compactions,
+                "torn_tails": self._torn_tails,
             }

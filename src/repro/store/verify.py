@@ -36,7 +36,7 @@ import random
 from itertools import chain, combinations
 from pathlib import Path
 
-from ..engine.session import consistent_key, witness_key
+from ..engine.session import consistent_key, participants, witness_key
 from . import format as fmt
 from .persistent import read_meta
 
@@ -48,8 +48,8 @@ DEFAULT_MAX_ATTRS = 10
 
 def _scan_shard(shard_dir: Path, report: dict) -> dict:
     """Replay one shard directory read-only into its live record map
-    ``key -> (segment, offset, length, compressed, fps)``, as an open
-    does: the last put of a key wins, and a legacy tombstone drops
+    ``key -> (segment, offset, length, compressed)``, as an open does:
+    the last put of a key wins, and a legacy tombstone drops
     nothing."""
     live: dict[tuple, tuple] = {}
     for segment in sorted(shard_dir.glob("*.seg")):
@@ -73,13 +73,12 @@ def _scan_shard(shard_dir: Path, report: dict) -> dict:
                 record.value_offset,
                 record.value_length,
                 record.compressed,
-                record.fps,
             )
     return live
 
 
 def _load_value(entry: tuple):
-    segment, offset, length, compressed, _ = entry
+    segment, offset, length, compressed = entry
     with segment.open("rb") as fh:
         fh.seek(offset)
         blob = fh.read(length)
@@ -109,7 +108,7 @@ def _check_witness_value(key: tuple, witness, max_attrs: int) -> str:
     from ..consistency.pairwise import are_consistent
     from ..consistency.witness import is_witness
 
-    lfp, rfp = key[1], key[2]
+    lfp, rfp = participants(key)
     by_fp = _marginal_fingerprints(witness, max_attrs)
     if by_fp is None:
         return "skipped"
@@ -145,7 +144,7 @@ def _check_global_value(key: tuple, result, max_attrs: int) -> str:
     if by_fp is None:
         return "skipped"
     bags = []
-    for fp in key[1]:
+    for fp in participants(key):
         schema = by_fp.get(fp)
         if schema is None:
             return "mismatch"
@@ -158,7 +157,7 @@ def _check_consistent_value(key: tuple, verdict, live: dict) -> str:
     the same fingerprint pair (either orientation)."""
     if not isinstance(verdict, bool):
         return "mismatch"
-    a, b = key[1], key[2]
+    a, b = participants(key)
     for lfp, rfp in ((a, b), (b, a)):
         entry = live.get(witness_key(lfp, rfp))
         if entry is None:
@@ -174,7 +173,7 @@ def _check_witness_refusal(key: tuple, live: dict) -> str:
     """A stored ``None`` witness claims the pair is inconsistent; the
     stored pair verdict (symmetric key: sorted fingerprints) must
     agree."""
-    a, b = key[1], key[2]
+    a, b = participants(key)
     entry = live.get(consistent_key(a, b))
     if entry is None:
         return "skipped"  # refusal with no companion verdict

@@ -185,7 +185,7 @@ def test_persistent_store_hammer(sanitize, tmp_path):
             key = ("consistent", fps[a], fps[b])
             roll = rng.random()
             if roll < 0.45:
-                store.put(key, value_of(key), (fps[a], fps[b]))
+                store.put(key, value_of(key))
             elif roll < 0.80:
                 value = store.get(key)
                 assert value is store.MISS or value == value_of(key)
@@ -199,12 +199,12 @@ def test_persistent_store_hammer(sanitize, tmp_path):
     run_threads(worker)
     store.flush()
     # everything still stored must read back exactly
-    for entry_key, value, _fps in store.export():
+    for entry_key, value in store.export():
         assert value == value_of(entry_key)
     store.close()
 
     # reopen: the durable tier must replay to the same values
     warm = PersistentVerdictStore(tmp_path / "store")
-    for entry_key, value, _fps in warm.export():
+    for entry_key, value in warm.export():
         assert value == value_of(entry_key)
     warm.close()

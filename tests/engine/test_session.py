@@ -72,7 +72,7 @@ class TestWitness:
         engine = Engine()
         r, s = consistent_pair()
         lfp, rfp = fingerprint.of_bag(r), fingerprint.of_bag(s)
-        engine.store.put(("witness", lfp, rfp, False), "stale", (lfp, rfp))
+        engine.store.put(("witness", lfp, rfp, False), "stale")
         witness = engine.witness(r, s)
         assert is_witness([r, s], witness)
         assert engine.witness(r, s) is witness
@@ -145,8 +145,7 @@ class TestStoreKeys:
         r, s = consistent_pair(seed=6)
         _, key = query_and_key(Engine(), kind, r, s)
         engine = Engine()
-        fps = (fingerprint.of_bag(r), fingerprint.of_bag(s))
-        engine.store.put(key, "stored", fps)
+        engine.store.put(key, "stored")
         assert query_and_key(engine, kind, r, s)[0] == "stored"
         assert len(engine) == 1  # nothing computed, nothing added
 
@@ -352,7 +351,7 @@ class TestEvictionAgainstModel:
         model = LRUModel(capacity)
         for step, (op, key, fps, fp) in enumerate(op_stream(rng, range(12))):
             if op == "put":
-                assert store.put(key, step, fps) == model.put(key, step, fps)
+                assert store.put(key, step) == model.put(key, step, fps)
             elif op == "get":
                 assert store.get(key) == model.get(key)
             else:
@@ -361,9 +360,14 @@ class TestEvictionAgainstModel:
                 (k, v) for k, v, _ in model.entries
             ]
             assert store.evictions == model.evictions
-            live_fps = {fp for _, _, fps in model.entries for fp in fps}
-            assert set(store._fp_keys) == live_fps
-            assert set(store._participants) == set(store._cache)
+            inverse = {}
+            for k, _, key_fps in model.entries:
+                for held_fp in key_fps:
+                    inverse.setdefault(held_fp, set()).add(k)
+            assert {
+                held_fp: held if isinstance(held, set) else {held}
+                for held_fp, held in store._fp_keys.items()
+            } == inverse
 
     @pytest.mark.parametrize("capacity", [1, 3, 8, 20])
     @pytest.mark.parametrize("seed", range(2))
@@ -393,7 +397,7 @@ class TestEvictionAgainstModel:
                 value = value_of(key)
                 stored[key] = value
                 routed.add(key)
-                assert store.put(key, value, key_fps) == model.put(
+                assert store.put(key, value) == model.put(
                     key, value, key_fps
                 )
             elif op == "get":

@@ -7,7 +7,6 @@ serve → engine → worker → store chain is exercised in
 from __future__ import annotations
 
 import logging
-import threading
 
 import pytest
 
@@ -73,22 +72,6 @@ class TestTrace:
         exported = trace.export_spans()
         exported[0]["name"] = "mutated"
         assert trace.spans[0]["name"] == "a"
-
-    def test_concurrent_add_span_loses_nothing(self):
-        trace = Trace("t")
-        per_thread = MAX_SPANS // 4
-
-        def work():
-            for _ in range(per_thread):
-                trace.add_span("s", trace.origin, 0.0)
-
-        threads = [threading.Thread(target=work) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(trace.spans) == 4 * per_thread
-        assert trace.dropped == 0
 
 
 class TestTraceBuffer:

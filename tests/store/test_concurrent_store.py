@@ -20,7 +20,7 @@ import pytest
 
 from repro.analysis import sanitizer
 from repro.analysis.sanitizer import SanitizerError
-from repro.engine.session import VerdictStore
+from repro.engine.session import VerdictStore, participants
 from repro.store.persistent import PersistentVerdictStore
 
 N_THREADS = 6
@@ -92,7 +92,7 @@ def test_verdict_store_hammer(sanitize):
             key = ("consistent", fps[a], fps[b])
             roll = rng.random()
             if roll < 0.40:
-                store.put(key, value_of(key), (fps[a], fps[b]))
+                store.put(key, value_of(key))
             elif roll < 0.75:
                 value = store.get(key)
                 assert value is store.MISS or value == value_of(key)
@@ -101,17 +101,16 @@ def test_verdict_store_hammer(sanitize):
             elif roll < 0.96:
                 assert store.contains(key) in (True, False)
             else:
-                for entry_key, value, _fps in store.export():
+                for entry_key, value in store.export():
                     assert value == value_of(entry_key)
 
     run_threads(worker)
 
     # internal indexes must agree exactly after the dust settles
     with store._lock:
-        assert set(store._cache) == set(store._participants)
         inverse = {}
-        for key, key_fps in store._participants.items():
-            for fp in key_fps:
+        for key in store._cache:
+            for fp in participants(key):
                 inverse.setdefault(fp, set()).add(key)
         # the reverse index keeps a fingerprint's only key bare
         index = {
@@ -119,7 +118,7 @@ def test_verdict_store_hammer(sanitize):
             for fp, held in store._fp_keys.items()
         }
         assert inverse == index
-    for entry_key, value, _fps in store.export():
+    for entry_key, value in store.export():
         assert value == value_of(entry_key)
 
 
@@ -131,8 +130,7 @@ def test_verdict_store_hammer_catches_lock_removal(sanitize):
     object.__setattr__(store, "_lock", _NeverHeld())
     with pytest.raises(SanitizerError):
         store.put(("consistent", fps[0], fps[1]),
-                  value_of(("consistent", fps[0], fps[1])),
-                  (fps[0], fps[1]))
+                  value_of(("consistent", fps[0], fps[1])))
     with pytest.raises(SanitizerError):
         store.invalidate_fp(fps[0])
 
@@ -149,7 +147,7 @@ def test_persistent_store_flush_hammer(sanitize, tmp_path):
             key = ("consistent", fps[a], fps[b])
             roll = rng.random()
             if roll < 0.45:
-                store.put(key, value_of(key), (fps[a], fps[b]))
+                store.put(key, value_of(key))
             elif roll < 0.75:
                 value = store.get(key)
                 assert value is store.MISS or value == value_of(key)
@@ -160,12 +158,12 @@ def test_persistent_store_flush_hammer(sanitize, tmp_path):
 
     run_threads(worker)
     store.flush()
-    for entry_key, value, _fps in store.export():
+    for entry_key, value in store.export():
         assert value == value_of(entry_key)
     store.close()
 
     warm = PersistentVerdictStore(tmp_path / "store")
-    for entry_key, value, _fps in warm.export():
+    for entry_key, value in warm.export():
         assert value == value_of(entry_key)
     warm.close()
 
@@ -181,7 +179,7 @@ def test_persistent_store_catches_shard_lock_removal(sanitize, tmp_path):
         for shard in store._shards:
             object.__setattr__(shard, "_lock", _NeverHeld())
         with pytest.raises(SanitizerError):
-            store.put(key, value_of(key), (fps[0], fps[1]))
+            store.put(key, value_of(key))
             store.flush()
     finally:
         for shard in store._shards:

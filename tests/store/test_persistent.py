@@ -97,13 +97,43 @@ class TestMeta:
         with pytest.raises(StoreFormatError, match="not a verdict-store"):
             PersistentVerdictStore(root)
 
+    @pytest.mark.parametrize("meta", [
+        '{"version": 1, "fingerprint": 3, "shards": 0}',
+        '{"version": 1, "fingerprint": 3, "shards": -2}',
+        '{"version": "1", "fingerprint": 3, "shards": 2}',
+        '{"version": 1, "fingerprint": 3, "shards": 2.5}',
+        '{"version": 1, "fingerprint": 3, "shards": true}',
+    ])
+    def test_malformed_meta_is_refused_cleanly(self, tmp_path, capsys, meta):
+        """A shard count that is not a positive integer would route
+        keys by the wrong count or index no shard, and a version that is
+        not an integer cannot be compared: every entry point refuses
+        them with a typed error, and the CLI with one line."""
+        from repro.cli import main
+        from repro.store import verify_store
+
+        root = tmp_path / "s"
+        PersistentVerdictStore(root, shards=2).close()
+        (root / "META.json").write_text(meta)
+        with pytest.raises(StoreFormatError, match="integer"):
+            PersistentVerdictStore(root)
+        with pytest.raises(StoreFormatError, match="integer"):
+            verify_store(root)
+        capsys.readouterr()
+        for action in ("stats", "verify"):
+            assert main(["store", action, "--store-dir", str(root)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith("error: ") and "integer" in line
+
 
 class TestTiers:
     def test_every_put_reaches_disk(self, tmp_path):
         store = PersistentVerdictStore(tmp_path / "s", shards=2)
-        store.put(("consistent", 1, 2), True, (1, 2))
-        store.put(("witness", 1, 2, True), None, (1, 2))
-        store.put(("global", (1, 2), "auto"), "result", (1, 2))
+        store.put(("consistent", 1, 2), True)
+        store.put(("witness", 1, 2, True), None)
+        store.put(("global", (1, 2), "auto"), "result")
         store.flush()
         assert store.stats_dict()["persistent"]["records"] == 3
         store.close()
@@ -117,7 +147,7 @@ class TestTiers:
 
     def test_read_through_promotes_into_the_hot_tier(self, tmp_path):
         store = PersistentVerdictStore(tmp_path / "s", shards=2)
-        store.put(("consistent", 5, 6), False, (5, 6))
+        store.put(("consistent", 5, 6), False)
         store.close()
 
         reopened = PersistentVerdictStore(tmp_path / "s")
@@ -138,7 +168,7 @@ class TestTiers:
         keys = [("consistent", i, i + 1) for i in range(3)]
         assert len(keys) < shard_module.FLUSH_EVERY
         for i, key in enumerate(keys):
-            store.put(key, i % 2 == 0, key[1:])
+            store.put(key, i % 2 == 0)
         assert store.stats_dict()["persistent"]["segments"] == 0
         # the 1-entry hot tier holds one key, so each read in turn
         # misses it and promotes its key from the buffer
@@ -162,7 +192,7 @@ class TestTiers:
         monkeypatch.setattr(shard_module, "FLUSH_EVERY", 1)
         store = PersistentVerdictStore(tmp_path / "s", shards=1, capacity=2)
         for i in range(10):
-            store.put(("consistent", i, i + 100), i % 2 == 0, (i, i + 100))
+            store.put(("consistent", i, i + 100), i % 2 == 0)
         assert store.evictions > 0
         for i in range(10):  # every verdict still answerable
             assert store.get(("consistent", i, i + 100)) == (i % 2 == 0)
@@ -172,9 +202,9 @@ class TestTiers:
         """An entry never goes stale, so invalidation only frees memory:
         the disk keeps it, and the next get reads it back through."""
         store = PersistentVerdictStore(tmp_path / "s", shards=2)
-        store.put(("consistent", 1, 2), True, (1, 2))
-        store.put(("witness", 1, 3, False), None, (1, 3))
-        store.put(("consistent", 7, 8), True, (7, 8))
+        store.put(("consistent", 1, 2), True)
+        store.put(("witness", 1, 3, False), None)
+        store.put(("consistent", 7, 8), True)
         store.flush()
         assert store.invalidate_fp(1) == 2
         assert store.stats_dict()["entries"] == 1
@@ -190,7 +220,7 @@ class TestTiers:
 
     def test_clear_wipes_disk_too(self, tmp_path):
         store = PersistentVerdictStore(tmp_path / "s", shards=2)
-        store.put(("consistent", 1, 2), True, (1, 2))
+        store.put(("consistent", 1, 2), True)
         store.flush()
         store.clear()
         store.close()
@@ -200,8 +230,8 @@ class TestTiers:
 
     def test_len_counts_distinct_keys_across_tiers(self, tmp_path):
         store = PersistentVerdictStore(tmp_path / "s", shards=2)
-        store.put(("consistent", 1, 2), True, (1, 2))
-        store.put(("marginal", 3, ("A",)), "x", (3,))
+        store.put(("consistent", 1, 2), True)
+        store.put(("marginal", 3, ("A",)), "x")
         store.flush()
         assert len(store) == 2  # hot∪disk, promoted entries not doubled
         store.get(("consistent", 1, 2))
@@ -210,8 +240,8 @@ class TestTiers:
 
     def test_merge_persists_worker_deltas(self, tmp_path):
         plain = VerdictStore()
-        plain.put(("consistent", 1, 2), True, (1, 2))
-        plain.put(("global", (3, 4), "auto"), "result", (3, 4))
+        plain.put(("consistent", 1, 2), True)
+        plain.put(("global", (3, 4), "auto"), "result")
         store = PersistentVerdictStore(tmp_path / "s", shards=2)
         assert store.merge(plain.export()) == 2
         store.close()
@@ -317,7 +347,7 @@ class TestStats:
 
         def put(store, i):
             fp = i << 120  # the top bits pick the shard: i % 3
-            store.put(("consistent", fp, i), True, (fp, i))
+            store.put(("consistent", fp, i), True)
 
         monkeypatch.setattr(shard_module, "FLUSH_EVERY", 4)
         store = PersistentVerdictStore(root, shards=3)

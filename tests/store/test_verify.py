@@ -92,7 +92,7 @@ class TestVerifyStore:
         segment, record, witness = target
         wrong = witness + witness  # doubled multiplicities: fps break
         with segment.open("ab") as fh:
-            fh.write(fmt.encode_put(record.key, wrong, record.fps))
+            fh.write(fmt.encode_put(record.key, wrong))
         report = verify_store(tmp_path / "s", sample=256)
         assert report["mismatches"] >= 1 and not report["ok"]
 
@@ -118,7 +118,7 @@ class TestVerifyStore:
         shard = shard_of_key(key, 2)
         segment = sorted((tmp_path / "s" / f"shard-{shard:02d}").glob("*.seg"))[-1]
         with segment.open("ab") as fh:
-            fh.write(fmt.encode_put(key, False, (a, b)))
+            fh.write(fmt.encode_put(key, False))
         report = verify_store(tmp_path / "s", sample=256)
         assert report["mismatches"] >= 1 and not report["ok"]
 
@@ -134,7 +134,7 @@ class TestVerifyStore:
         assert is_witness([r, s], product)
         store = PersistentVerdictStore(tmp_path / "s", shards=2)
         lfp, rfp = fingerprint.of_bag(r), fingerprint.of_bag(s)
-        store.put(witness_key(lfp, rfp), product, (lfp, rfp))
+        store.put(witness_key(lfp, rfp), product)
         store.close()
         report = verify_store(tmp_path / "s")
         assert report["mismatches"] == 1 and not report["ok"]
